@@ -79,7 +79,6 @@ class EpochClock(Action):
 
 @dataclass
 class Trial:
-    started: float
     clock: EpochClock
     preset: object
     state: object = None
@@ -105,19 +104,18 @@ class Trial:
         return [e / c for e, c in zip(self.epoch_s(first),
                                       self.clock.calibration_s[first:])]
 
-    def setup_s(self, warmup):
-        """Preset and state build plus the warm-up epochs."""
-        if self.epochs < warmup:
-            return None
-        return (self.clock.starts[0][0] - self.started
-                + sum(self.epoch_s()[:warmup]))
+    def warm_at(self, warmup):
+        """The clock reading at which epoch ``warmup`` (the first timed one)
+        starts, less the calibration runs before it, which are the
+        benchmark's own."""
+        return (self.clock.starts[warmup][0]
+                - sum(self.clock.calibration_s[:warmup]))
 
 
 def run_trial(wl, seed, deadline, protected, tracer=None):
     """Train one fresh state for ``wl.epochs`` epochs (fewer if the run's
     time runs out and the trial is not protected)."""
     clock = tracer.now if tracer is not None else time.perf_counter
-    started = clock()
     preset = wl.build()
     problem = preset.problem(preset.batch)
     if tracer is not None:
@@ -131,7 +129,7 @@ def run_trial(wl, seed, deadline, protected, tracer=None):
     callbacks = [Callback(AfterEpoch(e), SetLearningRate(preset.lr * f))
                  for e, f in preset.lr_schedule]
     callbacks.append(Callback(Always(), stamp))
-    trial = Trial(started, stamp, preset)
+    trial = Trial(stamp, preset)
     stamp.mark(stamp.starts)
     try:
         trial.state = solver.fit(problem, cfg, callbacks, layout=preset.layout)
@@ -195,22 +193,32 @@ def summarize_ms(epoch_s):
             "p90_resolved": len(ms) >= 100}
 
 
-def import_seconds(src, repeats=5):
-    """Median wall time for a fresh interpreter to start and import
-    neurodiff (and with it numpy), from ``repeats`` child processes."""
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
-    times = []
-    for _ in range(repeats):
-        t = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import neurodiff"], env=env,
-                       check=True)
-        times.append(time.perf_counter() - t)
-    return statistics.median(times)
+COLDSTART = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "coldstart.py")
+COLD_SETUPS = 7
+# A bare interpreter's time to start and import numpy on the reference host
+# (README.md), rounded.
+REFERENCE_IMPORT_S = 0.15
 
 
-def run_untraced(wl, seed, seconds, src):
-    import_s = import_seconds(src)
+def _seconds_to_stamp(args):
+    """Wall time from starting ``coldstart.py args`` to the stamp it prints."""
+    started = time.perf_counter()
+    out = subprocess.run([sys.executable, COLDSTART, *args],
+                         stdout=subprocess.PIPE, text=True, check=True)
+    return float(out.stdout) - started
+
+
+def cold_setups(wl, seed, repeats=COLD_SETUPS):
+    """Set-up times of ``repeats`` fresh processes, one after the other, each
+    from its start to its first timed epoch, over the time a bare
+    interpreter started right after it takes to import numpy."""
+    return [_seconds_to_stamp([wl.name, str(seed)]) / _seconds_to_stamp([])
+            for _ in range(repeats)]
+
+
+def run_untraced(wl, seed, seconds):
+    setups = cold_setups(wl, seed)
     deadline = time.perf_counter() + seconds
     trials = []
     while not trials or (time.perf_counter() < deadline
@@ -219,12 +227,10 @@ def run_untraced(wl, seed, seconds, src):
         check_trial(wl, trials[-1], _history(trials[0]))
     epoch_s = [s for t in trials for s in t.epoch_s(wl.warmup)]
     costs = [c for t in trials for c in t.costs(wl.warmup)]
-    setups = [s for s in (t.setup_s(wl.warmup) for t in trials)
-              if s is not None]
-    metrics, info = {}, {"setups": len(setups), "import_s": import_s}
-    if epoch_s and setups:
+    metrics, info = {}, {"setup_over_import": setups}
+    if epoch_s:
         metrics = {
-            "setup_s": import_s + statistics.median(setups),
+            "setup_s": statistics.median(setups) * REFERENCE_IMPORT_S,
             "epoch_cost_p50": nearest_rank(costs, 50),
             "epoch_cost_p90": nearest_rank(costs, 90),
             "peak_rss_mb":
@@ -311,7 +317,7 @@ def run_traced(wl, seed, seconds, trace_path):
     return untraced + traced, metrics, info
 
 
-def environment(blas_threads):
+def environment(pinned):
     try:
         build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = " ".join(str(build.get(k, "")) for k in
@@ -326,7 +332,7 @@ def environment(blas_threads):
     except OSError:
         pass
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas, "blas_threads": blas_threads,
+            "blas": blas, **pinned,
             "nproc": os.cpu_count(),
             "usable_cpus": len(os.sched_getaffinity(0)),
             "cpu_model": cpu}

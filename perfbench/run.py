@@ -14,10 +14,9 @@ artifact writing) and ``config`` (one global flag) are not measured.
 import os
 import sys
 
-# BLAS reads its thread count once, when numpy is first imported.
-BLAS_THREADS = 1
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = str(BLAS_THREADS)
+import pin
+
+PINNED = pin.pin()  # before numpy is imported
 
 import argparse  # noqa: E402
 import json  # noqa: E402
@@ -56,7 +55,7 @@ def main(argv=None):
               f"choose from {sorted(WORKLOADS)}", file=sys.stderr)
         return 2
     wl = WORKLOADS[args.workload]
-    env = bench.environment(BLAS_THREADS)
+    env = bench.environment(PINNED)
     print(f"perfbench {wl.name} seed={args.seed} seconds={args.seconds:g} "
           f"trace={args.trace}")
     print("environment " + json.dumps(env, sort_keys=True))
@@ -70,8 +69,7 @@ def main(argv=None):
         wanted = spec["per_layer"]
         print(f"spans written to {os.path.relpath(trace_path, ROOT)}")
     else:
-        trials, metrics, info = bench.run_untraced(wl, args.seed, args.seconds,
-                                                   SRC)
+        trials, metrics, info = bench.run_untraced(wl, args.seed, args.seconds)
         wanted = spec["end_to_end"]
     print("run " + json.dumps(info, sort_keys=True))
 

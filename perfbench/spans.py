@@ -117,8 +117,7 @@ class Tracer:
             setattr(owner, attr, new)
 
     def _wrap_attr(self, owner, attr, name):
-        if attr in vars(owner):  # a function the program dropped has no span
-            self._patch(owner, attr, self.wrap(name, vars(owner)[attr]))
+        self._patch(owner, attr, self.wrap(name, vars(owner)[attr]))
 
     def watch_problem(self, problem):
         """Trace the residual the benchmark built and tell the validation
@@ -130,11 +129,10 @@ class Tracer:
         ad = autodiff
         wrapped_ops = {}
         for kind, fname in OP_FUNCTIONS.items():
-            if hasattr(ad, fname):
-                orig = getattr(ad, fname)
-                wrapped_ops[orig] = self.wrap("autodiff.op." + kind, orig)
-                self._patch(ad, fname, wrapped_ops[orig])
-        activations = getattr(network, "_ACTIVATIONS", {})
+            orig = getattr(ad, fname)
+            wrapped_ops[orig] = self.wrap("autodiff.op." + kind, orig)
+            self._patch(ad, fname, wrapped_ops[orig])
+        activations = network._ACTIVATIONS
         for key, fn in list(activations.items()):
             if fn in wrapped_ops:  # bound at import time, so patch the table
                 self._patch(activations, key, wrapped_ops[fn])

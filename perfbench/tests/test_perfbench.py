@@ -88,3 +88,19 @@ def test_useful_nodes_of_a_five_node_graph():
     assert spans.reachable_count([y, u], before._id) == 5
     assert spans.reachable_count([y, u], x._id) == 4        # x built earlier
     assert spans.reachable_count([before], before._id) == 0
+
+
+def test_warm_at_leaves_out_the_calibration_runs():
+    clock = bench.EpochClock(None, 0.0, True)
+    clock.starts = [(1.0, 0, None), (2.5, 0, None), (4.0, 0, None)]
+    clock.ends = [(2.25, 0, None), (3.75, 0, None)]
+    clock.calibration_s = [0.25, 0.25]
+    trial = bench.Trial(clock, None)
+    assert trial.warm_at(2) == pytest.approx(3.5)
+    assert trial.epoch_s() == pytest.approx([1.25, 1.25])
+
+
+def test_cold_setup_runs_in_a_fresh_process():
+    from workloads import WORKLOADS
+    (ratio,) = bench.cold_setups(WORKLOADS["decay"], seed=1, repeats=1)
+    assert ratio > 1.0  # a set-up imports numpy and then does more
