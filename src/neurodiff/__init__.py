@@ -7,7 +7,7 @@ exactly by reparameterization.
 
 from . import (autodiff, bases, callbacks, conditions, config, generators,
                losses, network, operators, solver)
-from .autodiff import Graph, backward, constant, diff, variable
+from .autodiff import backward, constant, diff, variable
 from .losses import LossSpec
 from .network import MLP, MLPSpec
 from .solver import (Adam, BundleLayout, Problem, SGD, Solution, SolverConfig,

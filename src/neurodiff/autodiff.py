@@ -5,6 +5,15 @@ property is that ``backward`` emits *new graph nodes* rather than plain
 numbers, so gradients are themselves differentiable: reverse-over-reverse
 gives second, third, ... derivatives with a single mechanism.
 
+Nodes carry no graph object: each gets an increasing ``_id`` at creation,
+inputs always have smaller ids than their consumers, and a graph is freed by
+reference counting once its last node is dropped.
+
+``backward`` builds adjoints only for nodes on a path from a ``wrt`` node to
+the output (the activity analysis of reverse mode).  Everything else could
+never reach a returned gradient, and every kept adjoint receives the same
+contributions in the same order, so results equal a full sweep bit for bit.
+
 Only scalar-with-tensor broadcasting is allowed; any other shape mix raises
 ``ShapeError``.  Non-finite results (log of a negative, division by zero)
 propagate without clamping and are detectable via the node values.
@@ -19,38 +28,7 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-class Graph:
-    """Append-only arena of nodes.
-
-    Node creation order gives the topological order.  A graph is intended to
-    live for one training step and be discarded afterwards, which bounds
-    memory without reference counting games.
-    """
-
-    def __init__(self):
-        self.nodes = []
-
-    def add(self, node):
-        self.nodes.append(node)
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __enter__(self):
-        _graph_stack.append(self)
-        return self
-
-    def __exit__(self, *exc):
-        _graph_stack.pop()
-        return False
-
-
-_graph_stack = [Graph()]
 _id_counter = [0]
-
-
-def current_graph():
-    return _graph_stack[-1]
 
 
 class Node:
@@ -66,21 +44,10 @@ class Node:
         self.attrs = attrs
         _id_counter[0] += 1
         self._id = _id_counter[0]
-        current_graph().add(self)
 
     @property
     def shape(self):
         return self.value.shape
-
-    def set_value(self, value):
-        if self.op != "variable":
-            raise ValueError("only variable nodes can be assigned")
-        value = np.asarray(value, dtype=config.dtype())
-        if value.shape != self.value.shape:
-            raise ShapeError(
-                f"variable shape {self.value.shape} vs assigned {value.shape}"
-            )
-        self.value = value
 
     def __repr__(self):
         return f"Node({self.op}, shape={self.value.shape}, id={self._id})"
@@ -260,55 +227,14 @@ def transpose(a):
     return Node("transpose", (a,), a.value.T.copy(), a.requires_grad)
 
 
-_FORWARD = {
-    "add": lambda v, n: v[0] + v[1],
-    "sub": lambda v, n: v[0] - v[1],
-    "mul": lambda v, n: v[0] * v[1],
-    "div": lambda v, n: v[0] / v[1],
-    "pow": lambda v, n: np.power(v[0], n.attrs["exponent"]),
-    "neg": lambda v, n: -v[0],
-    "exp": lambda v, n: np.exp(v[0]),
-    "ln": lambda v, n: np.log(v[0]),
-    "sin": lambda v, n: np.sin(v[0]),
-    "cos": lambda v, n: np.cos(v[0]),
-    "tanh": lambda v, n: np.tanh(v[0]),
-    "abs": lambda v, n: np.abs(v[0]),
-    "sum": lambda v, n: np.sum(v[0]),
-    "mean": lambda v, n: np.mean(v[0]),
-    "max": lambda v, n: np.max(v[0]),
-    "broadcast": lambda v, n: np.broadcast_to(
-        v[0].reshape(()), n.attrs["shape"]).copy(),
-    "matmul": lambda v, n: v[0] @ v[1],
-    "transpose": lambda v, n: v[0].T.copy(),
-}
-
-
-def forward(node):
-    """Re-evaluate the subgraph below ``node`` and return its value.
-
-    Needed after ``set_value`` on a variable; freshly built nodes already
-    carry their values (construction is eager).
-    """
-    order = _topo_below(node, require_grad=False)
-    with np.errstate(all="ignore"):
-        for n in order:
-            if n.op in ("constant", "variable"):
-                continue
-            vals = [i.value for i in n.inputs]
-            n.value = np.asarray(_FORWARD[n.op](vals, n), dtype=config.dtype())
-    return node.value
-
-
-def _topo_below(root, require_grad=True):
-    """Nodes below root in creation (= topological) order."""
+def _topo_below(root):
+    """Requires-grad nodes below root in creation (= topological) order."""
     seen = set()
     stack = [root]
     collected = []
     while stack:
         n = stack.pop()
-        if n._id in seen:
-            continue
-        if require_grad and not n.requires_grad:
+        if n._id in seen or not n.requires_grad:
             continue
         seen.add(n._id)
         collected.append(n)
@@ -345,19 +271,27 @@ def _argmax_mask(x):
     return constant(mask.reshape(x.value.shape))
 
 
-def _vjp(node, g):
-    """Gradients of node's inputs given the adjoint g (all graph nodes)."""
+def _vjp(node, g, need):
+    """Gradients of node's inputs given the adjoint g (all graph nodes).
+
+    ``need[i]`` says whether input i wants its gradient; an unwanted binary
+    operand gets None and nothing is built for it.  Unary ops are only asked
+    when their input is wanted.
+    """
     op = node.op
     a = node.inputs[0] if node.inputs else None
     if op == "add":
         return (g, g)
     if op == "sub":
-        return (g, neg(g))
+        return (g, neg(g) if need[1] else None)
     if op == "mul":
-        return (mul(g, node.inputs[1]), mul(g, a))
+        b = node.inputs[1]
+        return (mul(g, b) if need[0] else None,
+                mul(g, a) if need[1] else None)
     if op == "div":
         b = node.inputs[1]
-        return (div(g, b), neg(div(mul(g, a), mul(b, b))))
+        return (div(g, b) if need[0] else None,
+                neg(div(mul(g, a), mul(b, b))) if need[1] else None)
     if op == "pow":
         p = node.attrs["exponent"]
         if p == 1.0:
@@ -390,7 +324,8 @@ def _vjp(node, g):
         return (reduce_sum(g),)
     if op == "matmul":
         b = node.inputs[1]
-        return (matmul(g, transpose(b)), matmul(transpose(a), g))
+        return (matmul(g, transpose(b)) if need[0] else None,
+                matmul(transpose(a), g) if need[1] else None)
     if op == "transpose":
         return (transpose(g),)
     raise ValueError(f"no vjp for op {op!r}")
@@ -403,6 +338,11 @@ def backward(output, wrt):
     reverse traversal.  The returned nodes are themselves differentiable, so
     nesting backward gives higher-order derivatives.  A wrt node unreachable
     from the output yields a zero gradient (not an error).
+
+    Only nodes that depend on some ``wrt`` node get adjoints: a parameter
+    gradient builds no coordinate adjoints, and a coordinate derivative
+    builds no weight-gradient products.  The pruned nodes could never reach
+    a returned gradient, so the results equal a full sweep bit for bit.
     """
     if not _is_scalar(output.value):
         raise ShapeError(
@@ -411,15 +351,22 @@ def backward(output, wrt):
     for w in wrt:
         if not w.requires_grad:
             raise ValueError("wrt node does not require grad")
-    order = _topo_below(output, require_grad=True)
+    order = _topo_below(output)
+    # one sweep in id order marks the nodes that depend on a wrt node
+    active = {w._id for w in wrt}
+    for node in order:
+        if any(inp._id in active for inp in node.inputs):
+            active.add(node._id)
     adjoint = {output._id: constant(np.ones_like(output.value))}
     for node in reversed(order):
         g = adjoint.get(node._id)
-        if g is None or not node.inputs:
+        if g is None:
             continue
-        input_grads = _vjp(node, g)
-        for inp, ig in zip(node.inputs, input_grads):
-            if not inp.requires_grad:
+        need = [inp._id in active for inp in node.inputs]
+        if not any(need):
+            continue
+        for inp, ig, wanted in zip(node.inputs, _vjp(node, g, need), need):
+            if not wanted:
                 continue
             ig = _fit_shape(ig, inp)
             prev = adjoint.get(inp._id)
@@ -446,10 +393,6 @@ def diff(u, x, order=1):
     for _ in range(order):
         g = backward(reduce_sum(g), [x])[0]
     return g
-
-
-def nth_derivative(u, x, order):
-    return diff(u, x, order=order)
 
 
 def accumulate_gradients(loss_fn, batches):

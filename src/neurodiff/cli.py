@@ -298,14 +298,16 @@ def cmd_bench(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --precision holds for this command only, not for later library calls
     try:
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "bundle":
-            return cmd_bundle(args)
-        if args.command == "invert":
-            return cmd_invert(args)
-        return cmd_bench(args)
+        with config.preserved_precision():
+            if args.command == "solve":
+                return cmd_solve(args)
+            if args.command == "bundle":
+                return cmd_bundle(args)
+            if args.command == "invert":
+                return cmd_invert(args)
+            return cmd_bench(args)
     except TrainingDiverged as e:
         print(f"training aborted: {e}", file=sys.stderr)
         return 1

@@ -4,6 +4,8 @@ Default precision is 64-bit float. A 32-bit mode can be switched on
 globally (not per-tensor) for memory-constrained runs.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
 _DTYPE = np.float64
@@ -22,3 +24,14 @@ def set_precision(name):
 
 def dtype():
     return _DTYPE
+
+
+@contextmanager
+def preserved_precision():
+    """Restore the precision in force on entry when the block exits."""
+    global _DTYPE
+    saved = _DTYPE
+    try:
+        yield
+    finally:
+        _DTYPE = saved

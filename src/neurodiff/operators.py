@@ -187,20 +187,19 @@ def bench_operators(sizes=(4096,), repeats=10, seed=0):
                 for rep in range(repeats + 1):
                     outs = {}
                     for mode in ("naive", "fused"):
-                        with ad.Graph():
-                            coords = _bench_coords(system, n, rng=np.random.Generator(
-                                np.random.Philox(key=(seed * 1009 + rep, 2 * n))))
-                            f, F = _bench_fields(coords, rng=np.random.Generator(
-                                np.random.Philox(key=(seed * 1009 + rep, 2 * n + 1))))
-                            gc_was_on = gc.isenabled()
-                            gc.disable()
-                            try:
-                                t0 = time.perf_counter()
-                                result = fn(f, F, coords, system, mode)
-                                t1 = time.perf_counter()
-                            finally:
-                                if gc_was_on:
-                                    gc.enable()
+                        coords = _bench_coords(system, n, rng=np.random.Generator(
+                            np.random.Philox(key=(seed * 1009 + rep, 2 * n))))
+                        f, F = _bench_fields(coords, rng=np.random.Generator(
+                            np.random.Philox(key=(seed * 1009 + rep, 2 * n + 1))))
+                        gc_was_on = gc.isenabled()
+                        gc.disable()
+                        try:
+                            t0 = time.perf_counter()
+                            result = fn(f, F, coords, system, mode)
+                            t1 = time.perf_counter()
+                        finally:
+                            if gc_was_on:
+                                gc.enable()
                         if rep > 0:  # rep 0 is warmup
                             times[mode].append((t1 - t0) * 1e3)
                         outs[mode] = _as_values(result)

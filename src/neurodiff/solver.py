@@ -2,8 +2,8 @@
 
 One network per unknown function; trial solutions are built through the
 condition reparameterizations so constraints hold exactly at every epoch,
-including epoch 0.  Each training step builds a fresh graph arena that is
-discarded after the optimizer update.
+including epoch 0.  Each training step builds a fresh graph, which reference
+counting frees once the step's gradients have been read out as arrays.
 """
 
 import math
@@ -281,8 +281,7 @@ def _train_batch(state, batch):
         loss_values.append((float(loss_node.value), chunk.shape[0]))
         return loss_node, flat
 
-    with ad.Graph():
-        grads = ad.accumulate_gradients(loss_fn, chunks)
+    grads = ad.accumulate_gradients(loss_fn, chunks)
     total = sum(n for _, n in loss_values)
     train_loss = sum(v * n for v, n in loss_values) / total
     if not math.isfinite(train_loss):
@@ -301,10 +300,9 @@ def _train_batch(state, batch):
 
 def _validation_loss(state, rng):
     batch = _sample_batch(state, rng, state.valid_generator)
-    with ad.Graph():
-        pnodes = [net.param_nodes(requires_grad=False)
-                  for net in state.networks]
-        loss_node = _build_loss(state, batch, pnodes)
+    pnodes = [net.param_nodes(requires_grad=False)
+              for net in state.networks]
+    loss_node = _build_loss(state, batch, pnodes)
     return float(loss_node.value)
 
 
@@ -390,16 +388,15 @@ class Solution:
         cols = [np.broadcast_to(c, (n, 1)).copy() if c.shape[0] == 1 else c
                 for c in cols]
         n_coords = len(self.coord_names)
-        with ad.Graph():
-            coord_nodes = [ad.variable(c) for c in cols[:n_coords]]
-            theta_cols = [ad.variable(c) for c in cols[n_coords:]]
-            params = dict(zip(theta_names, theta_cols)) if theta_names else None
-            outs = []
-            for net, cond in zip(self.networks, self.conditions):
-                pnodes = net.param_nodes(requires_grad=False)
-                net_fn = _make_net_fn(net, pnodes, theta_cols)
-                u = cond.reparameterize(coord_nodes, net_fn, params=params)
-                outs.append(u.value.reshape(-1).copy())
+        coord_nodes = [ad.variable(c) for c in cols[:n_coords]]
+        theta_cols = [ad.variable(c) for c in cols[n_coords:]]
+        params = dict(zip(theta_names, theta_cols)) if theta_names else None
+        outs = []
+        for net, cond in zip(self.networks, self.conditions):
+            pnodes = net.param_nodes(requires_grad=False)
+            net_fn = _make_net_fn(net, pnodes, theta_cols)
+            u = cond.reparameterize(coord_nodes, net_fn, params=params)
+            outs.append(u.value.reshape(-1).copy())
         return outs[0] if len(outs) == 1 else outs
 
 
@@ -441,24 +438,23 @@ def fit_inverse(solution, data, init_theta, steps=500, lr=0.05):
     n_coords = len(solution.coord_names)
 
     for _ in range(steps):
-        with ad.Graph():
-            coord_nodes = [ad.variable(coords[:, d:d + 1], requires_grad=True)
-                           for d in range(n_coords)]
-            ones = ad.constant(np.ones((n, 1)))
-            theta_vars = {k: ad.variable(np.full((1, 1), theta[k]))
-                          for k in names}
-            theta_cols = [ad.matmul(ones, theta_vars[k]) for k in names]
-            params = dict(zip(names, theta_cols))
-            preds = []
-            for net, cond in zip(solution.networks, solution.conditions):
-                pnodes = net.param_nodes(requires_grad=False)
-                net_fn = _make_net_fn(net, pnodes, theta_cols)
-                preds.append(cond.reparameterize(coord_nodes, net_fn,
-                                                 params=params))
-            # observations are of the first unknown
-            mismatch = preds[0] - ad.constant(values)
-            loss = ad.reduce_mean(mismatch ** 2)
-            grads = ad.backward(loss, [theta_vars[k] for k in names])
+        coord_nodes = [ad.variable(coords[:, d:d + 1], requires_grad=True)
+                       for d in range(n_coords)]
+        ones = ad.constant(np.ones((n, 1)))
+        theta_vars = {k: ad.variable(np.full((1, 1), theta[k]))
+                      for k in names}
+        theta_cols = [ad.matmul(ones, theta_vars[k]) for k in names]
+        params = dict(zip(names, theta_cols))
+        preds = []
+        for net, cond in zip(solution.networks, solution.conditions):
+            pnodes = net.param_nodes(requires_grad=False)
+            net_fn = _make_net_fn(net, pnodes, theta_cols)
+            preds.append(cond.reparameterize(coord_nodes, net_fn,
+                                             params=params))
+        # observations are of the first unknown
+        mismatch = preds[0] - ad.constant(values)
+        loss = ad.reduce_mean(mismatch ** 2)
+        grads = ad.backward(loss, [theta_vars[k] for k in names])
         for k, g in zip(names, grads):
             lo, hi = ranges[k]
             theta[k] = float(np.clip(theta[k] - lr * g.value.item(), lo, hi))

@@ -1,7 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
+from neurodiff.network import MLP, MLPSpec
 
 
 def scalar(v):
@@ -38,13 +43,6 @@ class TestForward:
         assert np.isnan(out.value[0, 0])
         out = ad.div(scalar(1.0), scalar(0.0))
         assert np.isinf(out.value[0, 0])
-
-    def test_reevaluation_after_set_value(self):
-        x = scalar(2.0)
-        y = x * x
-        assert y.value[0, 0] == 4.0
-        x.set_value(np.array([[3.0]]))
-        assert ad.forward(y)[0, 0] == 9.0
 
     def test_determinism(self):
         def build():
@@ -92,12 +90,12 @@ class TestBackward:
 class TestNthDerivative:
     def test_cubic(self):
         x = scalar(2.0)
-        d2 = ad.nth_derivative(x ** 3, x, 2)
+        d2 = ad.diff(x ** 3, x, order=2)
         assert d2.value[0, 0] == pytest.approx(12.0, abs=1e-12)
 
     def test_third_order_exp(self):
         x = scalar(0.0)
-        d3 = ad.nth_derivative(ad.exp(x), x, 3)
+        d3 = ad.diff(ad.exp(x), x, order=3)
         assert d3.value[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_second_of_tanh_matches_fd(self):
@@ -105,13 +103,13 @@ class TestNthDerivative:
         h = 1e-4
         fd = (np.tanh(xv + h) - 2 * np.tanh(xv) + np.tanh(xv - h)) / h ** 2
         x = scalar(xv)
-        d2 = ad.nth_derivative(ad.tanh(x), x, 2)
+        d2 = ad.diff(ad.tanh(x), x, order=2)
         assert d2.value[0, 0] == pytest.approx(fd, rel=1e-5)
 
     def test_order_zero_rejected(self):
         x = scalar(1.0)
         with pytest.raises(ValueError):
-            ad.nth_derivative(x, x, 0)
+            ad.diff(x, x, order=0)
 
 
 UNARY_OPS = [
@@ -241,13 +239,128 @@ class TestAccumulateGradients:
             ad.accumulate_gradients(self._loss_fn, [])
 
 
-def test_graph_arena_records_creation_order():
-    with ad.Graph() as g:
-        x = scalar(1.0)
-        y = x * 2.0
-        z = ad.exp(y)
-    ids = [n._id for n in g.nodes]
-    assert ids == sorted(ids)
-    for node in g.nodes:
+def test_creation_order_is_topological():
+    x = scalar(1.0)
+    y = x * 2.0
+    z = ad.exp(y)
+    (g,) = ad.backward(ad.reduce_sum(z), [x])
+    stack, seen = [g, z], set()
+    while stack:
+        node = stack.pop()
+        if node._id in seen:
+            continue
+        seen.add(node._id)
         for inp in node.inputs:
             assert inp._id < node._id
+            stack.append(inp)
+    assert len(seen) > 4
+
+
+def test_graphs_are_freed_without_a_scope():
+    mlp = MLP.init(MLPSpec(1, (16, 16), 1, seed=0))
+    pts = np.linspace(-1.0, 1.0, 256).reshape(-1, 1)
+    first = None
+    for _ in range(100):
+        x = ad.variable(pts)
+        u = mlp.forward(x, mlp.param_nodes())
+        d2 = ad.diff(u, x, order=2)
+        if first is None:
+            first = (weakref.ref(u.value), weakref.ref(d2.value))
+    del x, u, d2
+    assert first[0]() is None
+    assert first[1]() is None
+
+
+def _record_nodes(monkeypatch):
+    built = []
+    init = ad.Node.__init__
+
+    def recording_init(node, *args, **kwargs):
+        init(node, *args, **kwargs)
+        built.append(node)
+    monkeypatch.setattr(ad.Node, "__init__", recording_init)
+    return built
+
+
+class TestPruning:
+    def test_coordinate_derivative_builds_no_weight_gradients(self, monkeypatch):
+        n = 5
+        mlp = MLP.init(MLPSpec(1, (3, 4), 1, seed=0))
+        x = ad.variable(np.linspace(-1.0, 1.0, n).reshape(-1, 1))
+        u = mlp.forward(x, mlp.param_nodes())
+        built = _record_nodes(monkeypatch)
+        du = ad.diff(u, x)
+        matmuls = [m for m in built if m.op == "matmul"]
+        assert len(matmuls) == 3  # one g @ W per linear layer
+        assert all(m.shape[0] == n for m in matmuls)
+        weight_shapes = {w.shape for w in mlp.weights}
+        weight_shapes |= {w.T.shape for w in mlp.weights}
+        shaped = [m for m in built if m.shape in weight_shapes]
+        # only the re-transposed weights feeding g @ W, no weight gradients
+        assert [m.op for m in shaped] == ["transpose"] * 3
+        monkeypatch.undo()
+        frozen = mlp.forward(x, mlp.param_nodes(requires_grad=False))
+        assert np.array_equal(du.value, ad.diff(frozen, x).value)
+
+    def test_parameter_gradient_builds_no_coordinate_adjoint(self, monkeypatch):
+        x = ad.variable(np.linspace(-1.0, 1.0, 6).reshape(-1, 1))
+        w = ad.variable(np.array([[0.3]]))
+        loss = ad.reduce_mean(ad.tanh(ad.matmul(x, w)) ** 2.0)
+        built = _record_nodes(monkeypatch)
+        ad.backward(loss, [w])
+        assert not any(m.shape == x.shape and m.op == "matmul" for m in built)
+
+
+UNARY = {
+    "sin": ad.sin, "cos": ad.cos, "tanh": ad.tanh, "neg": ad.neg,
+    "square": lambda a: a ** 2.0, "exp_tanh": lambda a: ad.exp(ad.tanh(a)),
+    "scale": lambda a: 0.7 * a,
+}
+BINARY = {
+    "add": ad.add, "sub": ad.sub, "mul": ad.mul,
+    "div": lambda a, b: a / (b * b + 1.0),
+}
+instructions = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(sorted(UNARY)), st.integers(0, 99)),
+        st.tuples(st.sampled_from(sorted(BINARY)), st.integers(0, 99),
+                  st.integers(0, 99))),
+    min_size=1, max_size=8)
+
+
+def _build(program, x, y):
+    nodes = [x, y]
+    for op, *args in program:
+        operands = [nodes[i % len(nodes)] for i in args]
+        fn = UNARY.get(op) or BINARY[op]
+        nodes.append(fn(*operands))
+    return nodes[-1]
+
+
+def _eval(program, xv, yv):
+    return _build(program, ad.variable(xv), ad.variable(yv)).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=instructions,
+       seed=st.integers(0, 2 ** 16))
+def test_pruned_gradients_match_full_and_finite_differences(program, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    xv, yv = rng.uniform(-1.0, 1.0, size=(2, 4, 1))
+    x, y = ad.variable(xv), ad.variable(yv)
+    out = ad.reduce_sum(_build(program, x, y))
+    (gx,) = ad.backward(out, [x])
+    gx_both, _ = ad.backward(out, [x, y])
+    assert np.array_equal(gx.value, gx_both.value)
+    h = 1e-6
+    fd = (_eval(program, xv + h, yv) - _eval(program, xv - h, yv)) / (2 * h)
+    np.testing.assert_allclose(gx.value, fd, rtol=1e-5, atol=1e-6)
+
+    (g2,) = ad.backward(ad.reduce_sum(gx), [x])
+    g2_both, _ = ad.backward(ad.reduce_sum(gx_both), [x, y])
+    assert np.array_equal(g2.value, g2_both.value)
+    assert np.array_equal(g2.value, ad.diff(_build(program, x, y), x, 2).value)
+    h = 1e-4
+    fd2 = (_eval(program, xv + h, yv) - 2 * _eval(program, xv, yv)
+           + _eval(program, xv - h, yv)) / h ** 2
+    np.testing.assert_allclose(g2.value, fd2, rtol=1e-4, atol=1e-4)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from neurodiff import cli, config
 from neurodiff.cli import main
 
 FAST = ["--epochs", "3", "--batch-size", "32", "--seed", "0"]
@@ -191,3 +192,22 @@ class TestDivergenceExit:
                         "--lr", "1e160", "--seed", "0"])
         assert code == 1
         assert "aborted" in capsys.readouterr().err
+
+
+class TestPrecisionScope:
+    def test_f32_flag_does_not_outlive_the_command(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert run(["solve", "decay", "--out", out, "--precision", "f32"]
+                   + FAST) == 0
+        assert config.dtype() is np.float64
+
+    def test_precision_restored_when_the_command_raises(self, tmp_path,
+                                                        monkeypatch):
+        def failing_fit(*args, **kwargs):
+            assert config.dtype() is np.float32
+            raise RuntimeError("fit failed")
+        monkeypatch.setattr(cli, "fit", failing_fit)
+        with pytest.raises(RuntimeError, match="fit failed"):
+            run(["solve", "decay", "--out", str(tmp_path / "run"),
+                 "--precision", "f32"] + FAST)
+        assert config.dtype() is np.float64

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from neurodiff import autodiff as ad
+from neurodiff import config, presets
 from neurodiff.callbacks import AfterEpoch, Always, Callback, EarlyStop, SetLoss
 from neurodiff.conditions import IVP1
 from neurodiff.generators import Uniform1D
 from neurodiff.losses import LossSpec
 from neurodiff.network import MLP, MLPSpec
+from neurodiff.generators import make_rng
 from neurodiff.solver import (Adam, BundleLayout, Problem, SGD, Solution,
-                              SolverConfig, TrainingDiverged, fit, fit_bundle,
+                              SolverConfig, SolverState, TrainingDiverged,
+                              _build_loss, _sample_batch, fit, fit_bundle,
                               fit_inverse, get_solution)
 
 
@@ -256,3 +259,47 @@ class TestInverse:
             fit_inverse(plain, [(0.0, 1.0)], {"u0": 1.0})
         with pytest.raises(ValueError, match="unknown parameter"):
             fit_inverse(sol, [(0.0, 1.0)], {"beta": 1.0})
+
+
+class TestPrunedParameterGradients:
+    def test_heat_loss_gradient_ignores_extra_coordinate_targets(self):
+        preset = presets.get("heat", dim=2)
+        coords = []
+
+        def residual(u, coord_nodes):
+            coords.extend(coord_nodes)
+            return preset.residual(u, coord_nodes)
+
+        problem = Problem(residual, 1, preset.coord_names,
+                          preset.train_gen(64), preset.valid_gen(64))
+        cfg = SolverConfig(networks=preset.network_specs((8, 8), "tanh", 0),
+                           conditions=preset.conditions, epochs=1, seed=0)
+        state = SolverState(problem, cfg)
+        batch = _sample_batch(state, make_rng(0, stream=2),
+                              state.train_generator)
+        pnodes = [net.param_nodes() for net in state.networks]
+        params = [p for nodes in pnodes for p in nodes]
+        loss = _build_loss(state, batch, pnodes)
+        assert len(coords) == 3
+        only = ad.backward(loss, params)
+        with_coords = ad.backward(loss, params + coords)
+        for a, b in zip(only, with_coords):
+            assert a.value.tobytes() == b.value.tobytes()
+
+
+class TestSinglePrecision:
+    def test_f32_sho_fit_has_finite_losses(self):
+        preset = presets.get("sho")
+        with config.preserved_precision():
+            config.set_precision("f32")
+            cfg = SolverConfig(
+                networks=preset.network_specs((16, 16), "tanh", 0),
+                conditions=preset.conditions, optimizer=Adam(lr=1e-3),
+                epochs=5, seed=0)
+            state = fit(preset.problem(64), cfg)
+        assert config.dtype() is np.float64
+        assert state.networks[0].weights[0].dtype == np.float32
+        assert len(state.metrics) == 5
+        for row in state.metrics:
+            assert np.isfinite(row["train_loss"])
+            assert np.isfinite(row["valid_loss"])
