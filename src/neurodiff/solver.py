@@ -6,6 +6,7 @@ including epoch 0.  Each training step builds a fresh graph, which reference
 counting frees once the step's gradients have been read out as arrays.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -306,13 +307,36 @@ def _validation_loss(state, rng):
     return float(loss_node.value)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # from glibc's malloc.h
+
+
+def _keep_freed_heap():
+    """Fix glibc's malloc thresholds so a step's freed graph stays reusable.
+
+    Every training step frees its whole graph.  Under glibc's adaptive
+    defaults, whether that memory is trimmed off the heap top, and faulted
+    back in by the next step, depends on where earlier allocations happen
+    to sit: 200 sho-bundle epochs took 7 million minor faults and 1.7x the
+    time in one such layout.  With fixed thresholds (mmap 32 MiB, trim
+    256 MiB) the memory is kept.  Other C libraries are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def fit(problem, config, callbacks=(), layout=None, state=None):
     """Train the networks; returns the final SolverState.
 
     Per epoch: ``batches_per_epoch`` optimizer steps, then one validation
     pass (no gradient step), then the callbacks in registration order.
-    Deterministic under a fixed config seed.
+    Deterministic under a fixed config seed.  On glibc, fixes the process's
+    malloc thresholds first (see ``_keep_freed_heap``).
     """
+    _keep_freed_heap()
     if state is None:
         state = SolverState(problem, config, layout)
     for epoch in range(1, config.epochs + 1):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from neurodiff import autodiff as ad
-from neurodiff import config, presets
+from neurodiff import config, presets, solver
 from neurodiff.callbacks import AfterEpoch, Always, Callback, EarlyStop, SetLoss
 from neurodiff.conditions import IVP1
 from neurodiff.generators import Uniform1D
@@ -259,6 +259,15 @@ class TestInverse:
             fit_inverse(plain, [(0.0, 1.0)], {"u0": 1.0})
         with pytest.raises(ValueError, match="unknown parameter"):
             fit_inverse(sol, [(0.0, 1.0)], {"beta": 1.0})
+
+
+class TestMallocThresholds:
+    def test_fit_runs_where_mallopt_is_missing(self, monkeypatch):
+        def no_libc(name):
+            raise OSError("no C library")
+        monkeypatch.setattr(solver.ctypes, "CDLL", no_libc)
+        state = fit(decay_problem(), small_config(epochs=2))
+        assert [m["epoch"] for m in state.metrics] == [1, 2]
 
 
 class TestPrunedParameterGradients:
