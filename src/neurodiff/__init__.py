@@ -11,6 +11,6 @@ from .autodiff import backward, constant, diff, variable
 from .losses import LossSpec
 from .network import MLP, MLPSpec
 from .solver import (Adam, BundleLayout, Problem, SGD, Solution, SolverConfig,
-                     fit, fit_bundle, fit_inverse, get_solution)
+                     fit, fit_inverse, get_solution)
 
 __version__ = "0.1.0"

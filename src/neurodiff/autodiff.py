@@ -1,9 +1,16 @@
-"""Reverse-mode automatic differentiation on dynamically built expression graphs.
+"""Automatic differentiation on dynamically built expression graphs.
 
 Values are 64-bit numpy arrays (32-bit under the global f32 flag).  The key
-property is that ``backward`` emits *new graph nodes* rather than plain
-numbers, so gradients are themselves differentiable: reverse-over-reverse
-gives second, third, ... derivatives with a single mechanism.
+property is that derivatives are *new graph nodes* rather than plain
+numbers, so they are themselves differentiable.  Two sweeps build them:
+
+- ``backward`` is reverse mode: the gradient of a scalar (a training loss)
+  with respect to many nodes (the parameters), one ``_vjp`` rule per op;
+- ``diff`` is forward mode: the per-sample derivative of a residual field
+  along one coordinate, one ``_jvp`` rule per op.  Higher orders push
+  tangents through lower-order tangents and share their memo, so a
+  second-order residual needs no reverse-over-reverse pass, and training
+  differentiates it with one reverse sweep.
 
 Nodes carry no graph object: each gets an increasing ``_id`` at creation,
 inputs always have smaller ids than their consumers, and a graph is freed by
@@ -13,6 +20,8 @@ reference counting once its last node is dropped.
 the output (the activity analysis of reverse mode).  Everything else could
 never reach a returned gradient, and every kept adjoint receives the same
 contributions in the same order, so results equal a full sweep bit for bit.
+``diff`` applies the same rule forwards: only nodes that depend on the
+seeded coordinate get tangents, so no weight-shaped node is built.
 
 Only scalar-with-tensor broadcasting is allowed; any other shape mix raises
 ``ShapeError``.  Non-finite results (log of a negative, division by zero)
@@ -380,18 +389,114 @@ def backward(output, wrt):
     return results
 
 
+def _jvp(node, t):
+    """Tangent of node given its inputs' tangents t (all graph nodes).
+
+    ``t[i]`` is None for an input that does not depend on the seeded node;
+    no term is built for it.  Unary ops are only asked when their input has
+    a tangent.
+    """
+    op = node.op
+    a, ta = node.inputs[0], t[0]
+    if len(t) == 2:
+        b, tb = node.inputs[1], t[1]
+    if op == "add":
+        return _plus(ta, tb)
+    if op == "sub":
+        if ta is None:
+            return neg(tb)
+        return ta if tb is None else sub(ta, tb)
+    if op == "mul":
+        return _plus(mul(ta, b) if ta is not None else None,
+                     mul(a, tb) if tb is not None else None)
+    if op == "div":
+        # d(a/b) = (da - (a/b) db) / b
+        if tb is None:
+            return div(ta, b)
+        q = mul(node, tb)
+        return div(neg(q) if ta is None else sub(ta, q), b)
+    if op == "pow":
+        p = node.attrs["exponent"]
+        if p == 1.0:
+            return ta
+        if p == 2.0:
+            return mul(ta, mul(constant(2.0), a))
+        return mul(ta, mul(constant(p), power(a, p - 1.0)))
+    if op == "neg":
+        return neg(ta)
+    if op == "exp":
+        return mul(ta, node)
+    if op == "ln":
+        return div(ta, a)
+    if op == "sin":
+        return mul(ta, cos(a))
+    if op == "cos":
+        return neg(mul(ta, sin(a)))
+    if op == "tanh":
+        return mul(ta, sub(constant(1.0), mul(node, node)))
+    if op == "abs":
+        return mul(ta, _sign_const(a))
+    if op == "sum":
+        return reduce_sum(ta)
+    if op == "mean":
+        return reduce_mean(ta)
+    if op == "max":
+        return reduce_sum(mul(ta, _argmax_mask(a)))
+    if op == "broadcast":
+        return broadcast_to(ta, node.attrs["shape"])
+    if op == "matmul":
+        return _plus(matmul(ta, b) if ta is not None else None,
+                     matmul(a, tb) if tb is not None else None)
+    if op == "transpose":
+        return transpose(ta)
+    raise ValueError(f"no jvp for op {op!r}")
+
+
+def _plus(p, q):
+    """Sum of two tangent terms, either of which may be absent."""
+    if p is None:
+        return q
+    return p if q is None else add(p, q)
+
+
+def _push_tangents(u, tangents):
+    """Tangent of u, filling the memo ``tangents`` (node id -> tangent node,
+    or None for a node that does not depend on the seed) on the way."""
+    for node in _topo_below(u):
+        if node._id in tangents:
+            continue
+        t = [tangents.get(inp._id) for inp in node.inputs]
+        if not any(ti is not None for ti in t):
+            tangents[node._id] = None
+            continue
+        tn = _jvp(node, t)
+        if tn.value.shape != node.value.shape:  # an active scalar met a tensor
+            tn = broadcast_to(tn, node.value.shape)
+        tangents[node._id] = tn
+    tu = tangents.get(u._id)
+    return tu if tu is not None else constant(np.zeros_like(u.value))
+
+
 def diff(u, x, order=1):
     """Per-sample derivative d^order u / dx^order as a new graph node.
 
     u must be scalar per sample (one column); x a variable node with the same
-    batch layout.  Implemented as repeated reverse passes over the summed
-    output, valid because sample rows are independent.
+    batch layout.  Computed in forward mode: x is seeded with a tangent of
+    ones and each node's tangent is built from its inputs' tangents, which
+    is the per-sample derivative because sample rows are independent.  Order
+    k pushes tangents through the order k-1 result, sharing one memo, so the
+    tangents of every node an earlier order covered are reused.  The
+    tangents are ordinary graph nodes, so ``backward`` differentiates them
+    and ``diff`` nests.  If u does not depend on x, the result is zeros.
     """
     if order < 1:
         raise ValueError("order must be >= 1; use u directly for order 0")
+    if not x.requires_grad:
+        raise ValueError("wrt node does not require grad")
+    tangents = {x._id: constant(np.ones_like(x.value))}
     g = u
     for _ in range(order):
-        g = backward(reduce_sum(g), [x])[0]
+        g = _push_tangents(g, tangents)
     return g
 
 

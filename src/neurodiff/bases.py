@@ -119,10 +119,6 @@ class ZonalHarmonics:
         return [_norm(l, 0) * p[(l, 0)] for l in range(self.max_degree + 1)]
 
 
-def evaluate_basis(basis, *angles):
-    return basis.evaluate(*angles)
-
-
 def basis_solution(basis, radial_net, angles, r):
     """Sum_j net_j(r) * basis_j(angles) as a single N x 1 field node.
 

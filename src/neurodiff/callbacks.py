@@ -109,10 +109,6 @@ class Not(TriggerCondition):
         return not self.inner.evaluate(state)
 
 
-def evaluate(condition, state):
-    return condition.evaluate(state)
-
-
 class Action:
     def apply(self, state):
         raise NotImplementedError

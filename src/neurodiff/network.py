@@ -78,12 +78,6 @@ class MLP:
             nodes.append(ad.variable(b.reshape(1, -1), requires_grad=requires_grad))
         return nodes
 
-    def set_params(self, nodes_or_arrays):
-        vals = [n.value if isinstance(n, ad.Node) else n for n in nodes_or_arrays]
-        for k in range(len(self.weights)):
-            self.weights[k] = np.asarray(vals[2 * k]).reshape(self.weights[k].shape)
-            self.biases[k] = np.asarray(vals[2 * k + 1]).reshape(self.biases[k].shape)
-
     def forward(self, batch, params=None):
         """Run the network on an N x input_dim batch node (or array).
 

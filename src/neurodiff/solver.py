@@ -333,13 +333,18 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
 
     Per epoch: ``batches_per_epoch`` optimizer steps, then one validation
     pass (no gradient step), then the callbacks in registration order.
-    Deterministic under a fixed config seed.  On glibc, fixes the process's
-    malloc thresholds first (see ``_keep_freed_heap``).
+    Deterministic under a fixed config seed.  Passing the ``state`` of an
+    earlier fit resumes it: ``config.epochs`` more epochs are run, numbered
+    on from ``state.epoch`` with the sampling streams of those epochs, so
+    k epochs and then n - k resumed ones equal one n-epoch fit bit for bit.
+    On glibc, fixes the process's malloc thresholds first (see
+    ``_keep_freed_heap``).
     """
     _keep_freed_heap()
     if state is None:
         state = SolverState(problem, config, layout)
-    for epoch in range(1, config.epochs + 1):
+    first = state.epoch + 1
+    for epoch in range(first, first + config.epochs):
         epoch_losses = []
         for b in range(config.batches_per_epoch):
             rng = make_rng(config.seed, stream=2 * (epoch * config.batches_per_epoch + b))
@@ -373,11 +378,6 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
         if state.stop_requested:
             break
     return state
-
-
-def fit_bundle(problem, layout, config, callbacks=()):
-    """Train over a family of problems; networks take (coords, theta) inputs."""
-    return fit(problem, config, callbacks, layout=layout)
 
 
 class Solution:

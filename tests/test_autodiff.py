@@ -291,16 +291,45 @@ class TestPruning:
         built = _record_nodes(monkeypatch)
         du = ad.diff(u, x)
         matmuls = [m for m in built if m.op == "matmul"]
-        assert len(matmuls) == 3  # one g @ W per linear layer
+        assert len(matmuls) == 3  # one tangent @ W.T per linear layer
         assert all(m.shape[0] == n for m in matmuls)
         weight_shapes = {w.shape for w in mlp.weights}
         weight_shapes |= {w.T.shape for w in mlp.weights}
-        shaped = [m for m in built if m.shape in weight_shapes]
-        # only the re-transposed weights feeding g @ W, no weight gradients
-        assert [m.op for m in shaped] == ["transpose"] * 3
+        # tangents reuse the forward pass's transposed weights: no
+        # transpose and no weight gradient is built
+        assert not [m for m in built if m.shape in weight_shapes]
         monkeypatch.undo()
         frozen = mlp.forward(x, mlp.param_nodes(requires_grad=False))
         assert np.array_equal(du.value, ad.diff(frozen, x).value)
+
+    def test_second_derivative_runs_no_reverse_pass(self, monkeypatch):
+        mlp = MLP.init(MLPSpec(1, (4,), 1, seed=0))
+        t = ad.variable(np.linspace(0.0, 1.0, 5).reshape(-1, 1))
+        u = mlp.forward(t, mlp.param_nodes())
+        calls = []
+        monkeypatch.setattr(ad, "backward",
+                            lambda *args: calls.append(args))
+        d2 = ad.diff(u, t, 2)
+        assert calls == []
+        assert d2.shape == u.shape
+
+    def test_scalar_tangent_is_broadcast_to_node_shape(self):
+        s = scalar(0.5)
+        tensor = ad.constant(np.arange(4.0).reshape(-1, 1))
+        out = ad.add(s, tensor)
+        d = ad.diff(out, s)
+        assert d.shape == out.shape == (4, 1)
+        np.testing.assert_array_equal(d.value, np.ones((4, 1)))
+        d2 = ad.diff(ad.sin(s) * 2.0 + tensor, s, 2)
+        np.testing.assert_allclose(d2.value, np.full((4, 1), -2 * np.sin(0.5)),
+                                   rtol=1e-15)
+
+    def test_derivative_of_independent_node_is_zero(self):
+        x, y = scalar(1.0), ad.variable(np.ones((3, 1)))
+        d = ad.diff(ad.tanh(y), x)
+        np.testing.assert_array_equal(d.value, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="require grad"):
+            ad.diff(y, ad.constant(np.ones((3, 1))))
 
     def test_parameter_gradient_builds_no_coordinate_adjoint(self, monkeypatch):
         x = ad.variable(np.linspace(-1.0, 1.0, 6).reshape(-1, 1))
@@ -309,6 +338,34 @@ class TestPruning:
         built = _record_nodes(monkeypatch)
         ad.backward(loss, [w])
         assert not any(m.shape == x.shape and m.op == "matmul" for m in built)
+
+
+# ops the random-graph property test below does not draw; x is 1 x 1, so
+# forward and reverse agree even through reductions
+SPREAD = ad.constant(np.array([[0.5, -1.0, 2.0]]))
+FORWARD_RULES = {
+    "ln": lambda x: ad.log(x * x + 1.0),
+    "abs": lambda x: ad.absolute(x) * x,
+    "pow": lambda x: ad.sqrt(x * x + 1.0) ** 3.0,
+    "reductions": lambda x: (ad.reduce_sum(ad.matmul(x, SPREAD))
+                             * ad.reduce_mean(ad.matmul(x, SPREAD))
+                             + ad.reduce_max(ad.sin(ad.matmul(x, SPREAD)))),
+    "broadcast": lambda x: ad.reduce_mean(
+        ad.broadcast_to(ad.reduce_sum(ad.exp(x)), (3, 2)) * x),
+    "matmul": lambda x: ad.matmul(ad.transpose(ad.matmul(x, SPREAD)),
+                                  ad.cos(ad.matmul(x, SPREAD))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_RULES))
+def test_forward_rules_match_reverse_over_reverse(name):
+    x = scalar(-0.4)
+    g = FORWARD_RULES[name](x)
+    for k in (1, 2, 3):
+        g = ad.backward(ad.reduce_sum(g), [x])[0]
+        forward = ad.diff(FORWARD_RULES[name](x), x, k).value
+        np.testing.assert_allclose(np.sum(forward), g.value[0, 0],
+                                   rtol=1e-12, atol=1e-12)
 
 
 UNARY = {
@@ -359,7 +416,10 @@ def test_pruned_gradients_match_full_and_finite_differences(program, seed):
     (g2,) = ad.backward(ad.reduce_sum(gx), [x])
     g2_both, _ = ad.backward(ad.reduce_sum(gx_both), [x, y])
     assert np.array_equal(g2.value, g2_both.value)
-    assert np.array_equal(g2.value, ad.diff(_build(program, x, y), x, 2).value)
+    (g3,) = ad.backward(ad.reduce_sum(g2), [x])
+    for k, reverse in enumerate((gx, g2, g3), start=1):
+        np.testing.assert_allclose(ad.diff(_build(program, x, y), x, k).value,
+                                   reverse.value, rtol=1e-12, atol=1e-12)
     h = 1e-4
     fd2 = (_eval(program, xv + h, yv) - 2 * _eval(program, xv, yv)
            + _eval(program, xv - h, yv)) / h ** 2

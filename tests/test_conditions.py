@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
 from neurodiff import conditions as bc
@@ -198,3 +200,76 @@ def test_bundle_parameter_resolution():
     assert u.value[0, 0] == pytest.approx(0.8, abs=1e-14)
     with pytest.raises(ValueError, match="unknown bundle parameter"):
         cond.reparameterize([t], random_net_fn(3), params={})
+
+
+# What each one-coordinate variant pins, built on ends x0 < x1 and the
+# constants c, d: (condition, [(derivative order, point, value), ...]).
+PINS = {
+    bc.NoCondition: lambda x0, x1, c, d: (bc.NoCondition(), []),
+    bc.IVP1: lambda x0, x1, c, d: (bc.IVP1(x0, c), [(0, x0, c)]),
+    bc.IVP2: lambda x0, x1, c, d: (bc.IVP2(x0, c, d),
+                                   [(0, x0, c), (1, x0, d)]),
+    bc.DirichletBVP1D: lambda x0, x1, c, d: (bc.DirichletBVP1D(x0, c, x1, d),
+                                             [(0, x0, c), (0, x1, d)]),
+    bc.DirichletNeumann: lambda x0, x1, c, d: (
+        bc.DirichletNeumann(x0, c, x1, d), [(0, x0, c), (1, x1, d)]),
+    bc.NeumannDirichlet: lambda x0, x1, c, d: (
+        bc.NeumannDirichlet(x0, c, x1, d), [(1, x0, c), (0, x1, d)]),
+    bc.NeumannNeumann: lambda x0, x1, c, d: (
+        bc.NeumannNeumann(x0, c, x1, d), [(1, x0, c), (1, x1, d)]),
+    bc.InfinityBVP: lambda x0, x1, c, d: (bc.InfinityBVP(x0, c, d),
+                                          [(0, x0, c)]),
+}
+bounded = st.floats(-2.0, 2.0)
+
+
+def drawn_net(input_dim, seed, biases):
+    mlp = MLP.init(MLPSpec(input_dim, (8,), 1, seed=seed))
+    mlp.biases = [np.array(biases[:8]), np.array(biases[8:])]
+    return lambda *cols: mlp.forward(_assemble(cols))
+
+
+def test_property_test_covers_all_variants():
+    assert set(PINS) | {bc.BoxIC} == set(bc.ALL_VARIANTS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       biases=st.lists(bounded, min_size=9, max_size=9),
+       x0=st.floats(-1.0, 1.0), length=st.floats(0.25, 2.0),
+       c=bounded, d=bounded)
+def test_conditions_exact_for_random_networks(seed, biases, x0, length, c, d):
+    x1 = x0 + length
+    net_fn = drawn_net(1, seed, biases)
+    for build in PINS.values():
+        cond, pins = build(x0, x1, c, d)
+        points = [x0, (x0 + x1) / 2, x1]
+        x = column(points)
+        u = cond.reparameterize([x], net_fn)
+        du = ad.diff(u, x)
+        for order, at, value in pins:
+            got = (u, du)[order].value[points.index(at), 0]
+            assert abs(got - value) <= 1e-12, (type(cond).__name__, order)
+        if not pins:
+            assert np.array_equal(u.value, net_fn(x).value)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       biases=st.lists(bounded, min_size=9, max_size=9),
+       xs=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       t=st.floats(0.0, 3.0))
+def test_box_ic_exact_for_random_networks(seed, biases, xs, t):
+    def profile(*cols):
+        return cols[0] * (1.0 - cols[0]) * cols[1] * (1.0 - cols[1])
+
+    cond = bc.BoxIC(profile, 2)
+    net_fn = drawn_net(3, seed, biases)
+    a, b, p, q = xs
+    # rows: t = 0 at an interior point, then t > 0 on each face of the box
+    tc = column([0.0, t, t, t, t])
+    x1 = column([a, 0.0, 1.0, p, q])
+    x2 = column([b, p, q, 0.0, 1.0])
+    u = cond.reparameterize([tc, x1, x2], net_fn)
+    assert abs(u.value[0, 0] - a * (1 - a) * b * (1 - b)) <= 1e-12
+    np.testing.assert_array_equal(u.value[1:, 0], 0.0)

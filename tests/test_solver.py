@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
 from neurodiff import config, presets, solver
@@ -11,7 +13,7 @@ from neurodiff.network import MLP, MLPSpec
 from neurodiff.generators import make_rng
 from neurodiff.solver import (Adam, BundleLayout, Problem, SGD, Solution,
                               SolverConfig, SolverState, TrainingDiverged,
-                              _build_loss, _sample_batch, fit, fit_bundle,
+                              _build_loss, _sample_batch, _train_batch, fit,
                               fit_inverse, get_solution)
 
 
@@ -109,6 +111,22 @@ class TestFit:
             fit(p, cfg)
 
 
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 6), data=st.data())
+def test_resumed_fit_equals_one_fit(n, data):
+    k = data.draw(st.integers(1, n - 1), label="k")
+    whole = fit(decay_problem(), small_config(epochs=n))
+    split = fit(decay_problem(), small_config(epochs=k))
+    assert fit(decay_problem(), small_config(epochs=n - k), state=split) is split
+    assert split.epoch == n
+    assert split.metrics == whole.metrics
+    assert split.train_history == whole.train_history
+    assert split.valid_history == whole.valid_history
+    assert split.best_epoch == whole.best_epoch
+    assert split.networks[0].flat_params().tobytes() == \
+        whole.networks[0].flat_params().tobytes()
+
+
 class TestExactness:
     def test_condition_holds_from_epoch_zero(self):
         # the trial solution satisfies u(0) = 1 before any training
@@ -200,20 +218,20 @@ class TestBundle:
                             epochs=epochs, seed=0)
 
     def test_fit_bundle_runs_and_condition_exact(self):
-        state = fit_bundle(bundle_problem(), bundle_layout(), self.cfg())
+        state = fit(bundle_problem(), self.cfg(), layout=bundle_layout())
         sol = get_solution(state, "latest")
         out = sol(np.array([0.0]), u0=np.array([0.77]))
         assert out[0] == pytest.approx(0.77, abs=1e-14)
 
     def test_theta_by_position_or_name(self):
-        state = fit_bundle(bundle_problem(), bundle_layout(), self.cfg())
+        state = fit(bundle_problem(), self.cfg(), layout=bundle_layout())
         sol = get_solution(state, "latest")
         t = np.array([0.3, 0.6])
         u0 = np.array([1.0, 1.2])
         np.testing.assert_array_equal(sol(t, u0), sol(t, u0=u0))
 
     def test_unknown_theta_name(self):
-        state = fit_bundle(bundle_problem(), bundle_layout(), self.cfg())
+        state = fit(bundle_problem(), self.cfg(), layout=bundle_layout())
         sol = get_solution(state, "latest")
         with pytest.raises(ValueError, match="unknown parameters"):
             sol(np.array([0.0]), lam=np.array([1.0]))
@@ -222,7 +240,7 @@ class TestBundle:
         cfg = self.cfg()
         cfg.networks = [MLPSpec(5, (8,), 1, seed=0)]
         with pytest.raises(ValueError, match="input_dim"):
-            fit_bundle(bundle_problem(), bundle_layout(), cfg)
+            fit(bundle_problem(), cfg, layout=bundle_layout())
 
 
 class TestInverse:
@@ -294,6 +312,28 @@ class TestPrunedParameterGradients:
         with_coords = ad.backward(loss, params + coords)
         for a, b in zip(only, with_coords):
             assert a.value.tobytes() == b.value.tobytes()
+
+
+class TestForwardResidualDerivatives:
+    def test_heat_d3_training_step_runs_one_reverse_pass(self, monkeypatch):
+        preset = presets.get("heat", dim=3)
+        problem = Problem(preset.residual, 1, preset.coord_names,
+                          preset.train_gen(32), preset.valid_gen(32))
+        cfg = SolverConfig(networks=preset.network_specs((8, 8), "tanh", 0),
+                           conditions=preset.conditions, epochs=1, seed=0)
+        state = SolverState(problem, cfg)
+        batch = _sample_batch(state, make_rng(0, stream=2),
+                              state.train_generator)
+        calls = []
+        backward = ad.backward
+
+        def counting(output, wrt):
+            calls.append(len(wrt))
+            return backward(output, wrt)
+        monkeypatch.setattr(ad, "backward", counting)
+        assert np.isfinite(_train_batch(state, batch))
+        # only the parameter gradient: a weight and a bias per layer
+        assert calls == [6]
 
 
 class TestSinglePrecision:
