@@ -23,9 +23,10 @@ contributions in the same order, so results equal a full sweep bit for bit.
 ``diff`` applies the same rule forwards: only nodes that depend on the
 seeded coordinate get tangents, so no weight-shaped node is built.
 
-Only scalar-with-tensor broadcasting is allowed; any other shape mix raises
-``ShapeError``.  Non-finite results (log of a negative, division by zero)
-propagate without clamping and are detectable via the node values.
+A scalar broadcasts against any tensor and a 1 x k row against an N x k one;
+any other shape mix raises ``ShapeError``.  Non-finite results (log of a
+negative, division by zero) propagate without clamping and are detectable
+via the node values.
 """
 
 import numpy as np
@@ -119,10 +120,16 @@ def _is_scalar(a):
     return a.size == 1
 
 
+def _is_row_of(row, shape):
+    """Whether shape ``row`` is 1 x k and ``shape`` is N x k."""
+    return (len(row) == 2 and len(shape) == 2 and row[0] == 1
+            and row[1] == shape[1])
+
+
 def _check_elementwise(op, a, b):
-    if a.value.shape == b.value.shape:
-        return
-    if _is_scalar(a.value) or _is_scalar(b.value):
+    sa, sb = a.value.shape, b.value.shape
+    if (sa == sb or _is_scalar(a.value) or _is_scalar(b.value)
+            or _is_row_of(sa, sb) or _is_row_of(sb, sa)):
         return
     raise ShapeError(f"{op}: incompatible shapes {a.value.shape} and {b.value.shape}")
 
@@ -209,10 +216,13 @@ def reduce_max(a):
 
 
 def broadcast_to(a, shape):
-    if not _is_scalar(a.value):
-        raise ShapeError(f"broadcast requires a scalar, got shape {a.value.shape}")
+    """Repeat a scalar, or a 1 x k row down N rows, to ``shape``."""
     shape = tuple(shape)
-    value = np.broadcast_to(a.value.reshape(()), shape).astype(config.dtype())
+    scalar = _is_scalar(a.value)
+    if not (scalar or _is_row_of(a.value.shape, shape)):
+        raise ShapeError(f"cannot broadcast shape {a.value.shape} to {shape}")
+    src = a.value.reshape(()) if scalar else a.value
+    value = np.broadcast_to(src, shape).astype(config.dtype())
     return Node("broadcast", (a,), value.copy(), a.requires_grad,
                 attrs={"shape": shape})
 
@@ -236,6 +246,27 @@ def transpose(a):
     return Node("transpose", (a,), a.value.T.copy(), a.requires_grad)
 
 
+def column(a, j):
+    """Column j of a 2-D node as an N x 1 node; a one-column node itself."""
+    if a.value.ndim != 2 or not 0 <= j < a.value.shape[1]:
+        raise ShapeError(f"no column {j} in shape {a.value.shape}")
+    if a.value.shape[1] == 1:
+        return a
+    return Node("column", (a,), a.value[:, j:j + 1], a.requires_grad,
+                attrs={"j": j})
+
+
+def concat_cols(cols):
+    """Join N x 1 nodes side by side; a single column comes back unchanged."""
+    shapes = [c.value.shape for c in cols]
+    if not shapes or len(set(shapes)) > 1 or shapes[0][1:] != (1,):
+        raise ShapeError(f"concat_cols needs N x 1 columns, got {shapes}")
+    if len(cols) == 1:
+        return cols[0]
+    return Node("concat", tuple(cols), np.hstack([c.value for c in cols]),
+                any(c.requires_grad for c in cols))
+
+
 def _topo_below(root):
     """Requires-grad nodes below root in creation (= topological) order."""
     seen = set()
@@ -256,6 +287,10 @@ def _fit_shape(g, target):
     """Reduce a gradient node to the shape of the operand it belongs to."""
     if g.value.shape == target.value.shape:
         return g
+    # a row operand sums its adjoint over rows; checked before the scalar
+    # rule so a 1 x 1 bias gets the ones @ g product it always got
+    if _is_row_of(target.value.shape, g.value.shape):
+        return matmul(constant(np.ones((1, g.value.shape[0]))), g)
     if _is_scalar(target.value):
         s = reduce_sum(g)
         if target.value.shape != ():
@@ -330,13 +365,20 @@ def _vjp(node, g, need):
     if op == "max":
         return (mul(g, _argmax_mask(a)),)
     if op == "broadcast":
-        return (reduce_sum(g),)
+        return (g,)  # backward's _fit_shape sums it down to a's shape
     if op == "matmul":
         b = node.inputs[1]
         return (matmul(g, transpose(b)) if need[0] else None,
                 matmul(transpose(a), g) if need[1] else None)
     if op == "transpose":
         return (transpose(g),)
+    if op == "column":
+        j, k = node.attrs["j"], a.value.shape[1]
+        zero = constant(np.zeros_like(g.value))
+        return (concat_cols([zero] * j + [g] + [zero] * (k - j - 1)),)
+    if op == "concat":
+        return tuple(column(g, i) if wanted else None
+                     for i, wanted in enumerate(need))
     raise ValueError(f"no vjp for op {op!r}")
 
 
@@ -449,6 +491,11 @@ def _jvp(node, t):
                      matmul(a, tb) if tb is not None else None)
     if op == "transpose":
         return transpose(ta)
+    if op == "column":
+        return column(ta, node.attrs["j"])
+    if op == "concat":
+        zero = constant(np.zeros_like(a.value)) if None in t else None
+        return concat_cols([zero if ti is None else ti for ti in t])
     raise ValueError(f"no jvp for op {op!r}")
 
 
@@ -470,7 +517,8 @@ def _push_tangents(u, tangents):
             tangents[node._id] = None
             continue
         tn = _jvp(node, t)
-        if tn.value.shape != node.value.shape:  # an active scalar met a tensor
+        # an active scalar or row met a tensor
+        if tn.value.shape != node.value.shape:
             tn = broadcast_to(tn, node.value.shape)
         tangents[node._id] = tn
     tu = tangents.get(u._id)

@@ -139,9 +139,6 @@ def basis_solution(basis, radial_net, angles, r):
     funcs = basis.evaluate(*angles)
     total = None
     for j, y in enumerate(funcs):
-        onehot = np.zeros((k, 1))
-        onehot[j, 0] = 1.0
-        col = ad.matmul(coeffs, ad.constant(onehot))
-        term = col * y
+        term = ad.column(coeffs, j) * y
         total = term if total is None else total + term
     return total

@@ -10,8 +10,6 @@ coordinates.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 
 KINDS = ("l2", "mse", "l1", "linf", "h1", "semi_h1")
@@ -27,18 +25,11 @@ class LossSpec:
             raise ValueError(f"unknown loss kind {self.kind!r}")
 
 
-def _column(node, j):
-    k = node.value.shape[1]
-    onehot = np.zeros((k, 1))
-    onehot[j, 0] = 1.0
-    return ad.matmul(node, ad.constant(onehot))
-
-
 def _grad_sq_sum(residuals, coords):
     total = None
     m = residuals.value.shape[1]
     for j in range(m):
-        col = _column(residuals, j) if m > 1 else residuals
+        col = ad.column(residuals, j)
         for x in coords:
             g = ad.diff(col, x)
             term = ad.reduce_sum(g ** 2)

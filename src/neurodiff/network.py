@@ -94,13 +94,11 @@ class MLP:
         if params is None:
             params = self.param_nodes(requires_grad=False)
         act = _ACTIVATIONS[self.spec.activation]
-        n = batch.value.shape[0]
         h = batch
         n_layers = len(self.weights)
         for k in range(n_layers):
             w, b = params[2 * k], params[2 * k + 1]
-            ones = ad.constant(np.ones((n, 1)))
-            z = ad.matmul(h, ad.transpose(w)) + ad.matmul(ones, b)
+            z = ad.matmul(h, ad.transpose(w)) + b
             h = act(z) if k < n_layers - 1 else z
         return h
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import bases
 from . import operators as ops
-from .conditions import IVP1, IVP2, BoxIC, InfinityBVP
+from .conditions import IVP1, IVP2, BoxIC, InfinityBVP, _const_column
 from .generators import CubeND, Uniform1D
 from .network import MLPSpec
 from .solver import BundleLayout, Problem
@@ -218,23 +218,16 @@ class HarmonicExpansionCondition:
 
     def reparameterize(self, coords, net_fn, params=None):
         r, theta, phi = coords
-        n = r.value.shape[0]
         raw = net_fn(r)
-        k = raw.value.shape[1]
-        ra = ad.variable(np.full((n, 1), self.r0), requires_grad=True)
-        rb = ad.variable(np.full((n, 1), self.rmax), requires_grad=True)
+        ra = _const_column(self.r0, r)
         raw_a = net_fn(ra)
-        raw_b = net_fn(rb)
         length = self.rmax - self.r0
         xt = (r - self.r0) / length
         cols = []
-        for j in range(k):
-            onehot = np.zeros((k, 1))
-            onehot[j, 0] = 1.0
-            oh = ad.constant(onehot)
-            nj = ad.matmul(raw, oh)
+        for j in range(raw.value.shape[1]):
+            nj = ad.column(raw, j)
             if j == 0:
-                na = ad.matmul(raw_a, oh)
+                na = ad.column(raw_a, 0)
                 dna = ad.diff(na, ra)
                 cols.append(self.c0_outer + self.dc0_inner * (r - self.rmax)
                             + (r - self.rmax) * (nj - na + length * dna))

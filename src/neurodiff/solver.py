@@ -33,8 +33,8 @@ class Problem:
 
     ``residual(u, coords)`` receives the trial-solution nodes (one per
     unknown) and the coordinate variable nodes, and returns a sequence of
-    residual nodes.  Bundle problems take a third ``params`` argument with
-    the sampled parameter columns.
+    N x 1 residual nodes, one per equation.  Bundle problems take a third
+    ``params`` argument with the sampled parameter columns.
     """
 
     residual: object
@@ -145,40 +145,11 @@ class SolverState:
         ]
 
 
-def _assemble(cols, input_dim):
-    """Stack N x 1 column nodes into an N x input_dim batch node."""
-    if len(cols) != input_dim:
-        raise ad.ShapeError(
-            f"expected {input_dim} input columns, got {len(cols)}"
-        )
-    total = None
-    for d, col in enumerate(cols):
-        onehot = np.zeros((1, input_dim))
-        onehot[0, d] = 1.0
-        term = ad.matmul(col, ad.constant(onehot))
-        total = term if total is None else total + term
-    return total
-
-
 def _make_net_fn(mlp, pnodes, theta_cols):
     def net_fn(*cols):
-        return mlp.forward(_assemble(list(cols) + list(theta_cols),
-                                     mlp.spec.input_dim), pnodes)
+        return mlp.forward(ad.concat_cols(list(cols) + list(theta_cols)),
+                           pnodes)
     return net_fn
-
-
-def _stack_residuals(res_list):
-    res_list = list(res_list)
-    m = len(res_list)
-    if m == 1:
-        return res_list[0]
-    total = None
-    for j, r in enumerate(res_list):
-        onehot = np.zeros((1, m))
-        onehot[0, j] = 1.0
-        term = ad.matmul(r, ad.constant(onehot))
-        total = term if total is None else total + term
-    return total
 
 
 def _build_loss(state, batch, param_nodes_per_net):
@@ -202,7 +173,7 @@ def _build_loss(state, batch, param_nodes_per_net):
         res = problem.residual(u, coord_nodes, params)
     else:
         res = problem.residual(u, coord_nodes)
-    residuals = _stack_residuals(res)
+    residuals = ad.concat_cols(res)
     return losses_mod.loss(state.loss_spec, residuals, coords=coord_nodes)
 
 
@@ -464,10 +435,9 @@ def fit_inverse(solution, data, init_theta, steps=500, lr=0.05):
     for _ in range(steps):
         coord_nodes = [ad.variable(coords[:, d:d + 1], requires_grad=True)
                        for d in range(n_coords)]
-        ones = ad.constant(np.ones((n, 1)))
         theta_vars = {k: ad.variable(np.full((1, 1), theta[k]))
                       for k in names}
-        theta_cols = [ad.matmul(ones, theta_vars[k]) for k in names]
+        theta_cols = [ad.broadcast_to(theta_vars[k], (n, 1)) for k in names]
         params = dict(zip(names, theta_cols))
         preds = []
         for net, cond in zip(solution.networks, solution.conditions):

@@ -38,6 +38,36 @@ class TestForward:
         with pytest.raises(ad.ShapeError, match=r"\(2, 1\).*\(3, 1\)"):
             ad.add(a, b)
 
+    @pytest.mark.parametrize("sa,sb", [((1, 3), (4, 2)), ((2, 3), (4, 3)),
+                                       ((4, 3), (1, 2))])
+    def test_only_scalars_and_rows_broadcast(self, sa, sb):
+        with pytest.raises(ad.ShapeError):
+            ad.add(ad.constant(np.ones(sa)), ad.constant(np.ones(sb)))
+
+    def test_row_broadcasts_down_a_tensor(self):
+        row = ad.constant(np.array([[1.0, 2.0, 3.0]]))
+        tensor = ad.constant(np.arange(12.0).reshape(4, 3))
+        for out in (row + tensor, tensor - row, row * tensor):
+            assert out.shape == (4, 3)
+        np.testing.assert_array_equal((tensor - row).value,
+                                      tensor.value - row.value)
+
+    def test_columns(self):
+        a = ad.constant(np.arange(6.0).reshape(3, 2))
+        np.testing.assert_array_equal(ad.column(a, 1).value, [[1], [3], [5]])
+        joined = ad.concat_cols([ad.column(a, 1), ad.column(a, 0)])
+        np.testing.assert_array_equal(joined.value, a.value[:, ::-1])
+        col = ad.column(a, 0)
+        assert ad.concat_cols([col]) is col
+        assert ad.column(col, 0) is col
+        with pytest.raises(ad.ShapeError):
+            ad.concat_cols([col, ad.constant(np.ones((2, 1)))])
+        with pytest.raises(ad.ShapeError):
+            ad.concat_cols([col, a])
+        for j in (2, -1):
+            with pytest.raises(ad.ShapeError):
+                ad.column(a, j)
+
     def test_nonfinite_propagates(self):
         out = ad.log(scalar(-1.0))
         assert np.isnan(out.value[0, 0])
@@ -171,6 +201,33 @@ def test_gradcheck_matmul():
         dn[idx] -= h
         fd = (np.sum(up @ b.value) - np.sum(dn @ b.value)) / (2 * h)
         assert ga.value[idx] == pytest.approx(fd, rel=1e-6)
+
+
+def test_gradcheck_columns_and_row_bias():
+    rng = np.random.Generator(np.random.Philox(key=(11, 11)))
+    w = ad.constant(rng.uniform(-2, 2, size=(2, 3)))
+    p = ad.constant(rng.uniform(-2, 2, size=(4, 3)))
+
+    def build(a, b):
+        joined = ad.concat_cols([ad.sin(ad.column(a, 3)),
+                                 ad.column(a, 0) * ad.column(a, 3)])
+        return (ad.reduce_sum(ad.tanh(a + b))
+                + ad.reduce_sum(ad.matmul(joined, w) * ad.matmul(b, p)))
+
+    av = rng.uniform(-2, 2, size=(3, 4))
+    bv = rng.uniform(-2, 2, size=(1, 4))
+    a, b = ad.variable(av), ad.variable(bv)
+    ga, gb = ad.backward(build(a, b), [a, b])
+    h = 1e-5
+    for which, grad, idx in [(0, ga, (0, 0)), (0, ga, (2, 3)), (0, ga, (1, 1)),
+                             (1, gb, (0, 0)), (1, gb, (0, 3))]:
+        sides = []
+        for step in (h, -h):
+            vals = [av.copy(), bv.copy()]
+            vals[which][idx] += step
+            sides.append(build(*map(ad.constant, vals)).value)
+        fd = (sides[0] - sides[1]) / (2 * h)
+        assert grad.value[idx] == pytest.approx(fd, rel=1e-6)
 
 
 class TestNestedConsistency:
@@ -331,6 +388,16 @@ class TestPruning:
         with pytest.raises(ValueError, match="require grad"):
             ad.diff(y, ad.constant(np.ones((3, 1))))
 
+    def test_bias_is_added_by_row_broadcasting(self, monkeypatch):
+        mlp = MLP.init(MLPSpec(2, (3, 4), 1, seed=0))
+        batch = ad.variable(np.linspace(-1.0, 1.0, 10).reshape(5, 2))
+        params = mlp.param_nodes()
+        built = _record_nodes(monkeypatch)
+        mlp.forward(batch, params)
+        matmuls = [m for m in built if m.op == "matmul"]
+        assert len(matmuls) == 3
+        assert all(m.inputs[0].shape[1] != 1 for m in matmuls)
+
     def test_parameter_gradient_builds_no_coordinate_adjoint(self, monkeypatch):
         x = ad.variable(np.linspace(-1.0, 1.0, 6).reshape(-1, 1))
         w = ad.variable(np.array([[0.3]]))
@@ -343,6 +410,7 @@ class TestPruning:
 # ops the random-graph property test below does not draw; x is 1 x 1, so
 # forward and reverse agree even through reductions
 SPREAD = ad.constant(np.array([[0.5, -1.0, 2.0]]))
+TENSOR = ad.constant(np.arange(12.0).reshape(4, 3) / 10.0)
 FORWARD_RULES = {
     "ln": lambda x: ad.log(x * x + 1.0),
     "abs": lambda x: ad.absolute(x) * x,
@@ -354,6 +422,15 @@ FORWARD_RULES = {
         ad.broadcast_to(ad.reduce_sum(ad.exp(x)), (3, 2)) * x),
     "matmul": lambda x: ad.matmul(ad.transpose(ad.matmul(x, SPREAD)),
                                   ad.cos(ad.matmul(x, SPREAD))),
+    "column": lambda x: (ad.column(ad.sin(ad.matmul(x, SPREAD)), 1)
+                         * ad.column(ad.matmul(x, SPREAD), 2)),
+    "concat": lambda x: ad.sin(ad.matmul(
+        ad.concat_cols([ad.exp(x), ad.constant([[0.3]]), x * x]),
+        ad.transpose(SPREAD))),
+    # a row meets a constant tensor (its tangent is broadcast down the
+    # rows) and an active one
+    "row_broadcast": lambda x: (ad.tanh(TENSOR + ad.matmul(x, SPREAD))
+                                + ad.matmul(x, SPREAD) * ad.sin(TENSOR * x)),
 }
 
 

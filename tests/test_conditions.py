@@ -20,18 +20,7 @@ def random_net_fn(seed):
     rng = np.random.Generator(np.random.Philox(key=(seed, 99)))
     for k in range(len(mlp.biases)):
         mlp.biases[k] = rng.uniform(-1, 1, mlp.biases[k].shape)
-    return lambda *cols: mlp.forward(_assemble(cols))
-
-
-def _assemble(cols):
-    total = None
-    d = len(cols)
-    for i, c in enumerate(cols):
-        onehot = np.zeros((1, d))
-        onehot[0, i] = 1.0
-        term = ad.matmul(c, ad.constant(onehot))
-        total = term if total is None else total + term
-    return total
+    return lambda *cols: mlp.forward(ad.concat_cols(cols))
 
 
 def column(values):
@@ -139,7 +128,7 @@ class TestBoxIC:
         dim = 2
         cond = bc.BoxIC(self.profile, dim)
         mlp = MLP.init(MLPSpec(dim + 1, (8,), 1, seed=seed))
-        net_fn = lambda *cols: mlp.forward(_assemble(cols))
+        net_fn = lambda *cols: mlp.forward(ad.concat_cols(cols))
         t = column([0.0, 0.0])
         x1 = column([0.3, 0.8])
         x2 = column([0.6, 0.1])
@@ -150,7 +139,7 @@ class TestBoxIC:
     def test_boundary_zero(self):
         cond = bc.BoxIC(self.profile, 2)
         mlp = MLP.init(MLPSpec(3, (8,), 1, seed=4))
-        net_fn = lambda *cols: mlp.forward(_assemble(cols))
+        net_fn = lambda *cols: mlp.forward(ad.concat_cols(cols))
         t = column([0.7])
         x1 = column([0.0])
         x2 = column([0.4])
@@ -226,7 +215,7 @@ bounded = st.floats(-2.0, 2.0)
 def drawn_net(input_dim, seed, biases):
     mlp = MLP.init(MLPSpec(input_dim, (8,), 1, seed=seed))
     mlp.biases = [np.array(biases[:8]), np.array(biases[8:])]
-    return lambda *cols: mlp.forward(_assemble(cols))
+    return lambda *cols: mlp.forward(ad.concat_cols(cols))
 
 
 def test_property_test_covers_all_variants():
