@@ -5,8 +5,8 @@ sampled collocation points, with initial/boundary conditions enforced
 exactly by reparameterization.
 """
 
-from . import (autodiff, bases, callbacks, conditions, config, generators,
-               losses, network, operators, solver)
+from . import (autodiff, bases, callbacks, conditions, generators, losses,
+               network, operators, solver)
 from .autodiff import backward, constant, diff, variable
 from .losses import LossSpec
 from .network import MLP, MLPSpec

@@ -1,6 +1,9 @@
 """Automatic differentiation on dynamically built expression graphs.
 
-Values are 64-bit numpy arrays (32-bit under the global f32 flag).  The key
+Values are float numpy arrays, and a node's dtype follows its inputs under
+numpy's promotion rules; a number or array wrapped as a constant takes the
+dtype of the node it meets, so a graph built from float32 leaves stays
+float32 through ``backward`` and ``diff``.  The key
 property is that derivatives are *new graph nodes* rather than plain
 numbers, so they are themselves differentiable.  Two sweeps build them:
 
@@ -30,8 +33,6 @@ via the node values.
 """
 
 import numpy as np
-
-from . import config
 
 
 class ShapeError(ValueError):
@@ -64,28 +65,28 @@ class Node:
 
     # arithmetic sugar; python numbers and arrays auto-wrap to constants
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return sub(self, _wrap(other))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return sub(_wrap(other), self)
+        return sub(other, self)
 
     def __mul__(self, other):
-        return mul(self, _wrap(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_wrap(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other):
-        return div(self, _wrap(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_wrap(other), self)
+        return div(other, self)
 
     def __pow__(self, exponent):
         return power(self, exponent)
@@ -97,23 +98,29 @@ class Node:
         return absolute(self)
 
     def __matmul__(self, other):
-        return matmul(self, _wrap(other))
+        return matmul(self, _wrap(other, self))
 
 
-def _wrap(x):
+def _wrap(x, like):
+    """x as a node; a number or array takes the dtype of the node ``like``."""
     if isinstance(x, Node):
         return x
-    return constant(x)
+    return constant(x, like.value.dtype if isinstance(like, Node) else None)
 
 
-def constant(value):
-    value = np.asarray(value, dtype=config.dtype())
-    return Node("constant", (), value, requires_grad=False)
+def _float_array(value, dtype=None):
+    value = np.asarray(value, dtype=dtype)
+    return value if value.dtype.kind == "f" else value.astype(np.float64)
+
+
+def constant(value, dtype=None):
+    """A leaf that takes no gradient; a float array keeps its dtype unless
+    ``dtype`` is given, anything else becomes float64."""
+    return Node("constant", (), _float_array(value, dtype), requires_grad=False)
 
 
 def variable(value, requires_grad=True):
-    value = np.asarray(value, dtype=config.dtype())
-    return Node("variable", (), value, requires_grad=requires_grad)
+    return Node("variable", (), _float_array(value), requires_grad)
 
 
 def _is_scalar(a):
@@ -135,34 +142,35 @@ def _check_elementwise(op, a, b):
 
 
 def _elementwise(op, a, b, fn):
+    a = _wrap(a, b)
+    b = _wrap(b, a)
     _check_elementwise(op, a, b)
     with np.errstate(all="ignore"):
         value = fn(a.value, b.value)
-    return Node(op, (a, b), np.asarray(value, dtype=config.dtype()),
+    return Node(op, (a, b), np.asarray(value),
                 a.requires_grad or b.requires_grad)
 
 
 def _unary(op, a, fn, attrs=None):
     with np.errstate(all="ignore"):
         value = fn(a.value)
-    return Node(op, (a,), np.asarray(value, dtype=config.dtype()),
-                a.requires_grad, attrs)
+    return Node(op, (a,), np.asarray(value), a.requires_grad, attrs)
 
 
 def add(a, b):
-    return _elementwise("add", _wrap(a), _wrap(b), np.add)
+    return _elementwise("add", a, b, np.add)
 
 
 def sub(a, b):
-    return _elementwise("sub", _wrap(a), _wrap(b), np.subtract)
+    return _elementwise("sub", a, b, np.subtract)
 
 
 def mul(a, b):
-    return _elementwise("mul", _wrap(a), _wrap(b), np.multiply)
+    return _elementwise("mul", a, b, np.multiply)
 
 
 def div(a, b):
-    return _elementwise("div", _wrap(a), _wrap(b), np.divide)
+    return _elementwise("div", a, b, np.divide)
 
 
 def power(a, exponent):
@@ -222,8 +230,8 @@ def broadcast_to(a, shape):
     if not (scalar or _is_row_of(a.value.shape, shape)):
         raise ShapeError(f"cannot broadcast shape {a.value.shape} to {shape}")
     src = a.value.reshape(()) if scalar else a.value
-    value = np.broadcast_to(src, shape).astype(config.dtype())
-    return Node("broadcast", (a,), value.copy(), a.requires_grad,
+    value = np.broadcast_to(src, shape).copy()
+    return Node("broadcast", (a,), value, a.requires_grad,
                 attrs={"shape": shape})
 
 
@@ -290,7 +298,8 @@ def _fit_shape(g, target):
     # a row operand sums its adjoint over rows; checked before the scalar
     # rule so a 1 x 1 bias gets the ones @ g product it always got
     if _is_row_of(target.value.shape, g.value.shape):
-        return matmul(constant(np.ones((1, g.value.shape[0]))), g)
+        ones = np.ones((1, g.value.shape[0]), dtype=g.value.dtype)
+        return matmul(constant(ones), g)
     if _is_scalar(target.value):
         s = reduce_sum(g)
         if target.value.shape != ():
@@ -341,8 +350,8 @@ def _vjp(node, g, need):
         if p == 1.0:
             return (g,)
         if p == 2.0:
-            return (mul(g, mul(constant(2.0), a)),)
-        return (mul(g, mul(constant(p), power(a, p - 1.0))),)
+            return (mul(g, 2.0 * a),)
+        return (mul(g, p * power(a, p - 1.0)),)
     if op == "neg":
         return (neg(g),)
     if op == "exp":
@@ -354,13 +363,13 @@ def _vjp(node, g, need):
     if op == "cos":
         return (neg(mul(g, sin(a))),)
     if op == "tanh":
-        return (mul(g, sub(constant(1.0), mul(node, node))),)
+        return (mul(g, 1.0 - mul(node, node)),)
     if op == "abs":
         return (mul(g, _sign_const(a)),)
     if op == "sum":
         return (broadcast_to(g, a.value.shape) if a.value.shape != () else g,)
     if op == "mean":
-        scaled = div(g, constant(float(a.value.size)))
+        scaled = g / float(a.value.size)
         return (broadcast_to(scaled, a.value.shape) if a.value.shape != () else scaled,)
     if op == "max":
         return (mul(g, _argmax_mask(a)),)
@@ -462,8 +471,8 @@ def _jvp(node, t):
         if p == 1.0:
             return ta
         if p == 2.0:
-            return mul(ta, mul(constant(2.0), a))
-        return mul(ta, mul(constant(p), power(a, p - 1.0)))
+            return mul(ta, 2.0 * a)
+        return mul(ta, p * power(a, p - 1.0))
     if op == "neg":
         return neg(ta)
     if op == "exp":
@@ -475,7 +484,7 @@ def _jvp(node, t):
     if op == "cos":
         return neg(mul(ta, sin(a)))
     if op == "tanh":
-        return mul(ta, sub(constant(1.0), mul(node, node)))
+        return mul(ta, 1.0 - mul(node, node))
     if op == "abs":
         return mul(ta, _sign_const(a))
     if op == "sum":

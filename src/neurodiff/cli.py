@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import config, operators, presets
+from . import operators, presets
 from .callbacks import (AfterEpoch, Callback, SetLearningRate, SetLoss,
                         ValidationConverged)
 from .losses import LossSpec
@@ -83,7 +83,6 @@ def build_parser():
     pi.add_argument("--steps", type=int, default=1000)
     pi.add_argument("--lr", type=float, default=0.3)
     pi.add_argument("--out", type=str, default="out")
-    pi.add_argument("--seed", type=int, default=None)
 
     pbench = sub.add_parser("bench-operators", help="naive vs fused timings")
     pbench.add_argument("--sizes", type=int, nargs="+", default=[4096])
@@ -141,7 +140,6 @@ def _apply_manifest(args):
 
 
 def _train_common(args, preset, outdir):
-    config.set_precision(args.precision)
     seed = args.seed if args.seed is not None else _default_seed()
     epochs = args.epochs if args.epochs is not None else preset.epochs
     hidden = _resolve_hidden(args, preset)
@@ -158,6 +156,7 @@ def _train_common(args, preset, outdir):
         epochs=epochs,
         batches_per_epoch=preset.batches_per_epoch,
         seed=seed,
+        precision=args.precision,
     )
     cbs = [Callback(AfterEpoch(e), SetLearningRate(lr * f))
            for e, f in preset.lr_schedule]
@@ -298,16 +297,14 @@ def cmd_bench(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # --precision holds for this command only, not for later library calls
     try:
-        with config.preserved_precision():
-            if args.command == "solve":
-                return cmd_solve(args)
-            if args.command == "bundle":
-                return cmd_bundle(args)
-            if args.command == "invert":
-                return cmd_invert(args)
-            return cmd_bench(args)
+        if args.command == "solve":
+            return cmd_solve(args)
+        if args.command == "bundle":
+            return cmd_bundle(args)
+        if args.command == "invert":
+            return cmd_invert(args)
+        return cmd_bench(args)
     except TrainingDiverged as e:
         print(f"training aborted: {e}", file=sys.stderr)
         return 1

@@ -21,20 +21,21 @@ import numpy as np
 from . import autodiff as ad
 
 
-def _resolve(value, params, n):
-    """Turn a constant or a bundle-parameter name into a graph node."""
+def _resolve(value, params):
+    """A bundle-parameter name becomes its sampled column; a node stays as it
+    is, and a number stays a number, taking the dtype of the node it meets."""
     if isinstance(value, str):
         if params is None or value not in params:
             raise ValueError(f"unknown bundle parameter {value!r}")
         return params[value]
     if isinstance(value, ad.Node):
         return value
-    return ad.constant(float(value))
+    return float(value)
 
 
 def _const_column(x, like):
     n = like.value.shape[0]
-    return ad.variable(np.full((n, 1), float(x)), requires_grad=True)
+    return ad.variable(np.full((n, 1), float(x), dtype=like.value.dtype))
 
 
 def _check_arity(cond, coords, expected):
@@ -59,7 +60,7 @@ class IVP1:
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
         t = coords[0]
-        u0 = _resolve(self.u0, params, t.value.shape[0])
+        u0 = _resolve(self.u0, params)
         tau = t - self.t0
         return u0 + (1.0 - ad.exp(-tau)) * net_fn(t)
 
@@ -73,8 +74,8 @@ class IVP2:
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
         t = coords[0]
-        u0 = _resolve(self.u0, params, t.value.shape[0])
-        du0 = _resolve(self.du0, params, t.value.shape[0])
+        u0 = _resolve(self.u0, params)
+        du0 = _resolve(self.du0, params)
         tau = t - self.t0
         # squared damping keeps the derivative constraint untouched
         return u0 + du0 * tau + (1.0 - ad.exp(-tau)) ** 2 * net_fn(t)
@@ -94,8 +95,8 @@ class DirichletBVP1D:
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
         x = coords[0]
-        u0 = _resolve(self.u0, params, x.value.shape[0])
-        u1 = _resolve(self.u1, params, x.value.shape[0])
+        u0 = _resolve(self.u0, params)
+        u1 = _resolve(self.u1, params)
         xt = (x - self.x0) / (self.x1 - self.x0)
         return (1.0 - xt) * u0 + xt * u1 + xt * (1.0 - xt) * net_fn(x)
 
@@ -116,8 +117,8 @@ class DirichletNeumann:
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
         x = coords[0]
-        u0 = _resolve(self.u0, params, x.value.shape[0])
-        du1 = _resolve(self.du1, params, x.value.shape[0])
+        u0 = _resolve(self.u0, params)
+        du1 = _resolve(self.du1, params)
         length = self.x1 - self.x0
         tau = x - self.x0
         xb = _const_column(self.x1, x)
@@ -142,8 +143,8 @@ class NeumannDirichlet:
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
         x = coords[0]
-        du0 = _resolve(self.du0, params, x.value.shape[0])
-        u1 = _resolve(self.u1, params, x.value.shape[0])
+        du0 = _resolve(self.du0, params)
+        u1 = _resolve(self.u1, params)
         length = self.x1 - self.x0
         xa = _const_column(self.x0, x)
         na = net_fn(xa)
@@ -169,8 +170,8 @@ class NeumannNeumann:
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
         x = coords[0]
-        du0 = _resolve(self.du0, params, x.value.shape[0])
-        du1 = _resolve(self.du1, params, x.value.shape[0])
+        du0 = _resolve(self.du0, params)
+        du1 = _resolve(self.du1, params)
         length = self.x1 - self.x0
         tau = x - self.x0
         xa = _const_column(self.x0, x)
@@ -213,14 +214,14 @@ class InfinityBVP:
             raise ValueError("InfinityBVP expects at least the radial coordinate")
         r = coords[0]
         angles = coords[1:]
-        if callable(self.u0) and not isinstance(self.u0, ad.Node):
+        if callable(self.u0):
             u0 = self.u0(*angles)
         else:
-            u0 = _resolve(self.u0, params, r.value.shape[0])
-        if callable(self.u_inf) and not isinstance(self.u_inf, ad.Node):
+            u0 = _resolve(self.u0, params)
+        if callable(self.u_inf):
             u_inf = self.u_inf(*angles)
         else:
-            u_inf = _resolve(self.u_inf, params, r.value.shape[0])
+            u_inf = _resolve(self.u_inf, params)
         s = r - self.r0
         damp = ad.exp(-self.decay * s)
         gate = ad.tanh(s)

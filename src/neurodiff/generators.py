@@ -1,7 +1,7 @@
 """Composable collocation-point samplers.
 
 A generator is an immutable description; ``sample(rng)`` draws one batch as
-an (n, D) float array.  The rng is owned by the caller (the solver) so
+an (n, D) float64 array.  The rng is owned by the caller (the solver) so
 generators themselves carry no mutable state.  The RNG algorithm is numpy's
 counter-based Philox; per-implementation determinism is guaranteed by
 seeding, and independent streams are derived by keying Philox with distinct
@@ -9,8 +9,6 @@ seeds.
 """
 
 import numpy as np
-
-from . import config
 
 
 def make_rng(seed, stream=0):
@@ -53,7 +51,7 @@ class Uniform1D(Generator):
                 spacing = (self.hi - self.lo) / max(self.n - 1, 1)
                 pts = pts + rng.uniform(-spacing / 2, spacing / 2, size=self.n)
                 pts = np.clip(pts, self.lo, self.hi)
-        return pts.reshape(-1, 1).astype(config.dtype())
+        return pts.reshape(-1, 1)
 
     def with_size(self, n):
         return Uniform1D(self.lo, self.hi, n, self.method)
@@ -76,8 +74,7 @@ class CubeND(Generator):
 
     def sample(self, rng):
         u = rng.uniform(size=(self.n, self.lows.size))
-        pts = self.lows + u * (self.highs - self.lows)
-        return pts.astype(config.dtype())
+        return self.lows + u * (self.highs - self.lows)
 
     def with_size(self, n):
         return CubeND(self.lows, self.highs, n)
@@ -94,7 +91,7 @@ class Static(Generator):
         self.points = pts
 
     def sample(self, rng):
-        return self.points.astype(config.dtype()).copy()
+        return self.points.copy()
 
     def __len__(self):
         return self.points.shape[0]
@@ -187,7 +184,7 @@ class Transform(Generator):
         self.g, self.map_fn = g, map_fn
 
     def sample(self, rng):
-        return np.asarray(self.map_fn(self.g.sample(rng)), dtype=config.dtype())
+        return np.asarray(self.map_fn(self.g.sample(rng)), dtype=float)
 
     def __len__(self):
         return len(self.g)

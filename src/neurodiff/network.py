@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import config
 
 _MAGIC = b"NDCK"
 _VERSION = 1
@@ -63,8 +62,8 @@ class MLP:
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-            weights.append(w.astype(config.dtype()))
-            biases.append(np.zeros(fan_out, dtype=config.dtype()))
+            weights.append(w)
+            biases.append(np.zeros(fan_out))
         return cls(spec, weights, biases)
 
     def n_parameters(self):
@@ -85,7 +84,7 @@ class MLP:
         parameters are wrapped as non-trainable constants.
         """
         if not isinstance(batch, ad.Node):
-            batch = ad.constant(np.asarray(batch, dtype=config.dtype()))
+            batch = ad.constant(batch, self.weights[0].dtype)
         if batch.value.ndim != 2 or batch.value.shape[1] != self.spec.input_dim:
             raise ad.ShapeError(
                 f"batch shape {batch.value.shape} does not match "
@@ -101,6 +100,12 @@ class MLP:
             z = ad.matmul(h, ad.transpose(w)) + b
             h = act(z) if k < n_layers - 1 else z
         return h
+
+    def astype(self, dtype):
+        """This network with its parameters cast to ``dtype``."""
+        return MLP(self.spec,
+                   [w.astype(dtype, copy=False) for w in self.weights],
+                   [b.astype(dtype, copy=False) for b in self.biases])
 
     def copy(self):
         return MLP(self.spec,

@@ -58,6 +58,9 @@ class SGD:
     momentum: float = 0.0
 
 
+_DTYPES = {"f64": np.float64, "f32": np.float32}
+
+
 @dataclass
 class SolverConfig:
     networks: list = None  # one MLPSpec per unknown; None -> default [32, 32]
@@ -68,6 +71,12 @@ class SolverConfig:
     batches_per_epoch: int = 1
     accumulation_passes: int = 1
     seed: int = 0
+    precision: str = "f64"  # "f32" trains the networks in single precision
+
+    def __post_init__(self):
+        if self.precision not in _DTYPES:
+            raise ValueError(f"unknown precision {self.precision!r}, "
+                             "expected 'f32' or 'f64'")
 
 
 @dataclass(frozen=True)
@@ -134,7 +143,8 @@ class SolverState:
                     f"network input_dim {s.input_dim} exceeds "
                     f"{n_coords} coordinates + {n_theta} bundle parameters"
                 )
-        self.networks = [MLP.init(s) for s in specs]
+        dtype = _DTYPES[config.precision]
+        self.networks = [MLP.init(s).astype(dtype) for s in specs]
         self.conditions = list(config.conditions)
         self._opt_state = None
 
@@ -152,23 +162,41 @@ def _make_net_fn(mlp, pnodes, theta_cols):
     return net_fn
 
 
-def _build_loss(state, batch, param_nodes_per_net):
+def _trial_solutions(model, columns, pnodes=None):
+    """Trial solutions of a SolverState's or Solution's networks on a batch.
+
+    ``columns`` are the coordinate columns, then one column per bundle
+    parameter in layout order.  Each is cast to the networks' dtype, the one
+    place where data meets the chosen precision, and made a variable; a
+    one-row column is repeated down the batch.  ``pnodes`` holds each
+    network's parameter nodes (frozen ones when omitted).  Returns the trial
+    solutions, the variables made from ``columns``, and the bundle-parameter
+    columns by name (None without a layout).
+    """
+    dtype = model.networks[0].weights[0].dtype
+    leaves = [ad.variable(np.asarray(c, dtype=dtype)) for c in columns]
+    n = max(v.shape[0] for v in leaves)
+    cols = [v if v.shape[0] == n else ad.broadcast_to(v, (n, 1))
+            for v in leaves]
+    names = model.layout.names() if model.layout else []
+    split = len(cols) - len(names)
+    coords, theta_cols = cols[:split], cols[split:]
+    params = dict(zip(names, theta_cols)) if model.layout else None
+    if pnodes is None:
+        pnodes = [net.param_nodes(requires_grad=False)
+                  for net in model.networks]
+    u = [cond.reparameterize(coords, _make_net_fn(net, p, theta_cols),
+                             params=params)
+         for net, cond, p in zip(model.networks, model.conditions, pnodes)]
+    return u, leaves, params
+
+
+def _build_loss(state, batch, pnodes=None):
     """Trial solutions, residuals, and loss node for one coordinate batch."""
     problem = state.problem
-    n_coords = len(problem.coord_names)
-    coord_nodes = [ad.variable(batch[:, d:d + 1]) for d in range(n_coords)]
-    if state.layout:
-        names = state.layout.names()
-        theta_cols = [ad.variable(batch[:, n_coords + k:n_coords + k + 1])
-                      for k in range(len(names))]
-        params = dict(zip(names, theta_cols))
-    else:
-        theta_cols, params = [], None
-    u = []
-    for net, cond, pnodes in zip(state.networks, state.conditions,
-                                 param_nodes_per_net):
-        net_fn = _make_net_fn(net, pnodes, theta_cols)
-        u.append(cond.reparameterize(coord_nodes, net_fn, params=params))
+    u, leaves, params = _trial_solutions(
+        state, [batch[:, d:d + 1] for d in range(batch.shape[1])], pnodes)
+    coord_nodes = leaves[:len(problem.coord_names)]
     if state.layout:
         res = problem.residual(u, coord_nodes, params)
     else:
@@ -272,10 +300,7 @@ def _train_batch(state, batch):
 
 def _validation_loss(state, rng):
     batch = _sample_batch(state, rng, state.valid_generator)
-    pnodes = [net.param_nodes(requires_grad=False)
-              for net in state.networks]
-    loss_node = _build_loss(state, batch, pnodes)
-    return float(loss_node.value)
+    return float(_build_loss(state, batch).value)
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # from glibc's malloc.h
@@ -304,10 +329,12 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
 
     Per epoch: ``batches_per_epoch`` optimizer steps, then one validation
     pass (no gradient step), then the callbacks in registration order.
-    Deterministic under a fixed config seed.  Passing the ``state`` of an
-    earlier fit resumes it: ``config.epochs`` more epochs are run, numbered
-    on from ``state.epoch`` with the sampling streams of those epochs, so
-    k epochs and then n - k resumed ones equal one n-epoch fit bit for bit.
+    Deterministic under a fixed config seed.  The networks train in
+    ``config.precision``.  Passing the ``state`` of an earlier fit resumes
+    it: ``config.epochs`` more epochs are run, numbered on from
+    ``state.epoch`` with the sampling streams of those epochs, so k epochs
+    and then n - k resumed ones equal one n-epoch fit bit for bit; the
+    state's networks keep their dtype.
     On glibc, fixes the process's malloc thresholds first (see
     ``_keep_freed_heap``).
     """
@@ -352,7 +379,8 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
 
 
 class Solution:
-    """Frozen, vectorized, side-effect-free view of the trained solution."""
+    """Frozen, vectorized, side-effect-free view of the trained solution,
+    evaluated in its networks' dtype."""
 
     def __init__(self, networks, conditions, coord_names, layout=None):
         self.networks = [n.copy() for n in networks]
@@ -378,20 +406,9 @@ class Solution:
                 f"({len(self.coord_names)} coordinates + "
                 f"{len(theta_names)} parameters), got {len(args)}"
             )
-        cols = [np.asarray(a, dtype=float).reshape(-1, 1) for a in args]
-        n = max(c.shape[0] for c in cols)
-        cols = [np.broadcast_to(c, (n, 1)).copy() if c.shape[0] == 1 else c
-                for c in cols]
-        n_coords = len(self.coord_names)
-        coord_nodes = [ad.variable(c) for c in cols[:n_coords]]
-        theta_cols = [ad.variable(c) for c in cols[n_coords:]]
-        params = dict(zip(theta_names, theta_cols)) if theta_names else None
-        outs = []
-        for net, cond in zip(self.networks, self.conditions):
-            pnodes = net.param_nodes(requires_grad=False)
-            net_fn = _make_net_fn(net, pnodes, theta_cols)
-            u = cond.reparameterize(coord_nodes, net_fn, params=params)
-            outs.append(u.value.reshape(-1).copy())
+        u, _, _ = _trial_solutions(self, [np.reshape(a, (-1, 1))
+                                          for a in args])
+        outs = [ui.value.reshape(-1).copy() for ui in u]
         return outs[0] if len(outs) == 1 else outs
 
 
@@ -424,31 +441,23 @@ def fit_inverse(solution, data, init_theta, steps=500, lr=0.05):
     for name in init_theta:
         if name not in ranges:
             raise ValueError(f"unknown parameter {name!r}")
+    missing = [k for k in names if k not in init_theta]
+    if missing:
+        raise ValueError(f"missing parameters {missing}")
     theta = {k: float(init_theta[k]) for k in names}
 
     rows = [([d[0]] if np.isscalar(d[0]) else list(d[0])) for d in data]
     coords = np.array(rows, dtype=float)
     values = np.array([d[1] for d in data], dtype=float).reshape(-1, 1)
-    n = coords.shape[0]
-    n_coords = len(solution.coord_names)
+    coord_cols = [coords[:, d:d + 1]
+                  for d in range(len(solution.coord_names))]
 
     for _ in range(steps):
-        coord_nodes = [ad.variable(coords[:, d:d + 1], requires_grad=True)
-                       for d in range(n_coords)]
-        theta_vars = {k: ad.variable(np.full((1, 1), theta[k]))
-                      for k in names}
-        theta_cols = [ad.broadcast_to(theta_vars[k], (n, 1)) for k in names]
-        params = dict(zip(names, theta_cols))
-        preds = []
-        for net, cond in zip(solution.networks, solution.conditions):
-            pnodes = net.param_nodes(requires_grad=False)
-            net_fn = _make_net_fn(net, pnodes, theta_cols)
-            preds.append(cond.reparameterize(coord_nodes, net_fn,
-                                             params=params))
+        preds, leaves, _ = _trial_solutions(
+            solution, coord_cols + [np.full((1, 1), theta[k]) for k in names])
         # observations are of the first unknown
-        mismatch = preds[0] - ad.constant(values)
-        loss = ad.reduce_mean(mismatch ** 2)
-        grads = ad.backward(loss, [theta_vars[k] for k in names])
+        loss = ad.reduce_mean((preds[0] - values) ** 2)
+        grads = ad.backward(loss, leaves[len(coord_cols):])
         for k, g in zip(names, grads):
             lo, hi = ranges[k]
             theta[k] = float(np.clip(theta[k] - lr * g.value.item(), lo, hi))

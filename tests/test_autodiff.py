@@ -501,3 +501,31 @@ def test_pruned_gradients_match_full_and_finite_differences(program, seed):
     fd2 = (_eval(program, xv + h, yv) - 2 * _eval(program, xv, yv)
            + _eval(program, xv - h, yv)) / h ** 2
     np.testing.assert_allclose(g2.value, fd2, rtol=1e-4, atol=1e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=instructions,
+       seed=st.integers(0, 2 ** 16))
+def test_float32_leaves_build_float32_graphs(program, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    xv, yv = rng.uniform(-1.0, 1.0, size=(2, 4, 1)).astype(np.float32)
+    dtypes = set()
+    init = ad.Node.__init__
+
+    def recording_init(node, *args, **kwargs):
+        init(node, *args, **kwargs)
+        dtypes.add(node.value.dtype)
+    ad.Node.__init__ = recording_init
+    try:
+        x, y = ad.variable(xv), ad.variable(yv)
+        # the mean and the square root bring the constants of the mean and
+        # general-power rules onto every path
+        u = _build(program, x, y)
+        u = ad.reduce_mean(ad.sqrt(u ** 2.0 + 1.0)) * u
+        gx, gy = ad.backward(ad.reduce_sum(u), [x, y])
+        (g2,) = ad.backward(ad.reduce_sum(gx * gy), [x])
+        results = [u, gx, gy, g2] + [ad.diff(u, x, k) for k in (1, 2, 3)]
+    finally:
+        ad.Node.__init__ = init
+    assert dtypes == {np.dtype(np.float32)}
+    assert all(r.value.dtype == np.float32 for r in results)

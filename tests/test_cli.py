@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from neurodiff import cli, config
+from neurodiff import cli, presets
 from neurodiff.cli import main
+from neurodiff.solver import SolverConfig, fit
 
 FAST = ["--epochs", "3", "--batch-size", "32", "--seed", "0"]
 
@@ -194,20 +195,36 @@ class TestDivergenceExit:
         assert "aborted" in capsys.readouterr().err
 
 
+def _decay_fit():
+    """A small f64 library fit, as a tuple of its weights and histories."""
+    preset = presets.get("decay")
+    cfg = SolverConfig(networks=preset.network_specs((8, 8), "tanh", 0),
+                       conditions=preset.conditions, epochs=3, seed=0)
+    state = fit(preset.problem(32), cfg)
+    arrays = [a for net in state.networks for a in net.weights + net.biases]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float64)}
+    return ([a.tobytes() for a in arrays], state.train_history,
+            state.valid_history)
+
+
 class TestPrecisionScope:
     def test_f32_flag_does_not_outlive_the_command(self, tmp_path):
+        alone = _decay_fit()
         out = str(tmp_path / "run")
         assert run(["solve", "decay", "--out", out, "--precision", "f32"]
                    + FAST) == 0
-        assert config.dtype() is np.float64
+        assert _decay_fit() == alone
 
     def test_precision_restored_when_the_command_raises(self, tmp_path,
                                                         monkeypatch):
-        def failing_fit(*args, **kwargs):
-            assert config.dtype() is np.float32
+        alone = _decay_fit()
+
+        def failing_fit(problem, cfg, *args, **kwargs):
+            state = fit(problem, cfg, *args, **kwargs)
+            assert state.networks[0].weights[0].dtype == np.float32
             raise RuntimeError("fit failed")
         monkeypatch.setattr(cli, "fit", failing_fit)
         with pytest.raises(RuntimeError, match="fit failed"):
             run(["solve", "decay", "--out", str(tmp_path / "run"),
                  "--precision", "f32"] + FAST)
-        assert config.dtype() is np.float64
+        assert _decay_fit() == alone

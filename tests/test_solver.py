@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
-from neurodiff import config, presets, solver
+from neurodiff import presets, solver
 from neurodiff.callbacks import AfterEpoch, Always, Callback, EarlyStop, SetLoss
 from neurodiff.conditions import IVP1
 from neurodiff.generators import Uniform1D
@@ -278,6 +278,15 @@ class TestInverse:
         with pytest.raises(ValueError, match="unknown parameter"):
             fit_inverse(sol, [(0.0, 1.0)], {"beta": 1.0})
 
+    def test_missing_parameters_are_named(self):
+        layout = BundleLayout(theta_ic={"u0": (0.5, 1.5)},
+                              theta_eq={"lam": (0.5, 2.0), "k": (0.0, 1.0)})
+        net = MLP.init(MLPSpec(3, (4,), 1, seed=0))
+        sol = Solution([net], [IVP1(0.0, "u0")], ("t",), layout)
+        with pytest.raises(ValueError,
+                           match=r"missing parameters \['lam', 'k'\]"):
+            fit_inverse(sol, [(0.0, 1.0)], {"u0": 1.0})
+
 
 class TestMallocThresholds:
     def test_fit_runs_where_mallopt_is_missing(self, monkeypatch):
@@ -339,16 +348,44 @@ class TestForwardResidualDerivatives:
 class TestSinglePrecision:
     def test_f32_sho_fit_has_finite_losses(self):
         preset = presets.get("sho")
-        with config.preserved_precision():
-            config.set_precision("f32")
-            cfg = SolverConfig(
-                networks=preset.network_specs((16, 16), "tanh", 0),
-                conditions=preset.conditions, optimizer=Adam(lr=1e-3),
-                epochs=5, seed=0)
-            state = fit(preset.problem(64), cfg)
-        assert config.dtype() is np.float64
+        cfg = SolverConfig(
+            networks=preset.network_specs((16, 16), "tanh", 0),
+            conditions=preset.conditions, optimizer=Adam(lr=1e-3),
+            epochs=5, seed=0, precision="f32")
+        state = fit(preset.problem(64), cfg)
         assert state.networks[0].weights[0].dtype == np.float32
         assert len(state.metrics) == 5
         for row in state.metrics:
             assert np.isfinite(row["train_loss"])
             assert np.isfinite(row["valid_loss"])
+
+    @pytest.mark.parametrize("name",
+                             presets.SOLVE_PRESETS + presets.BUNDLE_PRESETS)
+    def test_f32_fit_builds_no_float64_node(self, name, monkeypatch):
+        preset = presets.get(name)
+        cfg = SolverConfig(
+            networks=preset.network_specs((8, 8), "tanh", 0),
+            conditions=preset.conditions, epochs=2,
+            batches_per_epoch=preset.batches_per_epoch, seed=0,
+            precision="f32")
+        dtypes = set()
+        init = ad.Node.__init__
+
+        def recording_init(node, *args, **kwargs):
+            init(node, *args, **kwargs)
+            dtypes.add(node.value.dtype)
+        monkeypatch.setattr(ad.Node, "__init__", recording_init)
+        state = fit(preset.problem(16), cfg, layout=preset.layout)
+        theta = ({k: (lo + hi) / 2 for k, (lo, hi)
+                  in preset.layout.ranges().items()} if preset.layout else {})
+        pred = get_solution(state)(*preset.grid, **theta)
+        assert dtypes == {np.dtype(np.float32)}
+        assert pred.dtype == np.float32
+        for net in state.networks:
+            assert {a.dtype for a in net.weights + net.biases} == {
+                np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("name", ["f16", "F32", "float32", "", None])
+    def test_unknown_precision_raises(self, name):
+        with pytest.raises(ValueError, match="unknown precision"):
+            SolverConfig(precision=name)
