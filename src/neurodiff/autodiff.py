@@ -7,13 +7,13 @@ float32 through ``backward`` and ``diff``.  The key
 property is that derivatives are *new graph nodes* rather than plain
 numbers, so they are themselves differentiable.  Two sweeps build them:
 
-- ``backward`` is reverse mode: the gradient of a scalar (a training loss)
-  with respect to many nodes (the parameters), one ``_vjp`` rule per op;
 - ``diff`` is forward mode: the per-sample derivative of a residual field
-  along one coordinate, one ``_jvp`` rule per op.  Higher orders push
-  tangents through lower-order tangents and share their memo, so a
-  second-order residual needs no reverse-over-reverse pass, and training
-  differentiates it with one reverse sweep.
+  along one coordinate, one ``_jvp`` rule per op.  Higher orders share one
+  tangent memo, so a second-order residual needs no reverse pass;
+- ``backward`` is reverse mode: the gradient of a scalar (a training loss)
+  with respect to many nodes (the parameters).  A pointwise op's Jacobian
+  is diagonal, so its own transpose: ``backward`` applies the forward rule
+  to the adjoint, and only structural ops have a ``_vjp`` rule.
 
 Nodes carry no graph object: each gets an increasing ``_id`` at creation,
 inputs always have smaller ids than their consumers, and a graph is freed by
@@ -324,48 +324,25 @@ def _argmax_mask(x):
     return constant(mask.reshape(x.value.shape))
 
 
+_POINTWISE = frozenset(("add", "sub", "mul", "div", "pow", "neg", "exp", "ln",
+                        "sin", "cos", "tanh", "abs"))
+
+
 def _vjp(node, g, need):
     """Gradients of node's inputs given the adjoint g (all graph nodes).
 
     ``need[i]`` says whether input i wants its gradient; an unwanted binary
     operand gets None and nothing is built for it.  Unary ops are only asked
-    when their input is wanted.
+    when their input is wanted.  A pointwise op gives input i the ``_jvp``
+    rule with g as input i's tangent; only structural ops have a rule here.
     """
     op = node.op
-    a = node.inputs[0] if node.inputs else None
-    if op == "add":
-        return (g, g)
-    if op == "sub":
-        return (g, neg(g) if need[1] else None)
-    if op == "mul":
-        b = node.inputs[1]
-        return (mul(g, b) if need[0] else None,
-                mul(g, a) if need[1] else None)
-    if op == "div":
-        b = node.inputs[1]
-        return (div(g, b) if need[0] else None,
-                neg(div(mul(g, a), mul(b, b))) if need[1] else None)
-    if op == "pow":
-        p = node.attrs["exponent"]
-        if p == 1.0:
-            return (g,)
-        if p == 2.0:
-            return (mul(g, 2.0 * a),)
-        return (mul(g, p * power(a, p - 1.0)),)
-    if op == "neg":
-        return (neg(g),)
-    if op == "exp":
-        return (mul(g, node),)
-    if op == "ln":
-        return (div(g, a),)
-    if op == "sin":
-        return (mul(g, cos(a)),)
-    if op == "cos":
-        return (neg(mul(g, sin(a))),)
-    if op == "tanh":
-        return (mul(g, 1.0 - mul(node, node)),)
-    if op == "abs":
-        return (mul(g, _sign_const(a)),)
+    if op in _POINTWISE:
+        if len(need) == 1:
+            return (_jvp(node, (g,)),)
+        return (_jvp(node, (g, None)) if need[0] else None,
+                _jvp(node, (None, g)) if need[1] else None)
+    a = node.inputs[0]
     if op == "sum":
         return (broadcast_to(g, a.value.shape) if a.value.shape != () else g,)
     if op == "mean":

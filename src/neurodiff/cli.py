@@ -254,12 +254,17 @@ def cmd_invert(args):
     init = {k: (lo + hi) / 2 for k, (lo, hi) in ranges.items()}
     if args.init_theta:
         for part in args.init_theta.split(","):
-            k, v = part.split("=")
+            k, _, v = part.partition("=")
             if k.strip() not in ranges:
                 print(f"invert: unknown parameter {k.strip()!r}",
                       file=sys.stderr)
                 return 2
-            init[k.strip()] = float(v)
+            try:
+                init[k.strip()] = float(v)
+            except ValueError:
+                print(f"invert: --init-theta entry {part!r} is not "
+                      f"name=number", file=sys.stderr)
+                return 2
     theta = fit_inverse(solution, data, init, steps=args.steps, lr=args.lr)
     # final mean squared data mismatch at the recovered parameters
     coords = np.array([[d[0]] if np.isscalar(d[0]) else list(d[0])

@@ -15,7 +15,8 @@ import numpy as np
 from . import autodiff as ad
 
 _MAGIC = b"NDCK"
-_VERSION = 1
+_VERSION = 2
+_DTYPES = {"<f4": np.float32, "<f8": np.float64}
 
 _ACTIVATIONS = {
     "tanh": ad.tanh,
@@ -118,29 +119,32 @@ class MLP:
         )
 
     def save(self, path):
+        flat = self.flat_params()
+        stored = flat.dtype.newbyteorder("<")
         header = json.dumps({
             "input_dim": self.spec.input_dim,
             "hidden_dims": list(self.spec.hidden_dims),
             "output_dim": self.spec.output_dim,
             "activation": self.spec.activation,
             "seed": self.spec.seed,
+            "dtype": stored.str,
         }).encode()
-        flat = self.flat_params().astype("<f8")
         with open(path, "wb") as f:
             f.write(_MAGIC)
             f.write(struct.pack("<B", _VERSION))
             f.write(struct.pack("<I", len(header)))
             f.write(header)
             f.write(struct.pack("<Q", flat.size))
-            f.write(flat.tobytes())
+            f.write(flat.astype(stored).tobytes())
 
     @classmethod
     def load(cls, path):
+        """Read a checkpoint; parameters keep the dtype they were saved in."""
         with open(path, "rb") as f:
             blob = f.read()
         if blob[:4] != _MAGIC:
             raise ValueError("checkpoint: bad magic header")
-        if blob[4] != _VERSION:
+        if blob[4] not in (1, _VERSION):
             raise ValueError(f"checkpoint: unsupported version {blob[4]}")
         off = 5
         (hlen,) = struct.unpack_from("<I", blob, off)
@@ -153,25 +157,28 @@ class MLP:
         for key in ("input_dim", "hidden_dims", "output_dim", "activation", "seed"):
             if key not in header:
                 raise ValueError(f"checkpoint: missing field {key!r}")
+        stored = header.get("dtype", "<f8")  # version 1 stored only "<f8"
+        if stored not in _DTYPES:
+            raise ValueError(f"checkpoint: unsupported dtype {stored!r}")
+        dtype = _DTYPES[stored]
         spec = MLPSpec(header["input_dim"], tuple(header["hidden_dims"]),
                        header["output_dim"], header["activation"], header["seed"])
         (count,) = struct.unpack_from("<Q", blob, off)
         off += 8
-        if len(blob) - off < count * 8:
+        if len(blob) - off < count * np.dtype(dtype).itemsize:
             raise ValueError("checkpoint: truncated parameter block")
-        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        mlp = cls.init(spec)
-        if flat.size != mlp.n_parameters():
+        flat = np.frombuffer(blob, dtype=stored, count=count, offset=off)
+        layers = list(zip(spec.dims[1:], spec.dims[:-1]))  # (fan_out, fan_in)
+        expected = sum(o * i + o for o, i in layers)
+        if flat.size != expected:
             raise ValueError(
                 f"checkpoint: parameter count {flat.size} does not match spec "
-                f"({mlp.n_parameters()})"
+                f"({expected})"
             )
-        pos = 0
-        for k in range(len(mlp.weights)):
-            w = mlp.weights[k]
-            mlp.weights[k] = flat[pos:pos + w.size].reshape(w.shape).astype(np.float64)
-            pos += w.size
-            b = mlp.biases[k]
-            mlp.biases[k] = flat[pos:pos + b.size].reshape(b.shape).astype(np.float64)
-            pos += b.size
-        return mlp
+        weights, biases, pos = [], [], 0
+        for o, i in layers:
+            weights.append(flat[pos:pos + o * i].reshape(o, i).astype(dtype))
+            pos += o * i
+            biases.append(flat[pos:pos + o].astype(dtype))
+            pos += o
+        return cls(spec, weights, biases)

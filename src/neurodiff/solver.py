@@ -395,6 +395,9 @@ class Solution:
         expected = len(self.coord_names) + len(theta_names)
         args = list(arrays)
         if named:
+            if len(args) < len(self.coord_names):
+                missing = list(self.coord_names[len(args):])
+                raise ValueError(f"missing coordinates {missing}")
             for name in theta_names[len(args) - len(self.coord_names):]:
                 if name in named:
                     args.append(named.pop(name))

@@ -161,8 +161,12 @@ def test_gradcheck_unary(name, op, ref, dom):
     for xv in xs:
         x = scalar(xv)
         g = ad.backward(ad.reduce_sum(op(x)), [x])[0].value[0, 0]
+        d = ad.diff(op(x), x).value[0, 0]
         fd = central_fd(ref, xv)
         assert g == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        assert d == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        # one rule serves both sweeps, so they agree bit for bit
+        assert d == g
 
 
 BINARY_OPS = [
@@ -184,8 +188,11 @@ def test_gradcheck_binary(name, op, ref):
         ga, gb = ad.backward(ad.reduce_sum(op(a, b)), [a, b])
         fa = central_fd(lambda t: ref(t, bv), av)
         fb = central_fd(lambda t: ref(av, t), bv)
-        assert ga.value[0, 0] == pytest.approx(fa, rel=1e-6, abs=1e-9)
-        assert gb.value[0, 0] == pytest.approx(fb, rel=1e-6, abs=1e-9)
+        for operand, g, fd in ((a, ga, fa), (b, gb, fb)):
+            d = ad.diff(op(a, b), operand).value[0, 0]
+            assert g.value[0, 0] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            assert d == pytest.approx(fd, rel=1e-6, abs=1e-9)
+            assert d == g.value[0, 0]
 
 
 def test_gradcheck_matmul():

@@ -156,6 +156,16 @@ class TestBundleInvert:
         assert code == 2
         assert "unknown parameter" in capsys.readouterr().err
 
+    def test_invert_malformed_init_theta_exits_2(self, tmp_path, capsys):
+        bundle = self._train_bundle(tmp_path)
+        data = self._write_data(tmp_path)
+        for entry in ("u0", "u0=abc", "u0=", "lam=1.0,u0"):
+            code = run(["invert", "decay-bundle", "--data", data,
+                        "--bundle-dir", bundle, "--init-theta", entry,
+                        "--out", str(tmp_path / "inv")])
+            assert code == 2
+            assert "invert: --init-theta entry 'u0" in capsys.readouterr().err
+
     def test_invert_bad_header_exits_2(self, tmp_path, capsys):
         bundle = self._train_bundle(tmp_path)
         bad = str(tmp_path / "bad.csv")

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,30 @@ class TestCheckpoint:
         xb = np.linspace(-1, 1, 8).reshape(4, 2)
         assert (loaded.forward(xb).value.tobytes()
                 == mlp.forward(xb).value.tobytes())
+
+    def test_f32_round_trip_keeps_dtype_and_bits(self, tmp_path):
+        mlp = MLP.init(MLPSpec(2, (16, 8), 3, seed=13)).astype(np.float32)
+        path = tmp_path / "net.ckpt"
+        mlp.save(path)
+        loaded = MLP.load(path)
+        assert all(a.dtype == np.float32 for a in loaded.weights + loaded.biases)
+        assert loaded.flat_params().tobytes() == mlp.flat_params().tobytes()
+        xb = np.linspace(-1, 1, 8).reshape(4, 2)
+        assert loaded.forward(xb).value.dtype == np.float32
+
+    def test_version_1_loads_as_float64(self, tmp_path):
+        mlp = MLP.init(MLPSpec(1, (4,), 2, seed=3))
+        header = json.dumps({"input_dim": 1, "hidden_dims": [4],
+                             "output_dim": 2, "activation": "tanh",
+                             "seed": 3}).encode()
+        flat = mlp.flat_params().astype("<f8")
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"NDCK" + struct.pack("<BI", 1, len(header)) + header
+                         + struct.pack("<Q", flat.size) + flat.tobytes())
+        loaded = MLP.load(path)
+        assert loaded.spec == mlp.spec
+        assert all(a.dtype == np.float64 for a in loaded.weights + loaded.biases)
+        assert loaded.flat_params().tobytes() == mlp.flat_params().tobytes()
 
     def test_truncated_file_rejected(self, tmp_path):
         mlp = MLP.init(MLPSpec(1, (4,), 1, seed=0))

@@ -236,6 +236,17 @@ class TestBundle:
         with pytest.raises(ValueError, match="unknown parameters"):
             sol(np.array([0.0]), lam=np.array([1.0]))
 
+    def test_missing_coordinate_is_named(self):
+        state = fit(bundle_problem(), self.cfg(), layout=bundle_layout())
+        sol = get_solution(state, "latest")
+        with pytest.raises(ValueError, match=r"missing coordinates \['t'\]"):
+            sol(u0=np.array([0.77]))
+        sho = presets.get("sho-bundle")
+        nets = [MLP.init(s) for s in sho.network_specs((8,), "tanh", 0)]
+        sol = Solution(nets, sho.conditions, sho.coord_names, sho.layout)
+        with pytest.raises(ValueError, match=r"missing coordinates \['t'\]"):
+            sol(u0=np.array([1.0]), du0=np.array([0.0]))
+
     def test_input_dim_check(self):
         cfg = self.cfg()
         cfg.networks = [MLPSpec(5, (8,), 1, seed=0)]
