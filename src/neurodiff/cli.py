@@ -14,6 +14,7 @@ of the benchmark excepted).  NEURODIFF_SEED overrides the default seed.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -235,22 +236,40 @@ def _load_bundle_solution(preset, bundle_dir):
 
 def cmd_invert(args):
     preset = presets.get(args.preset)
-    solution = _load_bundle_solution(preset, args.bundle_dir)
+    try:
+        solution = _load_bundle_solution(preset, args.bundle_dir)
+    except FileNotFoundError as e:
+        print(f"invert: {e}", file=sys.stderr)
+        return 2
     names = preset.layout.names()
     ranges = preset.layout.ranges()
+    width = len(preset.coord_names) + 1
     with open(args.data, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if len(header) != len(preset.coord_names) + 1:
-            print(f"invert: data file must have columns "
+        header = next(reader, [])
+        if len(header) != width:
+            print(f"invert: {args.data} must have columns "
                   f"{list(preset.coord_names) + ['u']}, got {header}",
                   file=sys.stderr)
             return 2
-        data = []
+        rows = []
         for row in reader:
-            coords = tuple(float(v) for v in row[:-1])
-            data.append((coords if len(coords) > 1 else coords[0],
-                         float(row[-1])))
+            if not "".join(row).strip():
+                continue
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                values = []
+            if len(values) != width or not all(map(math.isfinite, values)):
+                print(f"invert: {args.data} line {reader.line_num}: "
+                      f"expected {width} finite numbers, got {row}",
+                      file=sys.stderr)
+                return 2
+            rows.append(values)
+    if not rows:
+        print(f"invert: {args.data} has no observations", file=sys.stderr)
+        return 2
+    obs = np.array(rows)
     init = {k: (lo + hi) / 2 for k, (lo, hi) in ranges.items()}
     if args.init_theta:
         for part in args.init_theta.split(","):
@@ -265,14 +284,12 @@ def cmd_invert(args):
                 print(f"invert: --init-theta entry {part!r} is not "
                       f"name=number", file=sys.stderr)
                 return 2
-    theta = fit_inverse(solution, data, init, steps=args.steps, lr=args.lr)
+    theta = fit_inverse(solution, [(o[:-1], o[-1]) for o in obs], init,
+                        steps=args.steps, lr=args.lr)
     # final mean squared data mismatch at the recovered parameters
-    coords = np.array([[d[0]] if np.isscalar(d[0]) else list(d[0])
-                       for d in data], dtype=float)
-    values = np.array([d[1] for d in data])
-    pred = solution(*[coords[:, j] for j in range(coords.shape[1])],
-                    **{k: np.full(len(values), theta[k]) for k in names})
-    mismatch = float(np.mean((pred - values) ** 2))
+    pred = solution(*obs[:, :-1].T,
+                    **{k: np.full(len(obs), theta[k]) for k in names})
+    mismatch = float(np.mean((pred - obs[:, -1]) ** 2))
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "theta.json"), "w") as f:
         json.dump({"theta": theta, "mismatch": mismatch,

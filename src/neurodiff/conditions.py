@@ -5,9 +5,13 @@ satisfies the constraint identically for *every* parameter setting of the
 network, so the training loss never has to pay for boundary mismatch.
 
 ``reparameterize(coords, net_fn)`` receives the coordinate variable nodes
-(each N x 1) and a closure ``net_fn(*coords) -> N x 1 node`` running the raw
-network; the closure is also invoked at boundary coordinates when the
-construction needs boundary values or derivatives of the network itself.
+(N x 1, or 1 x 1 for a coordinate fixed across the batch) and a closure
+``net_fn(*cols)`` running the raw network.  A boundary value or slope of
+the network is taken on a one-row column (``_boundary``), so a hand-written
+``net_fn`` must accept one-row columns.  The solver's closure repeats such a
+column against the N-row bundle-parameter columns it appends: with a bundle
+layout each parameter row gets its own boundary term, and without one the
+term stays one row and pointwise ops broadcast it.
 
 Condition constants may be given as bundle-parameter names (strings); they
 are then resolved against the sampled parameter columns at build time.
@@ -33,9 +37,12 @@ def _resolve(value, params):
     return float(value)
 
 
-def _const_column(x, like):
-    n = like.value.shape[0]
-    return ad.variable(np.full((n, 1), float(x), dtype=like.value.dtype))
+def _boundary(net_fn, x0, like):
+    """Value and slope of the network's first output at the point x0, made a
+    1 x 1 variable in ``like``'s dtype."""
+    xb = ad.variable(np.full((1, 1), x0, dtype=like.value.dtype))
+    nb = ad.column(net_fn(xb), 0)
+    return nb, ad.diff(nb, xb)
 
 
 def _check_arity(cond, coords, expected):
@@ -81,16 +88,20 @@ class IVP2:
         return u0 + du0 * tau + (1.0 - ad.exp(-tau)) ** 2 * net_fn(t)
 
 
+class _TwoPoint:
+    """A condition at the two ends x0 < x1 of an interval."""
+
+    def __post_init__(self):
+        if not self.x0 < self.x1:
+            raise ValueError(f"{type(self).__name__} requires x0 < x1")
+
+
 @dataclass(frozen=True)
-class DirichletBVP1D:
+class DirichletBVP1D(_TwoPoint):
     x0: float
     u0: object
     x1: float
     u1: object
-
-    def __post_init__(self):
-        if not self.x0 < self.x1:
-            raise ValueError("DirichletBVP1D requires x0 < x1")
 
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
@@ -102,17 +113,13 @@ class DirichletBVP1D:
 
 
 @dataclass(frozen=True)
-class DirichletNeumann:
+class DirichletNeumann(_TwoPoint):
     """u(x0) = u0 and u'(x1) = du1."""
 
     x0: float
     u0: object
     x1: float
     du1: object
-
-    def __post_init__(self):
-        if not self.x0 < self.x1:
-            raise ValueError("DirichletNeumann requires x0 < x1")
 
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
@@ -121,14 +128,12 @@ class DirichletNeumann:
         du1 = _resolve(self.du1, params)
         length = self.x1 - self.x0
         tau = x - self.x0
-        xb = _const_column(self.x1, x)
-        nb = net_fn(xb)
-        dnb = ad.diff(nb, xb)
+        nb, dnb = _boundary(net_fn, self.x1, x)
         return u0 + du1 * tau + tau * (net_fn(x) - nb - length * dnb)
 
 
 @dataclass(frozen=True)
-class NeumannDirichlet:
+class NeumannDirichlet(_TwoPoint):
     """u'(x0) = du0 and u(x1) = u1."""
 
     x0: float
@@ -136,25 +141,19 @@ class NeumannDirichlet:
     x1: float
     u1: object
 
-    def __post_init__(self):
-        if not self.x0 < self.x1:
-            raise ValueError("NeumannDirichlet requires x0 < x1")
-
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
         x = coords[0]
         du0 = _resolve(self.du0, params)
         u1 = _resolve(self.u1, params)
         length = self.x1 - self.x0
-        xa = _const_column(self.x0, x)
-        na = net_fn(xa)
-        dna = ad.diff(na, xa)
+        na, dna = _boundary(net_fn, self.x0, x)
         return (u1 + du0 * (x - self.x1)
                 + (x - self.x1) * (net_fn(x) - na + length * dna))
 
 
 @dataclass(frozen=True)
-class NeumannNeumann:
+class NeumannNeumann(_TwoPoint):
     """u'(x0) = du0 and u'(x1) = du1 (solution fixed up to a constant,
     pinned here by the raw network value)."""
 
@@ -163,10 +162,6 @@ class NeumannNeumann:
     x1: float
     du1: object
 
-    def __post_init__(self):
-        if not self.x0 < self.x1:
-            raise ValueError("NeumannNeumann requires x0 < x1")
-
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, 1)
         x = coords[0]
@@ -174,10 +169,8 @@ class NeumannNeumann:
         du1 = _resolve(self.du1, params)
         length = self.x1 - self.x0
         tau = x - self.x0
-        xa = _const_column(self.x0, x)
-        xb = _const_column(self.x1, x)
-        dna = ad.diff(net_fn(xa), xa)
-        dnb = ad.diff(net_fn(xb), xb)
+        _, dna = _boundary(net_fn, self.x0, x)
+        _, dnb = _boundary(net_fn, self.x1, x)
         quad = tau ** 2 / (2.0 * length)
         return (du0 * tau + (du1 - du0) * quad
                 + net_fn(x) - tau * dna - quad * (dnb - dna))

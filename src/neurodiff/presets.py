@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import bases
 from . import operators as ops
-from .conditions import IVP1, IVP2, BoxIC, InfinityBVP, _const_column
+from .conditions import IVP1, IVP2, BoxIC, InfinityBVP, _boundary
 from .generators import CubeND, Uniform1D
 from .network import MLPSpec
 from .solver import BundleLayout, Problem
@@ -219,20 +219,13 @@ class HarmonicExpansionCondition:
     def reparameterize(self, coords, net_fn, params=None):
         r, theta, phi = coords
         raw = net_fn(r)
-        ra = _const_column(self.r0, r)
-        raw_a = net_fn(ra)
+        na, dna = _boundary(net_fn, self.r0, r)
         length = self.rmax - self.r0
         xt = (r - self.r0) / length
-        cols = []
-        for j in range(raw.value.shape[1]):
-            nj = ad.column(raw, j)
-            if j == 0:
-                na = ad.column(raw_a, 0)
-                dna = ad.diff(na, ra)
-                cols.append(self.c0_outer + self.dc0_inner * (r - self.rmax)
-                            + (r - self.rmax) * (nj - na + length * dna))
-            else:
-                cols.append(xt * (1.0 - xt) * nj)
+        cols = [self.c0_outer + self.dc0_inner * (r - self.rmax)
+                + (r - self.rmax) * (ad.column(raw, 0) - na + length * dna)]
+        cols += [xt * (1.0 - xt) * ad.column(raw, j)
+                 for j in range(1, raw.shape[1])]
         funcs = self.basis.evaluate(theta, phi)
         total = None
         for c, y in zip(cols, funcs):

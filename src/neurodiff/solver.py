@@ -122,7 +122,7 @@ class SolverState:
         self.best_updated = False
         self.best_loss = math.inf
         self.best_epoch = -1
-        self.best_params = None
+        self.best_networks = None
 
         n_coords = len(problem.coord_names)
         n_theta = len(layout.names()) if layout else 0
@@ -149,16 +149,18 @@ class SolverState:
         self._opt_state = None
 
     def snapshot_best(self):
-        self.best_params = [
-            ([w.copy() for w in n.weights], [b.copy() for b in n.biases])
-            for n in self.networks
-        ]
+        self.best_networks = [n.copy() for n in self.networks]
 
 
 def _make_net_fn(mlp, pnodes, theta_cols):
+    """The raw network on the given columns and the bundle-parameter ones.
+    The one place a one-row column is repeated to the others' rows."""
     def net_fn(*cols):
-        return mlp.forward(ad.concat_cols(list(cols) + list(theta_cols)),
-                           pnodes)
+        cols = list(cols) + list(theta_cols)
+        n = max(c.shape[0] for c in cols)
+        return mlp.forward(ad.concat_cols(
+            [c if c.shape[0] == n else ad.broadcast_to(c, (n, 1))
+             for c in cols]), pnodes)
     return net_fn
 
 
@@ -166,18 +168,15 @@ def _trial_solutions(model, columns, pnodes=None):
     """Trial solutions of a SolverState's or Solution's networks on a batch.
 
     ``columns`` are the coordinate columns, then one column per bundle
-    parameter in layout order.  Each is cast to the networks' dtype, the one
-    place where data meets the chosen precision, and made a variable; a
-    one-row column is repeated down the batch.  ``pnodes`` holds each
+    parameter in layout order.  Each becomes a variable in the networks'
+    dtype, the one place where data meets the chosen precision; a one-row
+    column stays one row (see ``_make_net_fn``).  ``pnodes`` holds each
     network's parameter nodes (frozen ones when omitted).  Returns the trial
     solutions, the variables made from ``columns``, and the bundle-parameter
     columns by name (None without a layout).
     """
     dtype = model.networks[0].weights[0].dtype
-    leaves = [ad.variable(np.asarray(c, dtype=dtype)) for c in columns]
-    n = max(v.shape[0] for v in leaves)
-    cols = [v if v.shape[0] == n else ad.broadcast_to(v, (n, 1))
-            for v in leaves]
+    cols = [ad.variable(np.asarray(c, dtype=dtype)) for c in columns]
     names = model.layout.names() if model.layout else []
     split = len(cols) - len(names)
     coords, theta_cols = cols[:split], cols[split:]
@@ -188,7 +187,7 @@ def _trial_solutions(model, columns, pnodes=None):
     u = [cond.reparameterize(coords, _make_net_fn(net, p, theta_cols),
                              params=params)
          for net, cond, p in zip(model.networks, model.conditions, pnodes)]
-    return u, leaves, params
+    return u, cols, params
 
 
 def _build_loss(state, batch, pnodes=None):
@@ -418,13 +417,9 @@ class Solution:
 def get_solution(state, strategy="best"):
     if strategy not in ("best", "latest"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    networks = [n.copy() for n in state.networks]
-    if strategy == "best" and state.best_params is not None:
-        for net, (ws, bs) in zip(networks, state.best_params):
-            net.weights = [w.copy() for w in ws]
-            net.biases = [b.copy() for b in bs]
-    return Solution(networks, state.conditions, state.problem.coord_names,
-                    state.layout)
+    best = state.best_networks if strategy == "best" else None
+    return Solution(best or state.networks, state.conditions,
+                    state.problem.coord_names, state.layout)
 
 
 def fit_inverse(solution, data, init_theta, steps=500, lr=0.05):

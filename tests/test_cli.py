@@ -175,12 +175,52 @@ class TestBundleInvert:
                     "--bundle-dir", bundle, "--out", str(tmp_path / "inv")])
         assert code == 2
 
-    def test_invert_missing_checkpoints(self, tmp_path):
+    def test_invert_skips_blank_rows(self, tmp_path):
+        bundle = self._train_bundle(tmp_path)
         data = self._write_data(tmp_path)
-        with pytest.raises(FileNotFoundError):
-            run(["invert", "decay-bundle", "--data", data,
-                 "--bundle-dir", str(tmp_path / "empty"),
-                 "--out", str(tmp_path / "inv")])
+        with open(data) as f:
+            lines = f.read().splitlines()
+        blank = str(tmp_path / "blank.csv")
+        with open(blank, "w") as f:
+            f.write("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+        thetas = []
+        for path, out in ((data, "inv"), (blank, "inv_blank")):
+            assert run(["invert", "decay-bundle", "--data", path,
+                        "--bundle-dir", bundle, "--steps", "3",
+                        "--out", str(tmp_path / out)]) == 0
+            with open(os.path.join(tmp_path / out, "theta.json")) as f:
+                thetas.append(json.load(f))
+        assert thetas[0] == thetas[1]
+
+    def test_invert_malformed_data_exits_2(self, tmp_path, capsys):
+        bundle = self._train_bundle(tmp_path)
+        cases = {
+            "cell.csv": ("t,u\n0.0,1.0\n0.5,abc\n", "line 3"),
+            "short.csv": ("t,u\n0.0,1.0\n0.5\n", "line 3"),
+            "nan.csv": ("t,u\n0.0,nan\n", "line 2"),
+            "header.csv": ("t,u\n", "no observations"),
+            "empty.csv": ("", "must have columns"),
+        }
+        for name, (text, detail) in cases.items():
+            path = str(tmp_path / name)
+            with open(path, "w") as f:
+                f.write(text)
+            code = run(["invert", "decay-bundle", "--data", path,
+                        "--bundle-dir", bundle, "--steps", "3",
+                        "--out", str(tmp_path / "inv")])
+            assert code == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith(f"invert: {path}"), err
+            assert detail in err, err
+
+    def test_invert_missing_checkpoints(self, tmp_path, capsys):
+        data = self._write_data(tmp_path)
+        empty = str(tmp_path / "empty")
+        code = run(["invert", "decay-bundle", "--data", data,
+                    "--bundle-dir", empty, "--out", str(tmp_path / "inv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"invert: no net*.ckpt checkpoints in {empty}\n")
 
 
 class TestBench:

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
+from neurodiff import bases
 from neurodiff import conditions as bc
+from neurodiff import presets
 from neurodiff.network import MLP, MLPSpec
 
 N_NETS = 50
@@ -93,8 +95,11 @@ class TestTwoPoint:
         assert abs(du.value[2, 0] - du1) <= 1e-10
 
     def test_interval_order_enforced(self):
-        with pytest.raises(ValueError):
-            bc.DirichletBVP1D(1.0, 0.0, 0.0, 0.0)
+        for cls in (bc.DirichletBVP1D, bc.DirichletNeumann,
+                    bc.NeumannDirichlet, bc.NeumannNeumann):
+            with pytest.raises(ValueError,
+                               match=f"^{cls.__name__} requires x0 < x1$"):
+                cls(1.0, 0.0, 0.0, 0.0)
 
 
 class TestInfinity:
@@ -262,3 +267,46 @@ def test_box_ic_exact_for_random_networks(seed, biases, xs, t):
     u = cond.reparameterize([tc, x1, x2], net_fn)
     assert abs(u.value[0, 0] - a * (1 - a) * b * (1 - b)) <= 1e-12
     np.testing.assert_array_equal(u.value[1:, 0], 0.0)
+
+
+HARMONICS = bases.RealSphericalHarmonics(presets.GAUSSIAN_DEGREE)
+
+
+def sphere_rule():
+    """Angles and weights of a product rule (3 Gauss-Legendre nodes in
+    cos theta, 5 equal steps in phi) that integrates every harmonic of
+    degree 4 or less exactly; the weights sum to 1."""
+    x, w = np.polynomial.legendre.leggauss(3)
+    phi = np.arange(5) * (2 * np.pi / 5)
+    theta, phi = [m.ravel() for m in np.meshgrid(np.arccos(x), phi)]
+    weights = np.tile(w, 5) / 10.0
+    return theta, phi, weights
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       biases=st.lists(bounded, min_size=8 + HARMONICS.size,
+                       max_size=8 + HARMONICS.size))
+def test_harmonic_expansion_exact_for_random_networks(seed, biases):
+    cond = presets.HarmonicExpansionCondition(HARMONICS)
+    mlp = MLP.init(MLPSpec(1, (8,), HARMONICS.size, seed=seed))
+    mlp.biases = [np.array(biases[:8]), np.array(biases[8:])]
+    theta, phi, weights = sphere_rule()
+
+    def at(radius):
+        r = column(np.full(theta.size, radius))
+        u = cond.reparameterize(
+            [r, column(theta), column(phi)],
+            lambda *cols: mlp.forward(ad.concat_cols(cols)))
+        return r, u
+
+    _, outer = at(cond.rmax)
+    exact = presets.gaussian_potential_exact(cond.rmax)
+    np.testing.assert_allclose(outer.value, exact, rtol=0, atol=1e-12)
+    r, inner = at(cond.r0)
+    assert np.ptp(inner.value) <= 1e-12
+    # only the l = 0 coefficient has a pinned slope at r0; the higher
+    # harmonics, pinned in value, drop out of the spherical mean
+    flux = weights @ ad.diff(inner, r).value[:, 0]
+    y00 = 1.0 / (2.0 * np.sqrt(np.pi))
+    assert abs(flux - cond.dc0_inner * y00) <= 1e-12

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from neurodiff import autodiff as ad
 from neurodiff import presets, solver
 from neurodiff.callbacks import AfterEpoch, Always, Callback, EarlyStop, SetLoss
-from neurodiff.conditions import IVP1
+from neurodiff.conditions import (IVP1, DirichletNeumann, NeumannDirichlet,
+                                  NeumannNeumann)
 from neurodiff.generators import Uniform1D
 from neurodiff.losses import LossSpec
 from neurodiff.network import MLP, MLPSpec
@@ -252,6 +253,57 @@ class TestBundle:
         cfg.networks = [MLPSpec(5, (8,), 1, seed=0)]
         with pytest.raises(ValueError, match="input_dim"):
             fit(bundle_problem(), cfg, layout=bundle_layout())
+
+    @pytest.mark.parametrize("cond, pins", [
+        (NeumannNeumann(0.0, "a", 1.0, "b"), ((1, 0.0, "a"), (1, 1.0, "b"))),
+        (DirichletNeumann(0.0, "a", 1.0, "b"), ((0, 0.0, "a"), (1, 1.0, "b"))),
+        (NeumannDirichlet(0.0, "a", 1.0, "b"), ((1, 0.0, "a"), (0, 1.0, "b"))),
+    ])
+    def test_two_point_pins_follow_each_theta_row(self, cond, pins):
+        # the boundary point meets every theta row, so each row is pinned
+        # to its own parameters, not to the first row's
+        def residual(u, coords, params):
+            x, = coords
+            return [ad.diff(u[0], x, 2) - params["a"]]
+
+        problem = Problem(residual, 1, ("x",), Uniform1D(0.0, 1.0, 32),
+                          Uniform1D(0.0, 1.0, 32, "equally-spaced"))
+        layout = BundleLayout(theta_eq={"a": (-1.0, 1.0), "b": (-1.0, 1.0)})
+        cfg = SolverConfig(networks=[MLPSpec(3, (8,), 1, seed=0)],
+                           conditions=[cond], epochs=2, seed=0)
+        sol = get_solution(fit(problem, cfg, layout=layout), "latest")
+        theta = {"a": np.linspace(-0.9, 0.8, 7),
+                 "b": np.linspace(0.7, -0.6, 7)}
+        for order, at, name in pins:
+            if order == 0:
+                got = sol(at, **theta)
+            else:
+                (u,), cols, _ = solver._trial_solutions(
+                    sol, [np.full((1, 1), at), theta["a"].reshape(-1, 1),
+                          theta["b"].reshape(-1, 1)])
+                got = ad.diff(u, cols[0]).value[:, 0]
+            np.testing.assert_allclose(got, theta[name], rtol=0, atol=1e-12)
+
+
+class TestOneRowBoundary:
+    def test_boundary_value_and_slope_run_on_one_row(self):
+        net = MLP.init(MLPSpec(1, (8, 8), 1, seed=0))
+        sol = Solution([net], [DirichletNeumann(0.0, 1.0, 1.0, 0.5)], ("x",))
+        (u,), _, _ = solver._trial_solutions(
+            sol, [np.linspace(0.0, 1.0, 64).reshape(-1, 1)])
+        assert u.shape == (64, 1)
+        matmuls, stack, seen = [], [u], set()
+        while stack:
+            n = stack.pop()
+            if n._id not in seen:
+                seen.add(n._id)
+                matmuls += [n] if n.op == "matmul" else []
+                stack.extend(n.inputs)
+        layers = len(net.weights)
+        # the interior network on the 64 points, and the boundary network's
+        # value and forward tangent on one row, one matmul per layer each
+        rows = sorted(n.shape[0] for n in matmuls)
+        assert rows == [1] * (2 * layers) + [64] * layers
 
 
 class TestInverse:
