@@ -523,15 +523,22 @@ def diff(u, x, order=1):
     tangents are ordinary graph nodes, so ``backward`` differentiates them
     and ``diff`` nests.  If u does not depend on x, the result is zeros.
     """
-    if order < 1:
+    return _derivatives(u, x, order)[-1]
+
+
+def _derivatives(u, x, k):
+    """``[du/dx, ..., d^k u/dx^k]``, every order from one tangent memo."""
+    if k < 1:
         raise ValueError("order must be >= 1; use u directly for order 0")
     if not x.requires_grad:
         raise ValueError("wrt node does not require grad")
     tangents = {x._id: constant(np.ones_like(x.value))}
+    out = []
     g = u
-    for _ in range(order):
+    for _ in range(k):
         g = _push_tangents(g, tangents)
-    return g
+        out.append(g)
+    return out
 
 
 def accumulate_gradients(loss_fn, batches):

@@ -231,6 +231,10 @@ def _load_bundle_solution(preset, bundle_dir):
         i += 1
     if not nets:
         raise FileNotFoundError(f"no net*.ckpt checkpoints in {bundle_dir}")
+    if len(nets) != len(preset.conditions):
+        raise ValueError(f"{bundle_dir} holds {len(nets)} net*.ckpt "
+                         f"checkpoints, but {preset.name} has "
+                         f"{len(preset.conditions)} unknown(s)")
     return Solution(nets, preset.conditions, preset.coord_names, preset.layout)
 
 
@@ -238,13 +242,18 @@ def cmd_invert(args):
     preset = presets.get(args.preset)
     try:
         solution = _load_bundle_solution(preset, args.bundle_dir)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, ValueError) as e:
         print(f"invert: {e}", file=sys.stderr)
         return 2
     names = preset.layout.names()
     ranges = preset.layout.ranges()
     width = len(preset.coord_names) + 1
-    with open(args.data, newline="") as f:
+    try:
+        f = open(args.data, newline="")
+    except OSError as e:
+        print(f"invert: {args.data}: {e.strerror}", file=sys.stderr)
+        return 2
+    with f:
         reader = csv.reader(f)
         header = next(reader, [])
         if len(header) != width:

@@ -2,10 +2,13 @@
 
 Every operator exists in two modes.  ``naive`` runs one backward pass per
 partial derivative; ``fused`` computes all partials of a scalar in a single
-backward traversal and reuses first-order gradient subgraphs for second-order
-operators.  The two modes agree numerically; fused is faster whenever an
-operator needs several partials of the same scalar (gradient, curl), and is
-intentionally no faster for divergence, which needs one partial per component.
+backward traversal.  The scalar Laplacian's fused mode runs no backward pass
+at all: it takes the first and second partials along each coordinate in
+forward mode, both orders from one tangent memo per coordinate, and builds
+the coordinate system's formula from them.  The two modes agree numerically;
+fused is faster whenever an operator needs several partials of the same
+scalar (gradient, curl, Laplacian), and is intentionally no faster for
+divergence, which needs one partial per component.
 
 Coordinate conventions: cylindrical (rho, phi, z); spherical (r, theta, phi)
 with theta the polar angle from +z and phi the azimuth.
@@ -113,10 +116,25 @@ def curl(F, coords, system="cartesian", mode="fused"):
 
 
 def laplacian(f, coords, system="cartesian", mode="fused"):
-    """Scalar Laplacian, literally div(grad f); fused mode reuses the
-    gradient subgraph built in a single backward pass."""
-    g = grad(f, coords, system, mode)
-    return div(g, coords, system, mode)
+    """Scalar Laplacian.  naive mode is div(grad f), one backward pass per
+    partial; fused mode takes d/dc and d2/dc2 along each coordinate c in
+    forward mode and divides in div(grad f)'s order, so both round alike."""
+    _check(system, coords)
+    _check_mode(mode)
+    if mode == "naive":
+        return div(grad(f, coords, system, mode), coords, system, mode)
+    (d0, dd0), (d1, dd1), (_, dd2) = [ad._derivatives(f, c, 2) for c in coords]
+    if system == "cartesian":
+        return dd0 + dd1 + dd2
+    if system == "cylindrical":
+        rho = coords[0]
+        return dd0 + d0 / rho + dd1 / rho / rho + dd2
+    r, theta = coords[0], coords[1]
+    sin_t = ad.sin(theta)
+    r_sin_t = r * sin_t
+    return (dd0 + 2.0 * d0 / r
+            + (dd1 / r + ad.cos(theta) / sin_t * (d1 / r)) / r
+            + dd2 / r_sin_t / r_sin_t)
 
 
 def vector_laplacian(F, coords, system="cartesian", mode="fused"):

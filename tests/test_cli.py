@@ -1,6 +1,8 @@
 import csv
+import errno
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -221,6 +223,29 @@ class TestBundleInvert:
         assert code == 2
         assert capsys.readouterr().err == (
             f"invert: no net*.ckpt checkpoints in {empty}\n")
+
+
+    def test_invert_missing_data_exits_2(self, tmp_path, capsys):
+        bundle = self._train_bundle(tmp_path)
+        missing = str(tmp_path / "nope.csv")
+        code = run(["invert", "decay-bundle", "--data", missing,
+                    "--bundle-dir", bundle, "--out", str(tmp_path / "inv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"invert: {missing}: {os.strerror(errno.ENOENT)}\n")
+
+    def test_invert_extra_checkpoint_exits_2(self, tmp_path, capsys):
+        bundle = self._train_bundle(tmp_path)
+        shutil.copy(os.path.join(bundle, "net0.ckpt"),
+                    os.path.join(bundle, "net1.ckpt"))
+        data = self._write_data(tmp_path)
+        code = run(["invert", "decay-bundle", "--data", data,
+                    "--bundle-dir", bundle, "--out", str(tmp_path / "inv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"invert: {bundle} holds 2 net*.ckpt checkpoints, but "
+            f"decay-bundle has 1 unknown(s)\n")
+        assert not os.path.exists(tmp_path / "inv")
 
 
 class TestBench:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
 from neurodiff import operators as ops
+from neurodiff.network import MLP, MLPSpec
 
 
 def coords_for(system, n=5, seed=0):
@@ -74,6 +77,51 @@ class TestIdentities:
         a = values(fn(f, F, coords, system, "naive"))
         b = values(fn(f, F, coords, system, "fused"))
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+class TestForwardLaplacian:
+    @pytest.mark.parametrize("system", ops.SYSTEMS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           activation=st.sampled_from(("tanh", "sin", "softplus")),
+           biases=st.lists(st.floats(-2.0, 2.0), min_size=17, max_size=17))
+    def test_fused_matches_naive_on_random_networks(self, system, seed,
+                                                     activation, biases):
+        coords = coords_for(system, n=16, seed=seed)
+        mlp = MLP.init(MLPSpec(3, (8, 8), 1, activation, seed=seed))
+        mlp.biases = [np.array(biases[:8]), np.array(biases[8:16]),
+                      np.array(biases[16:])]
+        f = mlp.forward(ad.concat_cols(coords))
+        fused = ops.laplacian(f, coords, system, "fused")
+        naive = ops.laplacian(f, coords, system, "naive")
+        np.testing.assert_allclose(fused.value, naive.value, rtol=0,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("system", ops.SYSTEMS)
+    def test_fused_runs_no_backward_pass(self, system, monkeypatch):
+        calls = []
+        real = ad.backward
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "backward", counting)
+        coords = coords_for(system)
+        f = smooth_scalar(coords)
+        ops.laplacian(f, coords, system, "fused")
+        assert len(calls) == 0
+        ops.laplacian(f, coords, system, "naive")
+        assert len(calls) == 6  # three for grad, three for div
+
+    def test_derivatives_equal_diff_bit_for_bit(self):
+        x = ad.variable(np.linspace(-1.0, 1.0, 16).reshape(-1, 1))
+        mlp = MLP.init(MLPSpec(1, (8, 8), 1, seed=3))
+        u = mlp.forward(x)
+        ds = ad._derivatives(u, x, 3)
+        assert len(ds) == 3
+        for i, d in enumerate(ds):
+            assert np.array_equal(d.value, ad.diff(u, x, i + 1).value)
 
 
 class TestKnownFields:

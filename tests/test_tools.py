@@ -1,0 +1,34 @@
+import os
+import re
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FINGERPRINT = os.path.join(ROOT, "tools", "fingerprint.py")
+LINE = re.compile(r"decay seed=1 sha256=[0-9a-f]{64} nodes/epoch=\d+(\.\d+)? "
+                  r"valid_loss=\S+ epochs_to_tol=\d+")
+
+
+def fingerprint(*args):
+    return subprocess.run([sys.executable, FINGERPRINT, *args],
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestFingerprint:
+    def test_two_runs_print_the_same_line(self):
+        runs = [fingerprint("--workload", "decay", "--seeds", "1")
+                for _ in range(2)]
+        for run in runs:
+            assert run.returncode == 0, run.stderr
+            lines = run.stdout.splitlines()
+            assert len(lines) == 1, run.stdout
+            assert LINE.fullmatch(lines[0]), lines[0]
+            valid_loss = lines[0].split("valid_loss=")[1].split()[0]
+            assert float(valid_loss) > 0
+        assert runs[0].stdout == runs[1].stdout
+
+    def test_bad_seeds_exit_2(self):
+        for seeds in ("abc", "5-3", ""):
+            run = fingerprint("--workload", "decay", "--seeds", seeds)
+            assert run.returncode == 2, seeds
+            assert "not a seed or seed range" in run.stderr
