@@ -15,6 +15,13 @@ numbers, so they are themselves differentiable.  Two sweeps build them:
   is diagonal, so its own transpose: ``backward`` applies the forward rule
   to the adjoint, and only structural ops have a ``_vjp`` rule.
 
+tanh's derivative factor 1 - h*h (h = tanh(a)) is one pointwise node,
+``dtanh``, whose own rule is t * (-2h).  The generic ``mul`` rule then
+gives the second-order tangent in Taylor form, s*z'' + z'*(-2h*h'), and the
+reverse sweep runs through one node instead of a ``1 - h*h`` subgraph.
+``transpose`` and ``column`` return views of their input's array; no
+op writes into an array after it is built.
+
 Nodes carry no graph object: each gets an increasing ``_id`` at creation,
 inputs always have smaller ids than their consumers, and a graph is freed by
 reference counting once its last node is dropped.
@@ -207,6 +214,11 @@ def tanh(a):
     return _unary("tanh", a, np.tanh)
 
 
+def _dtanh(h):
+    """tanh's derivative factor 1 - h*h as one node, given h = tanh(a)."""
+    return _unary("dtanh", h, lambda v: 1.0 - v * v)
+
+
 def absolute(a):
     return _unary("abs", a, np.abs)
 
@@ -251,7 +263,7 @@ def matmul(a, b):
 def transpose(a):
     if a.value.ndim != 2:
         raise ShapeError(f"transpose requires a 2-D operand, got {a.value.shape}")
-    return Node("transpose", (a,), a.value.T.copy(), a.requires_grad)
+    return Node("transpose", (a,), a.value.T, a.requires_grad)
 
 
 def column(a, j):
@@ -325,7 +337,7 @@ def _argmax_mask(x):
 
 
 _POINTWISE = frozenset(("add", "sub", "mul", "div", "pow", "neg", "exp", "ln",
-                        "sin", "cos", "tanh", "abs"))
+                        "sin", "cos", "tanh", "dtanh", "abs"))
 
 
 def _vjp(node, g, need):
@@ -333,8 +345,11 @@ def _vjp(node, g, need):
 
     ``need[i]`` says whether input i wants its gradient; an unwanted binary
     operand gets None and nothing is built for it.  Unary ops are only asked
-    when their input is wanted.  A pointwise op gives input i the ``_jvp``
-    rule with g as input i's tangent; only structural ops have a rule here.
+    when their input is wanted.  A pointwise op (the arithmetic ops, the
+    unary functions and ``dtanh``) gives input i the ``_jvp`` rule with g
+    as input i's tangent; only structural ops have a rule here.  ``matmul``
+    pairs g with a transpose of the other operand, which is a view, so no
+    activation is copied for a weight gradient.
     """
     op = node.op
     if op in _POINTWISE:
@@ -461,7 +476,9 @@ def _jvp(node, t):
     if op == "cos":
         return neg(mul(ta, sin(a)))
     if op == "tanh":
-        return mul(ta, 1.0 - mul(node, node))
+        return mul(ta, _dtanh(node))
+    if op == "dtanh":
+        return mul(ta, -2.0 * a)
     if op == "abs":
         return mul(ta, _sign_const(a))
     if op == "sum":

@@ -235,6 +235,11 @@ def _load_bundle_solution(preset, bundle_dir):
         raise ValueError(f"{bundle_dir} holds {len(nets)} net*.ckpt "
                          f"checkpoints, but {preset.name} has "
                          f"{len(preset.conditions)} unknown(s)")
+    for i, (net, width) in enumerate(zip(nets, preset.input_dims())):
+        if net.spec.input_dim != width:
+            path = os.path.join(bundle_dir, f"net{i}.ckpt")
+            raise ValueError(f"{path} takes {net.spec.input_dim} input(s), "
+                             f"but {preset.name} feeds it {width}")
     return Solution(nets, preset.conditions, preset.coord_names, preset.layout)
 
 

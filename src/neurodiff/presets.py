@@ -51,13 +51,16 @@ class Preset:
         return Problem(self.residual, len(self.conditions), self.coord_names,
                        train, valid)
 
-    def network_specs(self, hidden, activation, seed):
+    def input_dims(self):
+        """The input width of each unknown's network."""
         n_theta = len(self.layout.names()) if self.layout else 0
         default = len(self.coord_names) + n_theta
-        in_dims = self.net_input_dims or [default] * len(self.net_output_dims)
+        return self.net_input_dims or [default] * len(self.net_output_dims)
+
+    def network_specs(self, hidden, activation, seed):
         return [MLPSpec(in_dim, tuple(hidden), out_dim, activation, seed + i)
                 for i, (in_dim, out_dim)
-                in enumerate(zip(in_dims, self.net_output_dims))]
+                in enumerate(zip(self.input_dims(), self.net_output_dims))]
 
 
 def _decay():

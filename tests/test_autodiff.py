@@ -68,6 +68,12 @@ class TestForward:
             with pytest.raises(ad.ShapeError):
                 ad.column(a, j)
 
+    def test_transpose_is_a_view(self):
+        x = ad.variable(np.arange(6.0).reshape(2, 3))
+        t = ad.transpose(x)
+        assert t.shape == (3, 2)
+        assert np.shares_memory(t.value, x.value)
+
     def test_nonfinite_propagates(self):
         out = ad.log(scalar(-1.0))
         assert np.isnan(out.value[0, 0])
@@ -413,6 +419,70 @@ class TestPruning:
         ad.backward(loss, [w])
         assert not any(m.shape == x.shape and m.op == "matmul" for m in built)
 
+    def test_one_factor_node_per_tanh_layer(self, monkeypatch):
+        n, width = 5, 8
+        mlp = MLP.init(MLPSpec(1, (width, width), 1, seed=0))
+        t = ad.variable(np.linspace(0.0, 1.0, n).reshape(-1, 1))
+        params = mlp.param_nodes()
+        u = mlp.forward(t, params)
+        built = _record_nodes(monkeypatch)
+        d2 = ad.diff(u, t, 2)
+        factors = [m for m in built if m.op == "dtanh"]
+        assert len(factors) == 2
+        assert all(f.inputs[0].op == "tanh" for f in factors)
+        assert not [m for m in built
+                    if m.op in ("sub", "neg") and m.shape == (n, width)]
+        # the reverse sweep through both tanh layers builds one more each
+        del built[:]
+        ad.backward(ad.reduce_mean((d2 + u) * (d2 + u)), params)
+        assert len([m for m in built if m.op == "dtanh"]) == 2
+        assert not [m for m in built
+                    if m.op in ("sub", "neg") and m.shape == (n, width)]
+
+
+def _three_node_tanh_jvp(node, t, jvp=ad._jvp):
+    """The tanh rule that builds its derivative factor as 1 - h*h."""
+    if node.op == "tanh":
+        return ad.mul(t[0], 1.0 - ad.mul(node, node))
+    return jvp(node, t)
+
+
+def _mlp_derivatives(seed, widths, dtype):
+    """diff orders 1-3 and the parameter gradient of an order-2 residual
+    loss of a random tanh MLP with random biases, at random points."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    mlp = MLP.init(MLPSpec(1, widths, 1, seed=seed))
+    biases = [rng.uniform(-1.0, 1.0, b.shape) for b in mlp.biases]
+    mlp = MLP(mlp.spec, mlp.weights, biases).astype(dtype)
+    x = ad.variable(rng.uniform(-1.0, 1.0, (17, 1)).astype(dtype))
+    params = mlp.param_nodes()
+    u = mlp.forward(x, params)
+    orders = [ad.diff(u, x, k).value for k in (1, 2, 3)]
+    r = ad.diff(u, x, 2) + u
+    grads = [g.value for g in ad.backward(ad.reduce_mean(r * r), params)]
+    return orders, grads
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       widths=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_tanh_derivative_matches_three_node_rule(seed, widths, dtype):
+    orders, grads = _mlp_derivatives(seed, tuple(widths), dtype)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_jvp", _three_node_tanh_jvp)
+        ref_orders, ref_grads = _mlp_derivatives(seed, tuple(widths), dtype)
+    # -2h * t and -(h*t + t*h) round alike, so the tangents are equal
+    for got, ref in zip(orders, ref_orders):
+        assert np.array_equal(got, ref)
+    # the reverse sweep adds h's adjoint terms in another order; float32
+    # rounds that to a few ulps of the largest entry
+    tol = 1e-12 if dtype == np.float64 else 32 * np.finfo(np.float32).eps
+    for got, ref in zip(grads, ref_grads):
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, ref, rtol=tol,
+                                   atol=tol * np.max(np.abs(ref)))
+
 
 # ops the random-graph property test below does not draw; x is 1 x 1, so
 # forward and reverse agree even through reductions
@@ -438,6 +508,8 @@ FORWARD_RULES = {
     # rows) and an active one
     "row_broadcast": lambda x: (ad.tanh(TENSOR + ad.matmul(x, SPREAD))
                                 + ad.matmul(x, SPREAD) * ad.sin(TENSOR * x)),
+    # orders 2 and 3 run through the forward rule of tanh's derivative node
+    "nested_tanh": lambda x: ad.tanh(ad.tanh(x) * x + 0.3),
 }
 
 

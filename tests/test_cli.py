@@ -247,6 +247,21 @@ class TestBundleInvert:
             f"decay-bundle has 1 unknown(s)\n")
         assert not os.path.exists(tmp_path / "inv")
 
+    def test_invert_wrong_input_width_exits_2(self, tmp_path, capsys):
+        solo = str(tmp_path / "solo")
+        assert run(["solve", "decay", "--out", solo] + FAST) == 0
+        bundle = str(tmp_path / "bundle")
+        os.makedirs(bundle)
+        ckpt = os.path.join(bundle, "net0.ckpt")
+        shutil.copy(os.path.join(solo, "net0.ckpt"), ckpt)
+        data = self._write_data(tmp_path)
+        code = run(["invert", "decay-bundle", "--data", data,
+                    "--bundle-dir", bundle, "--out", str(tmp_path / "inv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"invert: {ckpt} takes 1 input(s), but decay-bundle feeds it 3\n")
+        assert not os.path.exists(tmp_path / "inv")
+
 
 class TestBench:
     def test_bench_csv(self, tmp_path):
