@@ -22,6 +22,12 @@ reverse sweep runs through one node instead of a ``1 - h*h`` subgraph.
 ``transpose`` and ``column`` return views of their input's array; no
 op writes into an array after it is built.
 
+Each op's value is one numpy expression in the ``_KERNELS`` table.
+``_record`` turns a graph into a flat program of those kernels, and
+``_replay`` reruns it on new leaf values, building no node.  So that no
+data-dependent value is frozen into a recording, abs's sign and max's
+argmax mask are ops that take no gradient, and checks are ``guard`` ops.
+
 Nodes carry no graph object: each gets an increasing ``_id`` at creation,
 inputs always have smaller ids than their consumers, and a graph is freed by
 reference counting once its last node is dropped.
@@ -38,6 +44,9 @@ any other shape mix raises ``ShapeError``.  Non-finite results (log of a
 negative, division by zero) propagate without clamping and are detectable
 via the node values.
 """
+
+import collections
+import functools
 
 import numpy as np
 
@@ -148,42 +157,68 @@ def _check_elementwise(op, a, b):
     raise ShapeError(f"{op}: incompatible shapes {a.value.shape} and {b.value.shape}")
 
 
-def _elementwise(op, a, b, fn):
+def _guarded(value, *checked, check):
+    check(*checked)
+    return value
+
+
+# op -> the numpy expression of its value.  Node construction and replay
+# (``_replay``) both call this table, so a replayed step runs the same ufuncs
+# on the same inputs as the graph it was recorded from.
+_KERNELS = {
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
+    "pow": lambda x, exponent: np.power(x, exponent), "neg": np.negative,
+    "exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
+    "tanh": np.tanh, "dtanh": lambda h: 1.0 - h * h, "abs": np.abs,
+    "sign": np.sign, "sum": np.sum, "mean": np.mean, "max": np.max,
+    # a one at the first argmax: a deterministic tie-break
+    "argmax_mask": lambda x: np.eye(1, x.size, int(np.argmax(x)),
+                                    dtype=x.dtype).reshape(x.shape),
+    "broadcast": lambda a, shape: np.broadcast_to(
+        a.reshape(()) if a.size == 1 else a, shape).copy(),
+    "matmul": np.matmul, "transpose": lambda a: a.T,
+    "column": lambda a, j: a[:, j:j + 1],
+    "concat": lambda *cols: np.concatenate(cols, axis=1), "guard": _guarded,
+}
+
+
+def _op(op, inputs, requires_grad, attrs=None):
+    """A node whose value is op's kernel on its inputs' values; ``attrs``
+    are the kernel's keyword arguments."""
+    with np.errstate(all="ignore"):
+        value = _KERNELS[op](*[i.value for i in inputs], **(attrs or {}))
+    return Node(op, inputs, np.asarray(value), requires_grad, attrs)
+
+
+def _elementwise(op, a, b):
     a = _wrap(a, b)
     b = _wrap(b, a)
     _check_elementwise(op, a, b)
-    with np.errstate(all="ignore"):
-        value = fn(a.value, b.value)
-    return Node(op, (a, b), np.asarray(value),
-                a.requires_grad or b.requires_grad)
+    return _op(op, (a, b), a.requires_grad or b.requires_grad)
 
 
-def _unary(op, a, fn, attrs=None):
-    with np.errstate(all="ignore"):
-        value = fn(a.value)
-    return Node(op, (a,), np.asarray(value), a.requires_grad, attrs)
+def _unary(op, a, attrs=None):
+    return _op(op, (a,), a.requires_grad, attrs)
 
 
 def add(a, b):
-    return _elementwise("add", a, b, np.add)
+    return _elementwise("add", a, b)
 
 
 def sub(a, b):
-    return _elementwise("sub", a, b, np.subtract)
+    return _elementwise("sub", a, b)
 
 
 def mul(a, b):
-    return _elementwise("mul", a, b, np.multiply)
+    return _elementwise("mul", a, b)
 
 
 def div(a, b):
-    return _elementwise("div", a, b, np.divide)
+    return _elementwise("div", a, b)
 
 
 def power(a, exponent):
-    exponent = float(exponent)
-    return _unary("pow", a, lambda x: np.power(x, exponent),
-                  attrs={"exponent": exponent})
+    return _unary("pow", a, {"exponent": float(exponent)})
 
 
 def sqrt(a):
@@ -191,60 +226,56 @@ def sqrt(a):
 
 
 def neg(a):
-    return _unary("neg", a, np.negative)
+    return _unary("neg", a)
 
 
 def exp(a):
-    return _unary("exp", a, np.exp)
+    return _unary("exp", a)
 
 
 def log(a):
-    return _unary("ln", a, np.log)
+    return _unary("ln", a)
 
 
 def sin(a):
-    return _unary("sin", a, np.sin)
+    return _unary("sin", a)
 
 
 def cos(a):
-    return _unary("cos", a, np.cos)
+    return _unary("cos", a)
 
 
 def tanh(a):
-    return _unary("tanh", a, np.tanh)
+    return _unary("tanh", a)
 
 
 def _dtanh(h):
     """tanh's derivative factor 1 - h*h as one node, given h = tanh(a)."""
-    return _unary("dtanh", h, lambda v: 1.0 - v * v)
+    return _unary("dtanh", h)
 
 
 def absolute(a):
-    return _unary("abs", a, np.abs)
+    return _unary("abs", a)
 
 
 def reduce_sum(a):
-    return _unary("sum", a, np.sum)
+    return _unary("sum", a)
 
 
 def reduce_mean(a):
-    return _unary("mean", a, np.mean)
+    return _unary("mean", a)
 
 
 def reduce_max(a):
-    return _unary("max", a, np.max)
+    return _unary("max", a)
 
 
 def broadcast_to(a, shape):
     """Repeat a scalar, or a 1 x k row down N rows, to ``shape``."""
     shape = tuple(shape)
-    scalar = _is_scalar(a.value)
-    if not (scalar or _is_row_of(a.value.shape, shape)):
+    if not (_is_scalar(a.value) or _is_row_of(a.value.shape, shape)):
         raise ShapeError(f"cannot broadcast shape {a.value.shape} to {shape}")
-    src = a.value.reshape(()) if scalar else a.value
-    value = np.broadcast_to(src, shape).copy()
-    return Node("broadcast", (a,), value, a.requires_grad,
-                attrs={"shape": shape})
+    return _unary("broadcast", a, {"shape": shape})
 
 
 def matmul(a, b):
@@ -256,14 +287,13 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul: inner dimensions differ, {a.value.shape} and {b.value.shape}"
         )
-    value = a.value @ b.value
-    return Node("matmul", (a, b), value, a.requires_grad or b.requires_grad)
+    return _op("matmul", (a, b), a.requires_grad or b.requires_grad)
 
 
 def transpose(a):
     if a.value.ndim != 2:
         raise ShapeError(f"transpose requires a 2-D operand, got {a.value.shape}")
-    return Node("transpose", (a,), a.value.T, a.requires_grad)
+    return _unary("transpose", a)
 
 
 def column(a, j):
@@ -272,8 +302,7 @@ def column(a, j):
         raise ShapeError(f"no column {j} in shape {a.value.shape}")
     if a.value.shape[1] == 1:
         return a
-    return Node("column", (a,), a.value[:, j:j + 1], a.requires_grad,
-                attrs={"j": j})
+    return _unary("column", a, {"j": j})
 
 
 def concat_cols(cols):
@@ -283,8 +312,24 @@ def concat_cols(cols):
         raise ShapeError(f"concat_cols needs N x 1 columns, got {shapes}")
     if len(cols) == 1:
         return cols[0]
-    return Node("concat", tuple(cols), np.hstack([c.value for c in cols]),
-                any(c.requires_grad for c in cols))
+    return _op("concat", tuple(cols), any(c.requires_grad for c in cols))
+
+
+def _sign(x):
+    """sign(x), abs's subgradient (0 at the kink); takes no gradient."""
+    return _op("sign", (x,), False)
+
+
+def _argmax_mask(x):
+    """One-hot mask of x's first largest entry; takes no gradient."""
+    return _op("argmax_mask", (x,), False)
+
+
+def _guard(node, checked, check):
+    """``node`` itself (same array) after ``check(*values of checked)`` has
+    run; tangents and adjoints pass to ``node`` alone."""
+    return _op("guard", (node, *checked), node.requires_grad,
+               {"check": check})
 
 
 def _topo_below(root):
@@ -324,18 +369,6 @@ def _fit_shape(g, target):
     )
 
 
-def _sign_const(x):
-    s = np.sign(x.value)  # subgradient 0 at the kink
-    return constant(s)
-
-
-def _argmax_mask(x):
-    flat = x.value.reshape(-1)
-    mask = np.zeros_like(flat)
-    mask[int(np.argmax(flat))] = 1.0  # first argmax; deterministic tie-break
-    return constant(mask.reshape(x.value.shape))
-
-
 _POINTWISE = frozenset(("add", "sub", "mul", "div", "pow", "neg", "exp", "ln",
                         "sin", "cos", "tanh", "dtanh", "abs"))
 
@@ -344,14 +377,17 @@ def _vjp(node, g, need):
     """Gradients of node's inputs given the adjoint g (all graph nodes).
 
     ``need[i]`` says whether input i wants its gradient; an unwanted binary
-    operand gets None and nothing is built for it.  Unary ops are only asked
-    when their input is wanted.  A pointwise op (the arithmetic ops, the
-    unary functions and ``dtanh``) gives input i the ``_jvp`` rule with g
-    as input i's tangent; only structural ops have a rule here.  ``matmul``
+    operand gets None and nothing is built for it, as do a guard's checked
+    inputs.  Unary ops are only asked when their input is wanted.  A
+    pointwise op (the arithmetic ops, the unary functions and ``dtanh``)
+    gives input i the ``_jvp`` rule with g as input i's tangent; only
+    structural ops have a rule here.  ``matmul``
     pairs g with a transpose of the other operand, which is a view, so no
     activation is copied for a weight gradient.
     """
     op = node.op
+    if op == "guard":
+        return (g if need[0] else None,) + (None,) * (len(need) - 1)
     if op in _POINTWISE:
         if len(need) == 1:
             return (_jvp(node, (g,)),)
@@ -417,8 +453,8 @@ def backward(output, wrt):
         need = [inp._id in active for inp in node.inputs]
         if not any(need):
             continue
-        for inp, ig, wanted in zip(node.inputs, _vjp(node, g, need), need):
-            if not wanted:
+        for inp, ig in zip(node.inputs, _vjp(node, g, need)):
+            if ig is None:
                 continue
             ig = _fit_shape(ig, inp)
             prev = adjoint.get(inp._id)
@@ -480,7 +516,9 @@ def _jvp(node, t):
     if op == "dtanh":
         return mul(ta, -2.0 * a)
     if op == "abs":
-        return mul(ta, _sign_const(a))
+        return mul(ta, _sign(a))
+    if op == "guard":
+        return ta
     if op == "sum":
         return reduce_sum(ta)
     if op == "mean":
@@ -519,9 +557,9 @@ def _push_tangents(u, tangents):
         if not any(ti is not None for ti in t):
             tangents[node._id] = None
             continue
-        tn = _jvp(node, t)
+        tn = _jvp(node, t)  # None for a guard whose node has no tangent
         # an active scalar or row met a tensor
-        if tn.value.shape != node.value.shape:
+        if tn is not None and tn.value.shape != node.value.shape:
             tn = broadcast_to(tn, node.value.shape)
         tangents[node._id] = tn
     tu = tangents.get(u._id)
@@ -561,10 +599,11 @@ def _derivatives(u, x, k):
 def accumulate_gradients(loss_fn, batches):
     """Sum per-batch parameter gradients, scaled to match the union batch.
 
-    ``loss_fn(batch)`` must build a fresh graph and return
-    ``(scalar loss node, sequence of parameter nodes)`` where the loss is a
-    mean over the batch samples.  The union-batch graph is never built.
-    Returns plain numpy gradient arrays, one per parameter.
+    ``loss_fn(batch)`` must return ``(scalar loss node, sequence of
+    parameter nodes)`` where the loss is a mean over the batch samples, or
+    ``(loss value, gradient arrays)`` if it took the gradients itself.  The
+    union-batch graph is never built.  Returns plain numpy gradient arrays,
+    one per parameter.
     """
     batches = list(batches)
     if not batches:
@@ -573,11 +612,75 @@ def accumulate_gradients(loss_fn, batches):
     grads = None
     for batch in batches:
         loss, params = loss_fn(batch)
-        gs = backward(loss, list(params))
+        if isinstance(loss, Node):
+            params = [g.value for g in backward(loss, list(params))]
         w = len(batch) / total
-        vals = [g.value * w for g in gs]
+        vals = [g * w for g in params]
         if grads is None:
             grads = vals
         else:
             grads = [acc + v for acc, v in zip(grads, vals)]
     return grads
+
+
+# a recorded graph (see ``_record``): ``slots`` is the register file a
+# replay starts from, holding the arrays of kept leaves; each step is
+# (kernel, argument slots, result slot, slots freed after it)
+_Program = collections.namedtuple("_Program", "slots steps outputs")
+
+
+def _record(outputs, inputs):
+    """The graph below ``outputs`` as a program that recomputes their
+    values from new values of the leaves ``inputs``.
+
+    Walks back along every input edge (no-gradient and guard nodes too);
+    ops run in ``_id`` order.  Any other leaf keeps a copy of its array, so
+    it must not depend on the data.  A slot is freed after its last use.
+    """
+    slot = {n._id: i for i, n in enumerate(inputs)}
+    seen, stack = {}, list(outputs)
+    while stack:
+        n = stack.pop()
+        if n._id not in seen:
+            seen[n._id] = n
+            if n._id not in slot:
+                stack.extend(n.inputs)
+    slots, ops, kept = [None] * len(inputs), [], {}
+    for n in sorted(seen.values(), key=lambda n: n._id):
+        if n._id in slot:
+            continue
+        slot[n._id] = len(slots)
+        if n.inputs:
+            slots.append(None)
+            ops.append(n)
+            continue
+        # one copy per distinct leaf value (many are ones or zeros), made
+        # apart from the blocks the graph frees
+        v = n.value
+        key = (v.dtype.str, v.shape, v.tobytes())
+        if key not in kept:
+            kept[key] = v.copy()
+        slots.append(kept[key])
+    out_slots = [slot[o._id] for o in outputs]
+    steps, used = [], set(out_slots)
+    for n in reversed(ops):  # a slot's last use is the first one met here
+        args = tuple(slot[i._id] for i in n.inputs)
+        kernel = _KERNELS[n.op]
+        if n.attrs:
+            kernel = functools.partial(kernel, **n.attrs)
+        steps.append((kernel, args, slot[n._id], tuple(set(args) - used)))
+        used.update(args)
+    return _Program(slots, steps[::-1], out_slots)
+
+
+def _replay(program, values):
+    """Run a recorded program on new values of its inputs, given in
+    ``_record``'s order; returns the values of its outputs."""
+    regs = program.slots.copy()
+    regs[:len(values)] = values
+    with np.errstate(all="ignore"):
+        for kernel, args, out, free in program.steps:
+            regs[out] = kernel(*[regs[a] for a in args])
+            for s in free:
+                regs[s] = None
+    return [regs[s] for s in program.outputs]

@@ -23,6 +23,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
+        if self.domain_dims is not None:  # hashable: specs key recordings
+            object.__setattr__(self, "domain_dims", tuple(self.domain_dims))
 
 
 def _grad_sq_sum(residuals, coords):

@@ -70,13 +70,15 @@ class MLP:
     def n_parameters(self):
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
+    def param_arrays(self):
+        """The parameter arrays in graph order: W0, b0 as a row, W1, ..."""
+        return [a for w, b in zip(self.weights, self.biases)
+                for a in (w, b.reshape(1, -1))]
+
     def param_nodes(self, requires_grad=True):
         """Wrap current parameter arrays as graph variables (W0, b0, W1, ...)."""
-        nodes = []
-        for w, b in zip(self.weights, self.biases):
-            nodes.append(ad.variable(w, requires_grad=requires_grad))
-            nodes.append(ad.variable(b.reshape(1, -1), requires_grad=requires_grad))
-        return nodes
+        return [ad.variable(a, requires_grad=requires_grad)
+                for a in self.param_arrays()]
 
     def forward(self, batch, params=None):
         """Run the network on an N x input_dim batch node (or array).

@@ -11,9 +11,13 @@ scalar (gradient, curl, Laplacian), and is intentionally no faster for
 divergence, which needs one partial per component.
 
 Coordinate conventions: cylindrical (rho, phi, z); spherical (r, theta, phi)
-with theta the polar angle from +z and phi the azimuth.
+with theta the polar angle from +z and phi the azimuth.  Their singularities
+(rho <= 0, r <= 0, theta outside (0, pi)) raise ``SingularityError``; the
+check is a ``guard`` node on each result, so a replayed training step runs
+it on its own coordinates too.
 """
 
+import functools
 import gc
 import time
 
@@ -29,25 +33,36 @@ class SingularityError(ValueError):
     """Evaluation at a coordinate singularity (rho=0, r=0, sin(theta)=0)."""
 
 
-def _check(system, coords):
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown coordinate system {system!r}")
-    if len(coords) != 3:
-        raise ValueError(f"{system} operators take 3 coordinates, got {len(coords)}")
-    if system == "cylindrical":
-        if np.any(coords[0].value <= 0):
-            raise SingularityError("cylindrical coordinates require rho > 0")
-    elif system == "spherical":
-        if np.any(coords[0].value <= 0):
+def _check_values(system, c0, c1, c2):
+    if system == "cylindrical" and np.any(c0 <= 0):
+        raise SingularityError("cylindrical coordinates require rho > 0")
+    if system == "spherical":
+        if np.any(c0 <= 0):
             raise SingularityError("spherical coordinates require r > 0")
-        theta = coords[1].value
-        if np.any(theta <= 0) or np.any(theta >= np.pi):
+        if np.any(c1 <= 0) or np.any(c1 >= np.pi):
             raise SingularityError("spherical coordinates require 0 < theta < pi")
 
 
-def _check_mode(mode):
-    if mode not in ("naive", "fused"):
-        raise ValueError(f"unknown mode {mode!r}, expected 'naive' or 'fused'")
+def _checked(op):
+    """The operator ``op`` behind its argument checks.  The singularity
+    check is a guard node on each result (``ad._guard``), so it runs now
+    and again on every replay of a recorded training step."""
+    @functools.wraps(op)
+    def checked(f, coords, system="cartesian", mode="fused"):
+        if system not in SYSTEMS:
+            raise ValueError(f"unknown coordinate system {system!r}")
+        if len(coords) != 3:
+            raise ValueError(f"{system} operators take 3 coordinates, got {len(coords)}")
+        if mode not in ("naive", "fused"):
+            raise ValueError(f"unknown mode {mode!r}, expected 'naive' or 'fused'")
+        out = op(f, coords, system, mode)
+        if system == "cartesian":
+            return out
+        check = functools.partial(_check_values, system)
+        if isinstance(out, tuple):
+            return tuple(ad._guard(o, coords, check) for o in out)
+        return ad._guard(out, coords, check)
+    return checked
 
 
 def _partials(f, coords, mode):
@@ -62,9 +77,8 @@ def _partials(f, coords, mode):
     return [ad.backward(s, [c])[0] for c in coords]
 
 
+@_checked
 def grad(f, coords, system="cartesian", mode="fused"):
-    _check(system, coords)
-    _check_mode(mode)
     d = _partials(f, coords, mode)
     if system == "cartesian":
         return tuple(d)
@@ -75,9 +89,8 @@ def grad(f, coords, system="cartesian", mode="fused"):
     return (d[0], d[1] / r, d[2] / (r * ad.sin(theta)))
 
 
+@_checked
 def div(F, coords, system="cartesian", mode="fused"):
-    _check(system, coords)
-    _check_mode(mode)
     # one partial per component: nothing to fuse, both modes share the path
     d = [_partials(F[i], [coords[i]], mode)[0] for i in range(3)]
     if system == "cartesian":
@@ -92,9 +105,8 @@ def div(F, coords, system="cartesian", mode="fused"):
             + d[2] / (r * sin_t))
 
 
+@_checked
 def curl(F, coords, system="cartesian", mode="fused"):
-    _check(system, coords)
-    _check_mode(mode)
     c0, c1, c2 = coords
     # per component, the two cross partials fuse into one traversal
     d0 = _partials(F[0], [c1, c2], mode)  # dF0/dc1, dF0/dc2
@@ -115,12 +127,11 @@ def curl(F, coords, system="cartesian", mode="fused"):
             (F[1] + r * d1[0] - d0[0]) / r)
 
 
+@_checked
 def laplacian(f, coords, system="cartesian", mode="fused"):
     """Scalar Laplacian.  naive mode is div(grad f), one backward pass per
     partial; fused mode takes d/dc and d2/dc2 along each coordinate c in
     forward mode and divides in div(grad f)'s order, so both round alike."""
-    _check(system, coords)
-    _check_mode(mode)
     if mode == "naive":
         return div(grad(f, coords, system, mode), coords, system, mode)
     (d0, dd0), (d1, dd1), (_, dd2) = [ad._derivatives(f, c, 2) for c in coords]

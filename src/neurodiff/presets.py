@@ -34,7 +34,7 @@ class Preset:
         self.layout = layout
         self.epochs = epochs
         self.hidden = hidden
-        self.grid = grid  # list of coordinate arrays for solution.csv
+        self._grid = grid  # () -> coordinate arrays for solution.csv
         self.net_output_dims = net_output_dims or [1] * len(conditions)
         self.net_input_dims = net_input_dims  # None -> all coords (+ theta)
         self.lr = lr
@@ -44,6 +44,12 @@ class Preset:
         # (epoch, factor) pairs: after `epoch`, learning rate becomes
         # base_lr * factor; part of the preset's training recipe
         self.lr_schedule = tuple(lr_schedule)
+
+    @property
+    def grid(self):
+        """The coordinate arrays of the solution.csv grid, built on each
+        access: a preset holds no grid arrays between uses."""
+        return self._grid()
 
     def problem(self, batch_size):
         train = self.train_gen(batch_size)
@@ -74,7 +80,7 @@ def _decay():
         lambda n: Uniform1D(0.0, 2.0, n, "equally-spaced"),
         analytic=lambda t: np.exp(-t),
         epochs=3000,
-        grid=[np.linspace(0.0, 2.0, 100)],
+        grid=lambda: [np.linspace(0.0, 2.0, 100)],
     )
 
 
@@ -89,7 +95,7 @@ def _sho():
         lambda n: Uniform1D(0.0, 2 * np.pi, n, "equally-spaced"),
         analytic=np.sin,
         epochs=5000,
-        grid=[np.linspace(0.0, 2 * np.pi, 200)],
+        grid=lambda: [np.linspace(0.0, 2 * np.pi, 200)],
     )
 
 
@@ -118,16 +124,17 @@ def _heat(dim):
             prod = prod * np.sin(math.pi * np.asarray(x, dtype=float))
         return decay * prod
 
-    # solution.csv grid: for dim 3, the z = 0.5 slice at t in {0, 0.5, 1}
-    pts = np.linspace(0.0, 1.0, 21)
-    tt = np.array([0.0, 0.5, 1.0])
-    if dim == 1:
-        mesh = np.meshgrid(tt, pts, indexing="ij")
-    elif dim == 2:
-        mesh = np.meshgrid(tt, pts, pts, indexing="ij")
-    else:
-        mesh = np.meshgrid(tt, pts, pts, np.array([0.5]), indexing="ij")
-    grid = [m.ravel() for m in mesh]
+    def grid():
+        # for dim 3, the z = 0.5 slice at t in {0, 0.5, 1}
+        pts = np.linspace(0.0, 1.0, 21)
+        tt = np.array([0.0, 0.5, 1.0])
+        if dim == 1:
+            axes = (tt, pts)
+        elif dim == 2:
+            axes = (tt, pts, pts)
+        else:
+            axes = (tt, pts, pts, np.array([0.5]))
+        return [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
 
     coord_names = ("t",) + tuple(f"x{d+1}" for d in range(dim))
     lows = np.zeros(dim + 1)
@@ -156,7 +163,7 @@ def _gravity():
         lambda n: Uniform1D(1.0, 10.0, n, "equally-spaced"),
         analytic=lambda r: -1.0 / r,
         epochs=3000,
-        grid=[np.linspace(1.0, 10.0, 100)],
+        grid=lambda: [np.linspace(1.0, 10.0, 100)],
     )
 
 
@@ -249,10 +256,13 @@ def _poisson_gaussian():
     eps = 0.1
     lows = np.array([GAUSSIAN_R0, eps, 0.0])
     highs = np.array([GAUSSIAN_RMAX, math.pi - eps, 2 * math.pi])
-    rr = np.linspace(GAUSSIAN_R0, GAUSSIAN_RMAX, 60)
-    th = np.linspace(eps, math.pi - eps, 7)
-    ph = np.linspace(0.0, 2 * math.pi, 9)
-    mesh = np.meshgrid(rr, th, ph, indexing="ij")
+
+    def grid():
+        rr = np.linspace(GAUSSIAN_R0, GAUSSIAN_RMAX, 60)
+        th = np.linspace(eps, math.pi - eps, 7)
+        ph = np.linspace(0.0, 2 * math.pi, 9)
+        return [m.ravel() for m in np.meshgrid(rr, th, ph, indexing="ij")]
+
     return Preset(
         "poisson-gaussian", ("r", "theta", "phi"), residual,
         [HarmonicExpansionCondition(basis)],
@@ -260,7 +270,7 @@ def _poisson_gaussian():
         lambda n: CubeND(lows, highs, n),
         analytic=lambda r, theta, phi: gaussian_potential_exact(r),
         epochs=1500,
-        grid=[m.ravel() for m in mesh],
+        grid=grid,
         net_output_dims=[basis.size],
         net_input_dims=[1],
     )
@@ -280,7 +290,7 @@ def _decay_bundle():
         analytic=lambda t, u0, lam: np.asarray(u0) * np.exp(-np.asarray(lam) * np.asarray(t)),
         layout=layout,
         epochs=3000,
-        grid=[np.linspace(0.0, 2.0, 50)],
+        grid=lambda: [np.linspace(0.0, 2.0, 50)],
     )
 
 
@@ -305,7 +315,7 @@ def _sho_bundle():
         lr=4e-3,
         batches_per_epoch=5,
         lr_schedule=((3000, 1.0 / 3.0), (4500, 0.1)),
-        grid=[np.linspace(0.0, 2 * np.pi, 100)],
+        grid=lambda: [np.linspace(0.0, 2 * np.pi, 100)],
     )
 
 

@@ -2,8 +2,13 @@
 
 One network per unknown function; trial solutions are built through the
 condition reparameterizations so constraints hold exactly at every epoch,
-including epoch 0.  Each training step builds a fresh graph, which reference
-counting frees once the step's gradients have been read out as arrays.
+including epoch 0.  A training step (trial solutions, forward tangents,
+reverse gradient) is one graph of numpy ops.  ``fit`` records it once per
+key and replays it on later batches with no node built and bit-identical
+results (``_chunk_loss``), so a residual or condition must build batch-
+dependent values with graph ops: an ``ad.constant(x.value)`` made from data
+is frozen at the recording step.  ``Solution`` and ``fit_inverse`` build a
+fresh graph each call.
 """
 
 import ctypes
@@ -191,7 +196,8 @@ def _trial_solutions(model, columns, pnodes=None):
 
 
 def _build_loss(state, batch, pnodes=None):
-    """Trial solutions, residuals, and loss node for one coordinate batch."""
+    """The loss node of one coordinate batch, and the variables made from
+    the batch's columns (see ``_trial_solutions``)."""
     problem = state.problem
     u, leaves, params = _trial_solutions(
         state, [batch[:, d:d + 1] for d in range(batch.shape[1])], pnodes)
@@ -201,7 +207,34 @@ def _build_loss(state, batch, pnodes=None):
     else:
         res = problem.residual(u, coord_nodes)
     residuals = ad.concat_cols(res)
-    return losses_mod.loss(state.loss_spec, residuals, coords=coord_nodes)
+    return (losses_mod.loss(state.loss_spec, residuals, coords=coord_nodes),
+            leaves)
+
+
+def _param_arrays(state):
+    return [a for net in state.networks for a in net.param_arrays()]
+
+
+def _chunk_loss(state, chunk, programs, train):
+    """The loss value of one chunk and, when training, its parameter
+    gradients as arrays.  The first chunk of each key (what shapes the
+    graph: training or not, chunk shape, loss spec, dtype) builds the graph
+    and records it in ``programs``; later ones replay the recording."""
+    dtype = state.networks[0].weights[0].dtype
+    key = (train, chunk.shape, state.loss_spec, dtype)
+    program = programs.get(key)
+    if program is not None:
+        # the column values _trial_solutions makes its variables from
+        cols = [np.asarray(chunk[:, d:d + 1], dtype=dtype)
+                for d in range(chunk.shape[1])]
+        loss, *grads = ad._replay(program, cols + _param_arrays(state))
+        return float(loss), grads
+    pnodes = [net.param_nodes(requires_grad=train) for net in state.networks]
+    flat = [p for nodes in pnodes for p in nodes]
+    loss, leaves = _build_loss(state, chunk, pnodes)
+    grads = ad.backward(loss, flat) if train else []
+    programs[key] = ad._record([loss, *grads], leaves + flat)
+    return float(loss.value), [g.value for g in grads]
 
 
 def _sample_batch(state, rng, generator):
@@ -258,35 +291,29 @@ def _optimizer_step(state, params, grads):
     return _sgd_step(state, params, grads)
 
 
-def _train_batch(state, batch):
-    """One optimizer step over a batch, with gradient accumulation."""
+def _train_batch(state, batch, programs=None, index=0):
+    """One optimizer step over a batch, with gradient accumulation.  A
+    non-finite loss raises ``TrainingDiverged`` naming the epoch after
+    ``state.epoch`` and ``index``, the batch's place in that epoch."""
+    programs = {} if programs is None else programs
     cfg = state.config
     passes = max(1, cfg.accumulation_passes)
     chunks = np.array_split(batch, passes) if passes > 1 else [batch]
     chunks = [c for c in chunks if c.shape[0] > 0]
-
-    param_arrays = []
-    for net in state.networks:
-        for w, b in zip(net.weights, net.biases):
-            param_arrays.append(w)
-            param_arrays.append(b.reshape(1, -1))
-
     loss_values = []
 
     def loss_fn(chunk):
-        pnodes_per_net = [net.param_nodes() for net in state.networks]
-        flat = [p for nodes in pnodes_per_net for p in nodes]
-        loss_node = _build_loss(state, chunk, pnodes_per_net)
-        loss_values.append((float(loss_node.value), chunk.shape[0]))
-        return loss_node, flat
+        loss, grads = _chunk_loss(state, chunk, programs, train=True)
+        loss_values.append((loss, chunk.shape[0]))
+        return loss, grads
 
     grads = ad.accumulate_gradients(loss_fn, chunks)
     total = sum(n for _, n in loss_values)
     train_loss = sum(v * n for v, n in loss_values) / total
     if not math.isfinite(train_loss):
-        raise TrainingDiverged(state.epoch, state.step, state.loss_spec.kind,
+        raise TrainingDiverged(state.epoch + 1, index, state.loss_spec.kind,
                                train_loss)
-    new = _optimizer_step(state, param_arrays, grads)
+    new = _optimizer_step(state, _param_arrays(state), grads)
     i = 0
     for net in state.networks:
         for k in range(len(net.weights)):
@@ -297,18 +324,18 @@ def _train_batch(state, batch):
     return train_loss
 
 
-def _validation_loss(state, rng):
+def _validation_loss(state, rng, programs):
     batch = _sample_batch(state, rng, state.valid_generator)
-    return float(_build_loss(state, batch).value)
+    return _chunk_loss(state, batch, programs, train=False)[0]
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # from glibc's malloc.h
 
 
 def _keep_freed_heap():
-    """Fix glibc's malloc thresholds so a step's freed graph stays reusable.
+    """Fix glibc's malloc thresholds so memory a step frees stays reusable.
 
-    Every training step frees its whole graph.  Under glibc's adaptive
+    Every training step frees the arrays it made.  Under glibc's adaptive
     defaults, whether that memory is trimmed off the heap top, and faulted
     back in by the next step, depends on where earlier allocations happen
     to sit: 200 sho-bundle epochs took 7 million minor faults and 1.7x the
@@ -333,23 +360,29 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     it: ``config.epochs`` more epochs are run, numbered on from
     ``state.epoch`` with the sampling streams of those epochs, so k epochs
     and then n - k resumed ones equal one n-epoch fit bit for bit; the
-    state's networks keep their dtype.
+    state's networks keep their dtype.  Steps after the first of each
+    recording key replay it (see the module docstring): residuals must make
+    batch-dependent values with graph ops, and callbacks may change the
+    loss spec, learning rate, batch size and generators, not the problem,
+    conditions or networks.
     On glibc, fixes the process's malloc thresholds first (see
     ``_keep_freed_heap``).
     """
     _keep_freed_heap()
     if state is None:
         state = SolverState(problem, config, layout)
+    programs = {}  # recorded steps, kept for this call only
     first = state.epoch + 1
     for epoch in range(first, first + config.epochs):
         epoch_losses = []
         for b in range(config.batches_per_epoch):
             rng = make_rng(config.seed, stream=2 * (epoch * config.batches_per_epoch + b))
             batch = _sample_batch(state, rng, state.train_generator)
-            epoch_losses.append(_train_batch(state, batch))
+            epoch_losses.append(_train_batch(state, batch, programs, b))
         state.epoch = epoch
         train_loss = float(np.mean(epoch_losses))
-        valid_loss = _validation_loss(state, make_rng(config.seed, stream=1))
+        valid_loss = _validation_loss(state, make_rng(config.seed, stream=1),
+                                      programs)
         if not math.isfinite(valid_loss):
             raise TrainingDiverged(epoch, -1, state.loss_spec.kind, valid_loss)
         state.train_history.append(train_loss)

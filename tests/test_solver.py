@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,16 @@ from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
 from neurodiff import presets, solver
-from neurodiff.callbacks import AfterEpoch, Always, Callback, EarlyStop, SetLoss
+from neurodiff.callbacks import (Action, AfterEpoch, Always, Callback,
+                                 EarlyStop, SetBatchSize, SetLoss,
+                                 SetTrainGenerator)
 from neurodiff.conditions import (IVP1, DirichletNeumann, NeumannDirichlet,
                                   NeumannNeumann)
-from neurodiff.generators import Uniform1D
+from neurodiff.generators import Generator, Uniform1D
 from neurodiff.losses import LossSpec
 from neurodiff.network import MLP, MLPSpec
 from neurodiff.generators import make_rng
+from neurodiff.operators import SingularityError
 from neurodiff.solver import (Adam, BundleLayout, Problem, SGD, Solution,
                               SolverConfig, SolverState, TrainingDiverged,
                               _build_loss, _sample_batch, _train_batch, fit,
@@ -378,7 +383,7 @@ class TestPrunedParameterGradients:
                               state.train_generator)
         pnodes = [net.param_nodes() for net in state.networks]
         params = [p for nodes in pnodes for p in nodes]
-        loss = _build_loss(state, batch, pnodes)
+        loss, _ = _build_loss(state, batch, pnodes)
         assert len(coords) == 3
         only = ad.backward(loss, params)
         with_coords = ad.backward(loss, params + coords)
@@ -452,3 +457,182 @@ class TestSinglePrecision:
     def test_unknown_precision_raises(self, name):
         with pytest.raises(ValueError, match="unknown precision"):
             SolverConfig(precision=name)
+
+
+# -- recorded steps ---------------------------------------------------------
+
+@contextlib.contextmanager
+def graph_path():
+    """Every step builds its graph: the recorder records nothing."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ad, "_record", lambda outputs, inputs: None)
+        yield
+
+
+@contextlib.contextmanager
+def counting(name, count):
+    """Count the calls of ``ad.<name>`` in ``count``, a one-item list."""
+    fn = getattr(ad, name)
+
+    def counted(*args):
+        count[0] += 1
+        return fn(*args)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ad, name, counted)
+        yield
+
+
+def trained(state):
+    """Everything a fit leaves behind, as exact values."""
+    arrays = [a for net in state.networks for a in net.weights + net.biases]
+    return ([a.dtype for a in arrays], [a.tobytes() for a in arrays],
+            state.train_history, state.valid_history)
+
+
+def preset_fit(name, precision="f64", passes=1, batches=2, batch=10,
+               epochs=3, seed=0, callbacks=(), state=None):
+    preset = presets.get(name)
+    cfg = SolverConfig(
+        networks=preset.network_specs((8, 8), "tanh", seed),
+        conditions=preset.conditions, optimizer=Adam(lr=preset.lr),
+        epochs=epochs, batches_per_epoch=batches,
+        accumulation_passes=passes, seed=seed, precision=precision)
+    return fit(preset.problem(batch), cfg, callbacks, layout=preset.layout,
+               state=state)
+
+
+class Fixed(Generator):
+    """The same points every time."""
+
+    def __init__(self, pts):
+        self.pts = pts
+
+    def sample(self, rng):
+        return self.pts.copy()
+
+    def __len__(self):
+        return len(self.pts)
+
+
+ALL_PRESETS = presets.SOLVE_PRESETS + presets.BUNDLE_PRESETS
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(ALL_PRESETS),
+       precision=st.sampled_from(["f64", "f32"]),
+       passes=st.sampled_from([1, 3]), batches=st.integers(2, 3),
+       seed=st.integers(0, 3))
+def test_replayed_fit_equals_graph_path(name, precision, passes, batches,
+                                        seed):
+    # 10 rows in 3 passes are chunks of 4, 3 and 3: two recordings
+    kw = dict(precision=precision, passes=passes, batches=batches, seed=seed)
+    records = [0]
+    with counting("_record", records):
+        replayed = preset_fit(name, **kw)
+    assert records[0] == (3 if passes == 3 else 2)
+    with graph_path():
+        built = preset_fit(name, **kw)
+    assert trained(replayed) == trained(built)
+
+
+class TestReplay:
+    def test_set_batch_size_records_again(self):
+        cbs = [Callback(AfterEpoch(1), SetBatchSize(24))]
+        records = [0]
+        with counting("_record", records):
+            state = fit(decay_problem(), small_config(epochs=4), cbs)
+        # train and valid at 64 rows, then train at 24 from epoch 3 on
+        assert records[0] == 3
+        with graph_path():
+            built = fit(decay_problem(), small_config(epochs=4), cbs)
+        assert trained(state) == trained(built)
+
+    def test_resumed_fit_equals_one_fit(self):
+        cbs = [Callback(AfterEpoch(2), SetBatchSize(7))]
+        whole = preset_fit("sho-bundle", passes=3, epochs=6, callbacks=cbs)
+        split = preset_fit("sho-bundle", passes=3, epochs=2, callbacks=cbs)
+        preset_fit("sho-bundle", passes=3, epochs=4, callbacks=cbs,
+                   state=split)
+        assert trained(split) == trained(whole)
+        assert split.metrics == whole.metrics
+
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    def test_no_node_is_built_after_the_first_epoch(self, name, monkeypatch):
+        built = [0]
+        init = ad.Node.__init__
+
+        def counting_init(node, *args, **kwargs):
+            built[0] += 1
+            init(node, *args, **kwargs)
+        monkeypatch.setattr(ad.Node, "__init__", counting_init)
+
+        class Count(Action):
+            def apply(self, state):
+                per_epoch.append(built[0])
+        per_epoch = []
+        preset_fit(name, passes=3, epochs=4,
+                   callbacks=[Callback(Always(), Count())])
+        assert per_epoch[0] > 0
+        assert per_epoch == [per_epoch[0]] * 4
+
+    def test_f32_replay_gives_f32_gradients(self, monkeypatch):
+        outputs = []
+        replay = ad._replay
+
+        def keeping(program, values):
+            out = replay(program, values)
+            outputs.extend(out)
+            return out
+        monkeypatch.setattr(ad, "_replay", keeping)
+        preset_fit("sho-bundle", precision="f32", passes=3)
+        assert len(outputs) > 0
+        assert {np.asarray(v).dtype for v in outputs} == {np.dtype(np.float32)}
+
+    def _diverging_fit(self):
+        def residual(u, coords):
+            t, = coords
+            return [ad.diff(u[0], t) + u[0] + 1.0 / t]
+        problem = Problem(residual, 1, ("t",), Uniform1D(0.1, 2.0, 16),
+                          Uniform1D(0.1, 2.0, 16, "equally-spaced"))
+        cfg = small_config(epochs=5, batches_per_epoch=2,
+                           loss=LossSpec("l1"))
+        # from epoch 3 on, t = 0 makes 1/t infinite
+        cbs = [Callback(AfterEpoch(1),
+                        SetTrainGenerator(Fixed(np.zeros((16, 1)))))]
+        with pytest.raises(TrainingDiverged) as info:
+            fit(problem, cfg, cbs)
+        e = info.value
+        return e.epoch, e.batch, e.kind, str(e)
+
+    def test_divergence_on_a_replayed_step_names_epoch_batch_kind(self):
+        records = [0]
+        with counting("_record", records):
+            replayed = self._diverging_fit()
+        assert records[0] == 2  # epoch 3's step was replayed
+        assert replayed[:3] == (3, 0, "l1")
+        with graph_path():
+            assert self._diverging_fit() == replayed
+
+    @pytest.mark.parametrize("name", ["sho", "heat"])
+    def test_loss_switches_replay_their_data_dependent_factors(self, name):
+        # abs and max take sign and argmax masks of each step's residuals
+        def run():
+            cbs = [Callback(AfterEpoch(1), SetLoss(LossSpec("l1"))),
+                   Callback(AfterEpoch(3), SetLoss(LossSpec("linf")))]
+            return preset_fit(name, epochs=7, batch=32, callbacks=cbs)
+        state = run()
+        kinds = [m["loss_kind"] for m in state.metrics]
+        assert kinds == ["mse"] * 2 + ["l1"] * 2 + ["linf"] * 3
+        with graph_path():
+            assert trained(run()) == trained(state)
+
+    def test_singularity_check_runs_on_replayed_steps(self):
+        n = 12
+        pts = np.column_stack([np.zeros(n), np.full(n, 1.0), np.full(n, 2.0)])
+        cbs = [Callback(AfterEpoch(1), SetTrainGenerator(Fixed(pts)))]
+        records = [0]
+        with counting("_record", records), pytest.raises(SingularityError):
+            preset_fit("poisson-gaussian", batch=n, epochs=4, callbacks=cbs)
+        assert records[0] == 2  # the r = 0 step was replayed
+        with graph_path(), pytest.raises(SingularityError):
+            preset_fit("poisson-gaussian", batch=n, epochs=4, callbacks=cbs)

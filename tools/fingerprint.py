@@ -8,7 +8,10 @@ workload's perfbench recipe (``perfbench/workloads.py`` and
 
 - the SHA-256 over the final weights and biases of every network and the
   train and validation loss histories;
-- the autodiff nodes built per epoch;
+- the graph size per epoch: the autodiff nodes built, plus the ops run by
+  replayed steps (``fit`` records a step's graph once and replays it as a
+  flat program that builds no node; a replay counts no leaf, and no node
+  that no output needs);
 - the final validation loss;
 - the first epoch whose validation loss is below the workload's ``tol``
   (the trial's epoch count if none is), as the benchmark counts it.
@@ -50,7 +53,18 @@ def parse_seeds(text):
 
 def fingerprint(wl, seed):
     first_id = ad._id_counter[0]
-    trial = bench.run_trial(wl, seed, deadline=math.inf, protected=True)
+    replayed_ops = [0]
+    replay = ad._replay
+
+    def counting_replay(program, values):
+        replayed_ops[0] += len(program.steps)
+        return replay(program, values)
+
+    ad._replay = counting_replay
+    try:
+        trial = bench.run_trial(wl, seed, deadline=math.inf, protected=True)
+    finally:
+        ad._replay = replay
     if trial.error:
         raise RuntimeError(f"{wl.name} seed {seed}: {trial.error}")
     state = trial.state
@@ -64,7 +78,8 @@ def fingerprint(wl, seed):
     crossed = [i for i, v in enumerate(state.valid_history) if v < wl.tol]
     return {
         "sha256": digest.hexdigest(),
-        "nodes_per_epoch": (ad._id_counter[0] - first_id) / epochs,
+        "nodes_per_epoch":
+            (ad._id_counter[0] - first_id + replayed_ops[0]) / epochs,
         "valid_loss": state.valid_history[-1],
         "epochs_to_tol": crossed[0] + 1 if crossed else epochs,
     }
