@@ -362,8 +362,6 @@ def _fit_shape(g, target):
         if target.value.shape != ():
             s = broadcast_to(s, target.value.shape)
         return s
-    if _is_scalar(g.value):
-        return broadcast_to(g, target.value.shape)
     raise ShapeError(
         f"gradient shape {g.value.shape} does not fit operand {target.value.shape}"
     )
@@ -597,30 +595,29 @@ def _derivatives(u, x, k):
 
 
 def accumulate_gradients(loss_fn, batches):
-    """Sum per-batch parameter gradients, scaled to match the union batch.
+    """The union batch's loss and parameter gradients from its batches.
 
-    ``loss_fn(batch)`` must return ``(scalar loss node, sequence of
-    parameter nodes)`` where the loss is a mean over the batch samples, or
-    ``(loss value, gradient arrays)`` if it took the gradients itself.  The
-    union-batch graph is never built.  Returns plain numpy gradient arrays,
-    one per parameter.
+    ``loss_fn(batch)`` returns ``(loss value, gradient arrays)`` for one
+    batch, where the loss is a mean over the batch samples.  Each batch is
+    weighted by its share of the samples, so the results equal those of the
+    union batch, whose graph is never built.  Returns ``(loss value,
+    gradient arrays)``.
     """
     batches = list(batches)
     if not batches:
         raise ValueError("accumulate_gradients needs at least one batch")
     total = sum(len(b) for b in batches)
-    grads = None
+    loss, grads = 0, None
     for batch in batches:
-        loss, params = loss_fn(batch)
-        if isinstance(loss, Node):
-            params = [g.value for g in backward(loss, list(params))]
+        value, params = loss_fn(batch)
+        loss += value * len(batch)
         w = len(batch) / total
         vals = [g * w for g in params]
         if grads is None:
             grads = vals
         else:
             grads = [acc + v for acc, v in zip(grads, vals)]
-    return grads
+    return loss / total, grads
 
 
 # a recorded graph (see ``_record``): ``slots`` is the register file a
@@ -635,8 +632,11 @@ def _record(outputs, inputs):
 
     Walks back along every input edge (no-gradient and guard nodes too);
     ops run in ``_id`` order.  Any other leaf keeps a copy of its array, so
-    it must not depend on the data.  A slot is freed after its last use.
+    it must not depend on the data: one with as many rows as the first
+    input (the data's, when more than one) and entries not all equal
+    raises ``ValueError``.  A slot is freed after its last use.
     """
+    rows = inputs[0].value.shape[0]
     slot = {n._id: i for i, n in enumerate(inputs)}
     seen, stack = {}, list(outputs)
     while stack:
@@ -646,7 +646,8 @@ def _record(outputs, inputs):
             if n._id not in slot:
                 stack.extend(n.inputs)
     slots, ops, kept = [None] * len(inputs), [], {}
-    for n in sorted(seen.values(), key=lambda n: n._id):
+    order = sorted(seen.values(), key=lambda n: n._id)
+    for n in order:
         if n._id in slot:
             continue
         slot[n._id] = len(slots)
@@ -657,6 +658,10 @@ def _record(outputs, inputs):
         # one copy per distinct leaf value (many are ones or zeros), made
         # apart from the blocks the graph frees
         v = n.value
+        if v.ndim == 2 and v.shape[0] == rows > 1 and (v != v.flat[0]).any():
+            reader = next(o.op for o in order if n in o.inputs)
+            raise ValueError(f"a {v.shape} constant read by {reader!r} holds "
+                             "data a recording would freeze; use graph ops")
         key = (v.dtype.str, v.shape, v.tobytes())
         if key not in kept:
             kept[key] = v.copy()

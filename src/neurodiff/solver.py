@@ -6,12 +6,14 @@ including epoch 0.  A training step (trial solutions, forward tangents,
 reverse gradient) is one graph of numpy ops.  ``fit`` records it once per
 key and replays it on later batches with no node built and bit-identical
 results (``_chunk_loss``), so a residual or condition must build batch-
-dependent values with graph ops: an ``ad.constant(x.value)`` made from data
-is frozen at the recording step.  ``Solution`` and ``fit_inverse`` build a
-fresh graph each call.
+dependent values with graph ops: recording refuses an
+``ad.constant(x.value)`` made from data, which would be frozen into the
+program (``ad._record``).  ``Solution`` and ``fit_inverse`` build a fresh
+graph each call.
 """
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -115,7 +117,6 @@ class SolverState:
         self.config = config
         self.layout = layout
         self.epoch = 0
-        self.step = 0
         self.train_history = []
         self.valid_history = []
         self.metrics = []
@@ -152,9 +153,6 @@ class SolverState:
         self.networks = [MLP.init(s).astype(dtype) for s in specs]
         self.conditions = list(config.conditions)
         self._opt_state = None
-
-    def snapshot_best(self):
-        self.best_networks = [n.copy() for n in self.networks]
 
 
 def _make_net_fn(mlp, pnodes, theta_cols):
@@ -195,12 +193,11 @@ def _trial_solutions(model, columns, pnodes=None):
     return u, cols, params
 
 
-def _build_loss(state, batch, pnodes=None):
-    """The loss node of one coordinate batch, and the variables made from
-    the batch's columns (see ``_trial_solutions``)."""
+def _build_loss(state, columns, pnodes=None):
+    """The loss node of one batch, given as its columns, and the variables
+    made from them (see ``_trial_solutions``)."""
     problem = state.problem
-    u, leaves, params = _trial_solutions(
-        state, [batch[:, d:d + 1] for d in range(batch.shape[1])], pnodes)
+    u, leaves, params = _trial_solutions(state, columns, pnodes)
     coord_nodes = leaves[:len(problem.coord_names)]
     if state.layout:
         res = problem.residual(u, coord_nodes, params)
@@ -219,19 +216,19 @@ def _chunk_loss(state, chunk, programs, train):
     """The loss value of one chunk and, when training, its parameter
     gradients as arrays.  The first chunk of each key (what shapes the
     graph: training or not, chunk shape, loss spec, dtype) builds the graph
-    and records it in ``programs``; later ones replay the recording."""
+    and records it in ``programs``; later ones replay the recording.  Both
+    take the chunk's columns cast once to the networks' dtype."""
     dtype = state.networks[0].weights[0].dtype
+    cols = [np.asarray(chunk[:, d:d + 1], dtype=dtype)
+            for d in range(chunk.shape[1])]
     key = (train, chunk.shape, state.loss_spec, dtype)
     program = programs.get(key)
     if program is not None:
-        # the column values _trial_solutions makes its variables from
-        cols = [np.asarray(chunk[:, d:d + 1], dtype=dtype)
-                for d in range(chunk.shape[1])]
         loss, *grads = ad._replay(program, cols + _param_arrays(state))
         return float(loss), grads
     pnodes = [net.param_nodes(requires_grad=train) for net in state.networks]
     flat = [p for nodes in pnodes for p in nodes]
-    loss, leaves = _build_loss(state, chunk, pnodes)
+    loss, leaves = _build_loss(state, cols, pnodes)
     grads = ad.backward(loss, flat) if train else []
     programs[key] = ad._record([loss, *grads], leaves + flat)
     return float(loss.value), [g.value for g in grads]
@@ -292,35 +289,25 @@ def _optimizer_step(state, params, grads):
 
 
 def _train_batch(state, batch, programs=None, index=0):
-    """One optimizer step over a batch, with gradient accumulation.  A
-    non-finite loss raises ``TrainingDiverged`` naming the epoch after
-    ``state.epoch`` and ``index``, the batch's place in that epoch."""
+    """One optimizer step over a batch, accumulated over its
+    ``accumulation_passes`` chunks; returns the batch's loss.  A non-finite
+    loss raises ``TrainingDiverged`` naming the epoch after ``state.epoch``
+    and ``index``, the batch's place in that epoch."""
     programs = {} if programs is None else programs
-    cfg = state.config
-    passes = max(1, cfg.accumulation_passes)
+    passes = max(1, state.config.accumulation_passes)
     chunks = np.array_split(batch, passes) if passes > 1 else [batch]
     chunks = [c for c in chunks if c.shape[0] > 0]
-    loss_values = []
-
-    def loss_fn(chunk):
-        loss, grads = _chunk_loss(state, chunk, programs, train=True)
-        loss_values.append((loss, chunk.shape[0]))
-        return loss, grads
-
-    grads = ad.accumulate_gradients(loss_fn, chunks)
-    total = sum(n for _, n in loss_values)
-    train_loss = sum(v * n for v, n in loss_values) / total
+    train_loss, grads = ad.accumulate_gradients(
+        functools.partial(_chunk_loss, state, programs=programs, train=True),
+        chunks)
     if not math.isfinite(train_loss):
         raise TrainingDiverged(state.epoch + 1, index, state.loss_spec.kind,
                                train_loss)
-    new = _optimizer_step(state, _param_arrays(state), grads)
-    i = 0
+    new = iter(_optimizer_step(state, _param_arrays(state), grads))
     for net in state.networks:
-        for k in range(len(net.weights)):
-            net.weights[k] = new[i]
-            net.biases[k] = new[i + 1].reshape(net.biases[k].shape)
-            i += 2
-    state.step += 1
+        for k, b in enumerate(net.biases):
+            net.weights[k] = next(new)
+            net.biases[k] = next(new).reshape(b.shape)
     return train_loss
 
 
@@ -362,9 +349,10 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     and then n - k resumed ones equal one n-epoch fit bit for bit; the
     state's networks keep their dtype.  Steps after the first of each
     recording key replay it (see the module docstring): residuals must make
-    batch-dependent values with graph ops, and callbacks may change the
-    loss spec, learning rate, batch size and generators, not the problem,
-    conditions or networks.
+    batch-dependent values with graph ops, or recording raises ValueError.
+    Callbacks may change the loss spec, learning rate, batch size,
+    generators, residual and condition objects (a replaced residual or
+    condition is recorded again), not the networks.
     On glibc, fixes the process's malloc thresholds first (see
     ``_keep_freed_heap``).
     """
@@ -372,6 +360,7 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     if state is None:
         state = SolverState(problem, config, layout)
     programs = {}  # recorded steps, kept for this call only
+    sources = [state.problem.residual, *state.conditions]
     first = state.epoch + 1
     for epoch in range(first, first + config.epochs):
         epoch_losses = []
@@ -387,13 +376,11 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
             raise TrainingDiverged(epoch, -1, state.loss_spec.kind, valid_loss)
         state.train_history.append(train_loss)
         state.valid_history.append(valid_loss)
-        if valid_loss < state.best_loss:
+        state.best_updated = valid_loss < state.best_loss
+        if state.best_updated:
             state.best_loss = valid_loss
             state.best_epoch = epoch
-            state.snapshot_best()
-            state.best_updated = True
-        else:
-            state.best_updated = False
+            state.best_networks = [n.copy() for n in state.networks]
         state.metrics.append({
             "epoch": epoch,
             "train_loss": train_loss,
@@ -405,6 +392,13 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
             if cb.condition.evaluate(state):
                 for action in cb.actions:
                     action.apply(state)
+        # a recording bakes in the residual and the condition objects, so
+        # replacing one records again; by identity, as a field may hold an
+        # array (``sources`` keeps the old objects, so ids are not reused)
+        now = [state.problem.residual, *state.conditions]
+        if list(map(id, now)) != list(map(id, sources)):
+            programs.clear()
+            sources = now
         if state.stop_requested:
             break
     return state

@@ -281,32 +281,36 @@ class TestAccumulateGradients:
         x = ad.constant(batch.reshape(-1, 1))
         pred = x * w
         target = ad.constant(2.0 * batch.reshape(-1, 1))
-        return ad.reduce_mean((pred - target) ** 2), [w]
+        loss = ad.reduce_mean((pred - target) ** 2)
+        return float(loss.value), [g.value for g in ad.backward(loss, [w])]
 
     def test_single_batch_degenerate(self):
         batch = np.array([1.0, 2.0, 3.0])
-        acc = ad.accumulate_gradients(self._loss_fn, [batch])
-        loss, params = self._loss_fn(batch)
-        direct = ad.backward(loss, params)[0].value
-        np.testing.assert_allclose(acc[0], direct, atol=0)
+        _, acc = ad.accumulate_gradients(self._loss_fn, [batch])
+        _, direct = self._loss_fn(batch)
+        np.testing.assert_allclose(acc[0], direct[0], atol=0)
 
     def test_two_batches_match_union(self):
         b1, b2 = np.array([1.0, 2.0]), np.array([3.0, -1.0, 0.5])
-        acc = ad.accumulate_gradients(self._loss_fn, [b1, b2])
-        loss, params = self._loss_fn(np.concatenate([b1, b2]))
-        union = ad.backward(loss, params)[0].value
-        np.testing.assert_allclose(acc[0], union, atol=1e-12)
+        _, acc = ad.accumulate_gradients(self._loss_fn, [b1, b2])
+        _, union = self._loss_fn(np.concatenate([b1, b2]))
+        np.testing.assert_allclose(acc[0], union[0], atol=1e-12)
 
     def test_identical_batches_symmetry(self):
         b = np.array([0.3, -0.9, 1.7])
-        acc = ad.accumulate_gradients(self._loss_fn, [b, b, b])
-        loss, params = self._loss_fn(b)
-        single = ad.backward(loss, params)[0].value
-        np.testing.assert_allclose(acc[0], single, atol=1e-12)
+        _, acc = ad.accumulate_gradients(self._loss_fn, [b, b, b])
+        _, single = self._loss_fn(b)
+        np.testing.assert_allclose(acc[0], single[0], atol=1e-12)
 
     def test_empty_batch_list_rejected(self):
         with pytest.raises(ValueError):
             ad.accumulate_gradients(self._loss_fn, [])
+
+    def test_loss_is_the_union_batch_mean(self):
+        b1, b2 = np.array([1.0, 2.0]), np.array([3.0, -1.0, 0.5])
+        loss, _ = ad.accumulate_gradients(self._loss_fn, [b1, b2])
+        union, _ = self._loss_fn(np.concatenate([b1, b2]))
+        assert loss == pytest.approx(union, rel=1e-14)
 
 
 def test_creation_order_is_topological():

@@ -251,6 +251,25 @@ def test_conditions_exact_for_random_networks(seed, biases, x0, length, c, d):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 16),
        biases=st.lists(bounded, min_size=9, max_size=9),
+       r0=st.floats(0.5, 2.0), c=bounded, d=bounded)
+def test_infinity_bvp_angular_limits_for_random_networks(seed, biases, r0, c,
+                                                         d):
+    # u0 and u_inf as functions of the angle, the spherical form
+    cond = bc.InfinityBVP(r0, lambda th: c * ad.cos(th),
+                          lambda th: d + ad.sin(th))
+    net_fn = drawn_net(2, seed, biases)
+    theta = np.array([0.0, 0.7, 2.5, -1.2])
+    # at r0 + 40 the envelope e^-40 leaves u_inf to rounding
+    for r, want, tol in ((r0, c * np.cos(theta), 1e-14),
+                         (r0 + 40.0, d + np.sin(theta), 1e-12)):
+        u = cond.reparameterize([column(np.full(4, r)), column(theta)],
+                                net_fn)
+        np.testing.assert_allclose(u.value[:, 0], want, rtol=0, atol=tol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       biases=st.lists(bounded, min_size=9, max_size=9),
        xs=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
        t=st.floats(0.0, 3.0))
 def test_box_ic_exact_for_random_networks(seed, biases, xs, t):

@@ -146,6 +146,30 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             MLP.load(path)
 
+    HEADER = {"input_dim": 1, "hidden_dims": [4], "output_dim": 1,
+              "activation": "tanh", "seed": 0, "dtype": "<f8"}
+
+    @pytest.mark.parametrize("version, header, match", [
+        (9, HEADER, "unsupported version 9"),
+        (2, b"{not json", "malformed header"),
+        (2, {k: v for k, v in HEADER.items() if k != "seed"},
+         "missing field 'seed'"),
+        (2, {**HEADER, "dtype": "<f2"}, "unsupported dtype '<f2'"),
+        (2, {**HEADER, "hidden_dims": [5]},
+         r"parameter count 13 does not match spec \(16\)"),
+    ], ids=["version", "header", "field", "dtype", "count"])
+    def test_malformed_checkpoint_rejected(self, tmp_path, version, header,
+                                           match):
+        flat = MLP.init(MLPSpec(1, (4,), 1, seed=0)).flat_params()
+        if isinstance(header, dict):
+            header = json.dumps(header).encode()
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"NDCK" + struct.pack("<BI", version, len(header))
+                         + header + struct.pack("<Q", flat.size)
+                         + flat.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=match):
+            MLP.load(path)
+
     def test_activation_tag_preserved(self, tmp_path):
         mlp = MLP.init(MLPSpec(1, (4,), 1, activation="softplus", seed=0))
         path = tmp_path / "net.ckpt"

@@ -383,7 +383,8 @@ class TestPrunedParameterGradients:
                               state.train_generator)
         pnodes = [net.param_nodes() for net in state.networks]
         params = [p for nodes in pnodes for p in nodes]
-        loss, _ = _build_loss(state, batch, pnodes)
+        cols = [batch[:, d:d + 1] for d in range(batch.shape[1])]
+        loss, _ = _build_loss(state, cols, pnodes)
         assert len(coords) == 3
         only = ad.backward(loss, params)
         with_coords = ad.backward(loss, params + coords)
@@ -636,3 +637,45 @@ class TestReplay:
         assert records[0] == 2  # the r = 0 step was replayed
         with graph_path(), pytest.raises(SingularityError):
             preset_fit("poisson-gaussian", batch=n, epochs=4, callbacks=cbs)
+
+
+class TestRecordingContract:
+    def _frozen_fit(self):
+        def residual(u, coords):
+            t, = coords
+            # t's values as a constant: a recording would keep step 1's
+            return [ad.diff(u[0], t) + u[0] * ad.constant(t.value)]
+        problem = Problem(residual, 1, ("t",), Uniform1D(0.0, 2.0, 16),
+                          Uniform1D(0.0, 2.0, 16, "equally-spaced"))
+        return fit(problem, small_config(epochs=3))
+
+    def test_data_frozen_into_a_recording_raises(self):
+        records = [0]
+        with counting("_record", records), pytest.raises(
+                ValueError, match=r"\(16, 1\) constant read by 'mul'"):
+            self._frozen_fit()
+        assert records[0] == 1  # the first training step's recording
+        with graph_path():
+            state = self._frozen_fit()
+        assert len(state.metrics) == 3
+        assert all(np.isfinite(state.train_history))
+
+    @pytest.mark.parametrize("swap", ["conditions", "residual"])
+    def test_replaced_condition_or_residual_records_again(self, swap):
+        class Swap(Action):
+            # a new object on every call, so no recording can be reused
+            def apply(self, state):
+                k = 1.0 + state.epoch
+                if swap == "conditions":
+                    state.conditions = [IVP1(0.0, k)]
+                else:
+                    state.problem.residual = lambda u, coords: [
+                        ad.diff(u[0], coords[0]) + k * u[0]]
+        cbs = [Callback(AfterEpoch(1), Swap())]
+        records = [0]
+        with counting("_record", records):
+            state = fit(decay_problem(), small_config(epochs=4), cbs)
+        assert records[0] == 6  # train and valid in epochs 1, 3 and 4
+        with graph_path():
+            built = fit(decay_problem(), small_config(epochs=4), cbs)
+        assert trained(state) == trained(built)

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FINGERPRINT = os.path.join(ROOT, "tools", "fingerprint.py")
+PERFBENCH = os.path.join(ROOT, "perfbench", "run.py")
 LINE = re.compile(r"decay seed=1 sha256=[0-9a-f]{64} nodes/epoch=\d+(\.\d+)? "
                   r"valid_loss=\S+ epochs_to_tol=\d+")
 
@@ -32,3 +34,15 @@ class TestFingerprint:
             run = fingerprint("--workload", "decay", "--seeds", seeds)
             assert run.returncode == 2, seeds
             assert "not a seed or seed range" in run.stderr
+
+
+class TestPerfbench:
+    def test_traced_decay_run_is_correct(self):
+        # the tracer patches autodiff, network and solver functions by name,
+        # so renaming one of them fails this run
+        run = subprocess.run(
+            [sys.executable, PERFBENCH, "--workload", "decay", "--seed", "1",
+             "--seconds", "1", "--trace", "1"],
+            capture_output=True, text=True, timeout=300, cwd=ROOT)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout.splitlines()[-1])["correct"] is True
