@@ -23,10 +23,15 @@ reverse sweep runs through one node instead of a ``1 - h*h`` subgraph.
 op writes into an array after it is built.
 
 Each op's value is one numpy expression in the ``_KERNELS`` table.
-``_record`` turns a graph into a flat program of those kernels, and
-``_replay`` reruns it on new leaf values, building no node.  So that no
-data-dependent value is frozen into a recording, abs's sign and max's
-argmax mask are ops that take no gradient, and checks are ``guard`` ops.
+``_record`` turns a graph into a program of those kernels, and ``_replay``
+reruns it on new leaf values, building no node.  The program is a small IR:
+each step keeps its op, attrs, argument and result slots and its result's
+shape and dtype, so ``_record`` rewrites it once before it runs (constant
+folding, x * 1 and x - 0 read x, common steps shared, dead steps dropped,
+inner-dimension-1 matmuls run as products), each rewrite giving the graph's
+bits.  So that no data-dependent value is frozen into a recording, abs's
+sign and max's argmax mask are ops that take no gradient, and checks are
+``guard`` ops.
 
 Nodes carry no graph object: each gets an increasing ``_id`` at creation,
 inputs always have smaller ids than their consumers, and a graph is freed by
@@ -162,6 +167,15 @@ def _guarded(value, *checked, check):
     return value
 
 
+def _outer(a, b):
+    """a @ b for an N x 1 a and a 1 x M b, one product per entry.  Adding
+    +0.0 turns a -0.0 product into +0.0, as matmul's one-term sum does, so
+    the bits equal matmul's."""
+    out = np.multiply(a, b)
+    out += 0.0
+    return out
+
+
 # op -> the numpy expression of its value.  Node construction and replay
 # (``_replay``) both call this table, so a replayed step runs the same ufuncs
 # on the same inputs as the graph it was recorded from.
@@ -179,6 +193,8 @@ _KERNELS = {
     "matmul": np.matmul, "transpose": lambda a: a.T,
     "column": lambda a, j: a[:, j:j + 1],
     "concat": lambda *cols: np.concatenate(cols, axis=1), "guard": _guarded,
+    # no node has this op; ``_record`` runs an inner-dimension-1 matmul so
+    "outer": _outer,
 }
 
 
@@ -620,23 +636,88 @@ def accumulate_gradients(loss_fn, batches):
     return loss / total, grads
 
 
-# a recorded graph (see ``_record``): ``slots`` is the register file a
-# replay starts from, holding the arrays of kept leaves; each step is
-# (kernel, argument slots, result slot, slots freed after it)
-_Program = collections.namedtuple("_Program", "slots steps outputs")
+# One step of a recorded program (see ``_record``): the op and attrs of the
+# node it came from, its argument slots, its result slot and the result's
+# shape and dtype.  ``kernel`` is ``_KERNELS[op]`` with the attrs bound, and
+# ``free`` lists the slots last read by this step.
+_Step = collections.namedtuple(
+    "_Step", "op attrs args out shape dtype kernel free")
+
+# A recorded graph: ``slots`` is the register file a replay starts from (the
+# inputs' slots empty, then the kept arrays), ``steps`` the ``_Step``s in run
+# order, ``outputs`` the slots returned, and ``rewrites`` the number of
+# recorded steps and what each rewrite removed (``outer``: rewrote).
+_Program = collections.namedtuple("_Program", "slots steps outputs rewrites")
+
+_REWRITES = ("fold", "alias", "share", "dead", "outer")
 
 
-def _record(outputs, inputs):
+def _attrs_key(attrs):
+    """attrs as a hashable key: a callable by identity (two checks are two
+    steps), anything else by repr (so -0.0 is not 0.0)."""
+    return tuple((k, id(v) if callable(v) else repr(v))
+                 for k, v in (attrs or {}).items())
+
+
+def _alias_operand(node, consts):
+    """Index of the operand that ``node`` returns bit for bit, or None.
+
+    ``consts[i]`` is input i's kept array (None if it is computed).  x * 1
+    (ones on either side) and x - (+0.0) are x, when x already has the
+    result's shape and dtype.  x + 0 is not: -0.0 + 0.0 is +0.0, and so is
+    x - (-0.0) for x = -0.0.
+    """
+    if node.op == "mul":
+        pairs = ((0, 1), (1, 0))
+    elif node.op == "sub":
+        pairs = ((0, 1),)
+    else:
+        return None
+    out = node.value
+    for x, c in pairs:
+        v, xv = consts[c], node.inputs[x].value
+        if v is None or (xv.shape, xv.dtype) != (out.shape, out.dtype):
+            continue
+        if (node.op == "mul" and (v == 1).all()) or (
+                node.op == "sub" and not (v.any() or np.signbit(v).any())):
+            return x
+    return None
+
+
+def _record(outputs, inputs, fixed_data=False):
     """The graph below ``outputs`` as a program that recomputes their
     values from new values of the leaves ``inputs``.
 
     Walks back along every input edge (no-gradient and guard nodes too);
-    ops run in ``_id`` order.  Any other leaf keeps a copy of its array, so
-    it must not depend on the data: one with as many rows as the first
-    input (the data's, when more than one) and entries not all equal
-    raises ``ValueError``.  A slot is freed after its last use.
+    ops run in ``_id`` order.  Any other leaf is kept: a compact copy of its
+    array that owns its data and keeps its layout, one per distinct value.
+    So a kept leaf must not depend on the data: one with as many rows as
+    the first input (the data's, when more than one) and entries not all
+    equal raises ``ValueError``.  With ``fixed_data`` the data's leaves are
+    not inputs but kept, the program is valid for that data only (the
+    caller records again for other data), and no such check is made.
+
+    The program is an IR: each ``_Step`` keeps its node's op, attrs and
+    result shape and dtype.  These rewrites run once, in one pass in
+    ``_id`` order and one back, and each gives the same bits as the graph:
+
+    - fold: a step whose arguments are all kept is not run; its node's
+      value is kept instead (the value the step would compute);
+    - alias: x * 1 and x - (+0.0) read x's slot (``_alias_operand``); x + 0
+      is kept, as -0.0 + 0.0 is +0.0;
+    - share: a step with the same op, argument slots and attrs as an earlier
+      one reads that one's result (a callable attr, such as a guard's
+      check, compares by identity);
+    - dead: a step that no output needs is dropped.  The walk starts from
+      the outputs and no rewrite above leaves a remaining step unread, so
+      this drops nothing in today's graphs;
+    - outer: an inner-dimension-1 ``matmul`` runs as the broadcast product
+      ``_outer``, which rounds each entry as matmul's one-term sum does.
+
+    A slot is freed after its last read, and a kept array no step reads is
+    not held.
     """
-    rows = inputs[0].value.shape[0]
+    rows = 0 if fixed_data else inputs[0].value.shape[0]
     slot = {n._id: i for i, n in enumerate(inputs)}
     seen, stack = {}, list(outputs)
     while stack:
@@ -645,47 +726,83 @@ def _record(outputs, inputs):
             seen[n._id] = n
             if n._id not in slot:
                 stack.extend(n.inputs)
-    slots, ops, kept = [None] * len(inputs), [], {}
+    slots, kept, shared, ops = [None] * len(inputs), {}, {}, []
+    counts = dict.fromkeys(("recorded",) + _REWRITES, 0)
+
+    def keep(v):
+        key = (v.dtype.str, v.shape, v.strides, v.tobytes())
+        if key not in kept:
+            kept[key] = len(slots)
+            slots.append(v)
+        return kept[key]
+
     order = sorted(seen.values(), key=lambda n: n._id)
     for n in order:
         if n._id in slot:
             continue
-        slot[n._id] = len(slots)
-        if n.inputs:
-            slots.append(None)
-            ops.append(n)
+        if not n.inputs:
+            v = n.value
+            if v.ndim == 2 and v.shape[0] == rows > 1 and (v != v.flat[0]).any():
+                reader = next(o.op for o in order if n in o.inputs)
+                raise ValueError(f"a {v.shape} constant read by {reader!r} holds "
+                                 "data a recording would freeze; use graph ops")
+            slot[n._id] = keep(v)
             continue
-        # one copy per distinct leaf value (many are ones or zeros), made
-        # apart from the blocks the graph frees
-        v = n.value
-        if v.ndim == 2 and v.shape[0] == rows > 1 and (v != v.flat[0]).any():
-            reader = next(o.op for o in order if n in o.inputs)
-            raise ValueError(f"a {v.shape} constant read by {reader!r} holds "
-                             "data a recording would freeze; use graph ops")
-        key = (v.dtype.str, v.shape, v.tobytes())
-        if key not in kept:
-            kept[key] = v.copy()
-        slots.append(kept[key])
+        counts["recorded"] += 1
+        args = tuple(slot[i._id] for i in n.inputs)
+        consts = [slots[a] for a in args]  # a kept slot holds its array
+        if all(c is not None for c in consts):
+            slot[n._id] = keep(n.value)
+            counts["fold"] += 1
+            continue
+        x = _alias_operand(n, consts)
+        if x is not None:
+            slot[n._id] = args[x]
+            counts["alias"] += 1
+            continue
+        key = (n.op, args, _attrs_key(n.attrs))
+        if key in shared:
+            slot[n._id] = shared[key]
+            counts["share"] += 1
+            continue
+        slot[n._id] = shared[key] = len(slots)
+        slots.append(None)
+        ops.append((n, args))
     out_slots = [slot[o._id] for o in outputs]
     steps, used = [], set(out_slots)
-    for n in reversed(ops):  # a slot's last use is the first one met here
-        args = tuple(slot[i._id] for i in n.inputs)
-        kernel = _KERNELS[n.op]
+    for n, args in reversed(ops):  # a slot's last read is the first met here
+        out = slot[n._id]
+        if out not in used:
+            counts["dead"] += 1
+            continue
+        op = n.op
+        if op == "matmul" and n.inputs[0].value.shape[1] == 1:
+            op = "outer"
+            counts["outer"] += 1
+        kernel = _KERNELS[op]
         if n.attrs:
             kernel = functools.partial(kernel, **n.attrs)
-        steps.append((kernel, args, slot[n._id], tuple(set(args) - used)))
+        steps.append(_Step(op, n.attrs, args, out, n.value.shape,
+                           n.value.dtype, kernel, tuple(set(args) - used)))
         used.update(args)
-    return _Program(slots, steps[::-1], out_slots)
+    # a kept array is copied apart from the blocks the graph frees, and
+    # only if a step reads it; a view does not pin its base, and the copy
+    # keeps the value's layout (so matmul's bits)
+    slots = [v.copy(order="K") if v is not None and i in used else None
+             for i, v in enumerate(slots)]
+    return _Program(slots, steps[::-1], out_slots, counts)
 
 
 def _replay(program, values):
     """Run a recorded program on new values of its inputs, given in
-    ``_record``'s order; returns the values of its outputs."""
+    ``_record``'s order; returns the values of its outputs.  A loop over
+    the steps on one list of registers; the IR fields are not read."""
     regs = program.slots.copy()
     regs[:len(values)] = values
+    read = regs.__getitem__
     with np.errstate(all="ignore"):
-        for kernel, args, out, free in program.steps:
-            regs[out] = kernel(*[regs[a] for a in args])
-            for s in free:
+        for step in program.steps:
+            regs[step.out] = step.kernel(*map(read, step.args))
+            for s in step.free:
                 regs[s] = None
     return [regs[s] for s in program.outputs]

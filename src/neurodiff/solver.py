@@ -8,8 +8,9 @@ key and replays it on later batches with no node built and bit-identical
 results (``_chunk_loss``), so a residual or condition must build batch-
 dependent values with graph ops: recording refuses an
 ``ad.constant(x.value)`` made from data, which would be frozen into the
-program (``ad._record``).  ``Solution`` and ``fit_inverse`` build a fresh
-graph each call.
+program (``ad._record``).  Validation, whose batch is the same every epoch,
+is recorded together with that batch, so its batch-only steps run once.
+``Solution`` and ``fit_inverse`` build a fresh graph each call.
 """
 
 import ctypes
@@ -217,20 +218,28 @@ def _chunk_loss(state, chunk, programs, train):
     gradients as arrays.  The first chunk of each key (what shapes the
     graph: training or not, chunk shape, loss spec, dtype) builds the graph
     and records it in ``programs``; later ones replay the recording.  Both
-    take the chunk's columns cast once to the networks' dtype."""
+    take the chunk's columns cast once to the networks' dtype.
+
+    Validation records with its columns kept in the program, so every step
+    that reads only the batch runs once, at recording (``ad._record``'s
+    ``fixed_data``).  It keeps the recorded batch's bytes and replays only
+    while a new batch has the same ones; other bytes record again."""
     dtype = state.networks[0].weights[0].dtype
     cols = [np.asarray(chunk[:, d:d + 1], dtype=dtype)
             for d in range(chunk.shape[1])]
     key = (train, chunk.shape, state.loss_spec, dtype)
-    program = programs.get(key)
-    if program is not None:
-        loss, *grads = ad._replay(program, cols + _param_arrays(state))
+    data = None if train else np.asarray(chunk, dtype=dtype).tobytes()
+    program, recorded_data = programs.get(key, (None, None))
+    if program is not None and recorded_data == data:
+        inputs = (cols if train else []) + _param_arrays(state)
+        loss, *grads = ad._replay(program, inputs)
         return float(loss), grads
     pnodes = [net.param_nodes(requires_grad=train) for net in state.networks]
     flat = [p for nodes in pnodes for p in nodes]
     loss, leaves = _build_loss(state, cols, pnodes)
     grads = ad.backward(loss, flat) if train else []
-    programs[key] = ad._record([loss, *grads], leaves + flat)
+    inputs = (leaves if train else []) + flat
+    programs[key] = (ad._record([loss, *grads], inputs, not train), data)
     return float(loss.value), [g.value for g in grads]
 
 
@@ -350,6 +359,10 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     state's networks keep their dtype.  Steps after the first of each
     recording key replay it (see the module docstring): residuals must make
     batch-dependent values with graph ops, or recording raises ValueError.
+    Validation is recorded together with its batch (every step that reads
+    only the batch runs once, at recording) and replayed while the batch's
+    bytes equal the recorded ones; other bytes, as from a callback's new
+    generator, record it again.
     Callbacks may change the loss spec, learning rate, batch size,
     generators, residual and condition objects (a replaced residual or
     condition is recorded again), not the networks.

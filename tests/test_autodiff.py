@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import weakref
 
 import numpy as np
@@ -612,3 +614,176 @@ def test_float32_leaves_build_float32_graphs(program, seed):
         ad.Node.__init__ = init
     assert dtypes == {np.dtype(np.float32)}
     assert all(r.value.dtype == np.float32 for r in results)
+
+
+# -- recorded programs ------------------------------------------------------
+
+SIGNED = np.array([[-0.0], [0.0], [1.5], [-2.0], [np.inf], [np.nan]])
+
+
+def _program(out, x):
+    return ad._record([out], [x])
+
+
+def _replays_graph(out, x, build):
+    """The one-output program of out = build(x) replays the graph's bytes
+    on x's values and on other values."""
+    program = _program(out, x)
+    for v in (x.value, x.value[::-1] * 3.0):
+        (got,) = ad._replay(program, [v])
+        with np.errstate(all="ignore"):
+            want = build(ad.variable(v)).value
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    return program
+
+
+class TestRewrites:
+    @pytest.mark.parametrize("build, xv", [
+        (lambda x: x + 0.0, SIGNED),
+        (lambda x: 0.0 + x, SIGNED),
+        (lambda x: x - (-0.0), SIGNED),
+        # ones wider than x: the product is a broadcast, not x
+        (lambda x: x * ad.constant(np.ones((3, 1))), np.array([[-0.0]])),
+        (lambda x: ad.constant(np.ones((3, 4))) * x,
+         np.array([[-0.0, 1.0, np.nan, 2.0]])),
+    ])
+    def test_steps_that_are_not_x_are_kept(self, build, xv):
+        x = ad.variable(xv)
+        program = _replays_graph(build(x), x, build)
+        assert len(program.steps) == 1
+        assert program.outputs != [0]
+
+    def test_float32_times_float64_ones_is_kept(self):
+        x = ad.variable(SIGNED.astype(np.float32))
+        ones = ad.constant(np.ones((1, 1)))
+        out = ad.mul(x, ones)
+        assert out.value.dtype == np.float64
+        program = _program(out, x)
+        assert [s.op for s in program.steps] == ["mul"]
+
+    @pytest.mark.parametrize("build", [
+        lambda x: x * 1.0, lambda x: 1.0 * x, lambda x: x - 0.0,
+        lambda x: x * ad.constant(np.ones(SIGNED.shape)),
+    ])
+    def test_times_one_and_minus_plus_zero_read_x(self, build):
+        x = ad.variable(SIGNED)
+        program = _replays_graph(build(x), x, build)
+        assert program.steps == [] and program.outputs == [0]
+        assert program.rewrites["alias"] == 1
+
+    def test_constant_steps_fold_to_their_recorded_values(self):
+        x = ad.variable(SIGNED[:3])
+        c = ad.constant(np.arange(6.0).reshape(2, 3))
+        folded = ad.transpose(ad.sin(c) * 2.0)  # a view of a folded value
+
+        def build(x):
+            return x * ad.column(folded, 1)
+        program = _replays_graph(build(x), x, build)
+        assert [s.op for s in program.steps] == ["mul"]
+        kept = [v for v in program.slots if v is not None]
+        # the kept column owns its 3 entries, not the whole 3 x 2 base
+        assert all(v.base is None for v in kept)
+        assert sum(v.nbytes for v in kept) == 3 * 8
+        assert program.rewrites["fold"] == 4
+
+    def test_folded_transpose_keeps_its_layout(self):
+        c = ad.constant(np.arange(6.0).reshape(2, 3))
+        t = ad.transpose(ad.exp(c))
+        x = ad.variable(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
+        program = _program(ad.matmul(x, t), x)
+        kept = [v for v in program.slots if v is not None]
+        assert len(kept) == 1 and kept[0].flags.f_contiguous
+        assert not kept[0].flags.c_contiguous
+
+    def test_identical_steps_are_shared(self):
+        x = ad.variable(SIGNED)
+
+        def build(x):
+            return ad.sin(x) * ad.sin(x) + ad.sin(x) ** 2.0 + x ** 2.0
+        program = _replays_graph(build(x), x, build)
+        assert [s.op for s in program.steps].count("sin") == 1
+        assert [s.op for s in program.steps].count("pow") == 2
+        assert program.rewrites["share"] == 2
+
+    def test_exponents_of_different_sign_are_not_shared(self):
+        x = ad.variable(np.array([[2.0]]))
+        program = _program(x ** 0.0 + x ** -0.0, x)
+        assert [s.op for s in program.steps].count("pow") == 2
+
+    def test_guards_with_different_checks_are_not_shared(self):
+        x = ad.variable(SIGNED)
+        calls = []
+
+        def check(tag):
+            # one name and one code object: only identity tells them apart
+            def check(v):
+                calls.append(tag)
+            return check
+        check_a = check("a")
+        out = (ad._guard(x, (x,), check_a) + ad._guard(x, (x,), check("b"))
+               + ad._guard(x, (x,), check_a))
+        program = _program(out, x)
+        assert [s.op for s in program.steps].count("guard") == 2
+        assert program.rewrites["share"] == 1
+        del calls[:]
+        ad._replay(program, [SIGNED])
+        assert calls == ["a", "b"]
+
+    def test_equal_checks_that_are_two_objects_are_not_shared(self):
+        x = ad.variable(SIGNED)
+        checks = [functools.partial(np.testing.assert_array_equal, SIGNED)
+                  for _ in range(2)]
+        equal = dataclasses.make_dataclass("Check", ["v"], frozen=True)
+        equal.__call__ = lambda self, v: None
+        for a, b in (checks, (equal(1), equal(1))):
+            out = ad._guard(x, (x,), a) * ad._guard(x, (x,), b)
+            program = _program(out, x)
+            assert [s.op for s in program.steps].count("guard") == 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(512, 64), (7, 3), (1, 5), (33, 1),
+                                       (1, 1)])
+    def test_inner_dimension_one_matmul_equals_numpy(self, dtype, shape):
+        rng = np.random.Generator(np.random.Philox(key=7))
+        n, m = shape
+        a = rng.standard_normal((n, 1)).astype(dtype)
+        b = rng.standard_normal((1, m)).astype(dtype)
+        a[::3], a[1::5], b[0, ::2] = 0.0, -0.0, -0.0
+        a[2::7], b[0, 3::5], a[4::11] = np.inf, np.nan, 1e-30
+        x, w = ad.variable(a), ad.variable(b)
+        program = ad._record(
+            [ad.matmul(x, w), ad.transpose(ad.matmul(x, w))], [x, w])
+        assert [s.op for s in program.steps] == ["outer", "transpose"]
+        with np.errstate(all="ignore"):
+            want = np.matmul(a, b)
+            got = ad._replay(program, [a, b])[0]
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=instructions,
+       seed=st.integers(0, 2 ** 16))
+def test_replayed_program_equals_the_graph(program, seed):
+    # with x*1, x-0 and x+0 on every output and a folded constant path, so
+    # each rewrite meets signed zeros
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    values = rng.uniform(-1.0, 1.0, size=(2, 2, 4, 1))
+    values[:, :, 0] = -0.0
+    values[:, :, 1] = 0.0
+    folded = ad.exp(ad.constant([[0.5]])) * ad.constant([[0.0]])
+
+    def graph(xv, yv):
+        x, y = ad.variable(xv), ad.variable(yv)
+        u = _build(program, x, y)
+        gx, gy = ad.backward(ad.reduce_sum(u * u), [x, y])
+        d2 = ad.diff(u, x, 2)
+        outs = [u, gx, gy, d2, u * 1.0, 1.0 * u - 0.0, u + 0.0, u + folded]
+        return outs, [x, y]
+    outs, leaves = graph(*values[0])
+    recorded = ad._record(outs, leaves)
+    for xv, yv in values:
+        want = [o.value for o in graph(xv, yv)[0]]
+        got = ad._replay(recorded, [xv, yv])
+        assert [g.dtype for g in got] == [w.dtype for w in want]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

@@ -466,7 +466,7 @@ class TestSinglePrecision:
 def graph_path():
     """Every step builds its graph: the recorder records nothing."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(ad, "_record", lambda outputs, inputs: None)
+        m.setattr(ad, "_record", lambda *args, **kwargs: None)
         yield
 
 
@@ -475,9 +475,9 @@ def counting(name, count):
     """Count the calls of ``ad.<name>`` in ``count``, a one-item list."""
     fn = getattr(ad, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         count[0] += 1
-        return fn(*args)
+        return fn(*args, **kwargs)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(ad, name, counted)
         yield
@@ -679,3 +679,44 @@ class TestRecordingContract:
         with graph_path():
             built = fit(decay_problem(), small_config(epochs=4), cbs)
         assert trained(state) == trained(built)
+
+
+class TestValidationRecording:
+    """Validation records with its batch kept in the program, so it replays
+    only the same batch bytes."""
+
+    class SwapValid(Action):
+        """Sets a new validation generator of ``points(epoch)``."""
+
+        def __init__(self, points):
+            self.points = points
+
+        def apply(self, state):
+            state.valid_generator = Fixed(self.points(state.epoch))
+
+    @pytest.mark.parametrize("moving, expected", [(False, 3), (True, 5)])
+    def test_swapped_valid_generator_records_again(self, moving, expected):
+        # 64 rows, as the decay problem's validation batch: the same key
+        pts = np.linspace(0.1, 1.9, 64).reshape(-1, 1)
+        swap = self.SwapValid(lambda epoch: pts + 0.01 * epoch * moving)
+        cbs = [Callback(AfterEpoch(1), swap)]
+        records = [0]
+        with counting("_record", records):
+            state = fit(decay_problem(), small_config(epochs=5), cbs)
+        # train and valid in epoch 1, then valid again in epoch 3 (a new
+        # batch) and, when it moves, in epochs 4 and 5
+        assert records[0] == expected
+        with graph_path():
+            built = fit(decay_problem(), small_config(epochs=5), cbs)
+        assert trained(state) == trained(built)
+
+    def test_singular_validation_batch_after_a_swap_raises(self):
+        n = 12
+        pts = np.column_stack([np.zeros(n), np.full(n, 1.0), np.full(n, 2.0)])
+        cbs = [Callback(AfterEpoch(1), self.SwapValid(lambda epoch: pts))]
+        records = [0]
+        with counting("_record", records), pytest.raises(SingularityError):
+            preset_fit("poisson-gaussian", batch=n, epochs=4, callbacks=cbs)
+        assert records[0] == 2  # epoch 3's r = 0 batch was not replayed
+        with graph_path(), pytest.raises(SingularityError):
+            preset_fit("poisson-gaussian", batch=n, epochs=4, callbacks=cbs)

@@ -7,8 +7,11 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FINGERPRINT = os.path.join(ROOT, "tools", "fingerprint.py")
 PERFBENCH = os.path.join(ROOT, "perfbench", "run.py")
+PROGRAM = os.path.join(ROOT, "tools", "program.py")
 LINE = re.compile(r"decay seed=1 sha256=[0-9a-f]{64} nodes/epoch=\d+(\.\d+)? "
                   r"valid_loss=\S+ epochs_to_tol=\d+")
+STEP = re.compile(r" +\d+ = [a-z_]+\((\d+(, \d+)*)?\) \((\d+(, \d+)*)?,?\) "
+                  r"float64")
 
 
 def fingerprint(*args):
@@ -34,6 +37,39 @@ class TestFingerprint:
             run = fingerprint("--workload", "decay", "--seeds", seeds)
             assert run.returncode == 2, seeds
             assert "not a seed or seed range" in run.stderr
+
+
+class TestProgram:
+    def test_decay_prints_both_programs_step_by_step(self):
+        run = subprocess.run([sys.executable, PROGRAM, "--workload", "decay"],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert lines[0] == "decay seed=1 epoch 1"
+        heads = [i for i, line in enumerate(lines)
+                 if line.endswith("recorded steps")]
+        assert [lines[i].split()[0] for i in heads] == ["training",
+                                                        "validation"]
+        for start, end in zip(heads, heads[1:] + [len(lines)]):
+            block = lines[start:end]
+            left = [int(line.split("-> ")[1]) for line in block if "->" in line]
+            assert [line.split(":")[0].strip() for line in block[1:6]] == [
+                "fold", "alias", "share", "dead", "outer"]
+            recorded = int(block[0].split()[2])
+            assert recorded >= left[0] and left == sorted(left, reverse=True)
+            steps = [line for line in block if " = " in line]
+            assert len(steps) == left[-1] > 0
+            assert block[6].startswith(f"  {left[-1]} steps, ")
+            for line in steps:
+                assert STEP.fullmatch(line), line
+            # each slot is written once, and before any step reads it; an
+            # input's or a kept array's slot is written by no step
+            written = [int(line.split(" = ")[0]) for line in steps]
+            assert len(set(written)) == len(written)
+            for k, line in enumerate(steps):
+                args = line.split("(")[1].split(")")[0]
+                for a in map(int, filter(None, args.split(", "))):
+                    assert a in written[:k] or a not in written, line
 
 
 class TestPerfbench:

@@ -8,10 +8,11 @@ workload's perfbench recipe (``perfbench/workloads.py`` and
 
 - the SHA-256 over the final weights and biases of every network and the
   train and validation loss histories;
-- the graph size per epoch: the autodiff nodes built, plus the ops run by
-  replayed steps (``fit`` records a step's graph once and replays it as a
-  flat program that builds no node; a replay counts no leaf, and no node
-  that no output needs);
+- the graph size per epoch: the autodiff nodes built, plus the steps run
+  by replays (``fit`` records a step's graph once and replays it as a
+  program that builds no node; a replay counts the steps left after
+  ``autodiff._record``'s rewrites, so no leaf and no folded, aliased or
+  shared node);
 - the final validation loss;
 - the first epoch whose validation loss is below the workload's ``tol``
   (the trial's epoch count if none is), as the benchmark counts it.

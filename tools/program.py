@@ -1,0 +1,88 @@
+"""Print the recorded programs of a benchmark workload's first epoch.
+
+    python3 tools/program.py --workload decay
+
+Run from the root of a checkout.  It trains one epoch of the workload's
+perfbench recipe (``perfbench/workloads.py`` and ``bench.run_trial``) with
+one BLAS thread and prints each program that ``fit`` records: the training
+step's, then the validation pass's.  For each program it prints the number
+of recorded steps and the count left after each of ``autodiff._record``'s
+rewrites, the kept arrays and their bytes, and then one line per step:
+result slot, op, argument slots, result shape and dtype.
+"""
+
+import argparse
+import dataclasses
+import math
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import pin  # noqa: E402
+
+pin.pin()  # one BLAS thread; before numpy is imported
+
+import bench  # noqa: E402
+from neurodiff import autodiff as ad  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def recorded_programs(wl, seed):
+    """[(kind, program)] in recording order for one epoch of ``wl``."""
+    programs = []
+    record = ad._record
+
+    def keeping(outputs, inputs, fixed_data=False):
+        program = record(outputs, inputs, fixed_data)
+        programs.append(("validation" if fixed_data else "training", program))
+        return program
+
+    ad._record = keeping
+    try:
+        trial = bench.run_trial(dataclasses.replace(wl, epochs=1), seed,
+                                deadline=math.inf, protected=True)
+    finally:
+        ad._record = record
+    if trial.error:
+        raise RuntimeError(f"{wl.name} seed {seed}: {trial.error}")
+    return programs
+
+
+def describe(kind, program):
+    """The lines that print one program."""
+    counts = program.rewrites
+    left = counts["recorded"]
+    lines = [f"{kind} program: {left} recorded steps"]
+    for name in ad._REWRITES:
+        if name == "outer":
+            lines.append(f"  outer: {counts[name]} matmuls run as products")
+            continue
+        left -= counts[name]
+        lines.append(f"  {name}: -{counts[name]} -> {left}")
+    kept = [v for v in program.slots if v is not None]
+    lines.append(f"  {len(program.steps)} steps, {len(kept)} kept arrays "
+                 f"({sum(v.nbytes for v in kept)} bytes), "
+                 f"outputs {list(program.outputs)}")
+    for step in program.steps:
+        args = ", ".join(map(str, step.args))
+        lines.append(f"  {step.out:5d} = {step.op}({args}) "
+                     f"{step.shape} {step.dtype}")
+    return lines
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(prog="tools/program.py")
+    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    p.add_argument("--seed", type=int, default=1)
+    args = p.parse_args(argv)
+    wl = WORKLOADS[args.workload]
+    print(f"{wl.name} seed={args.seed} epoch 1")
+    for kind, program in recorded_programs(wl, args.seed):
+        print("\n".join(describe(kind, program)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
