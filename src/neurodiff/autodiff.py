@@ -27,11 +27,10 @@ Each op's value is one numpy expression in the ``_KERNELS`` table.
 reruns it on new leaf values, building no node.  The program is a small IR:
 each step keeps its op, attrs, argument and result slots and its result's
 shape and dtype, so ``_record`` rewrites it once before it runs (constant
-folding, x * 1 and x - 0 read x, common steps shared, dead steps dropped,
-inner-dimension-1 matmuls run as products), each rewrite giving the graph's
-bits.  So that no data-dependent value is frozen into a recording, abs's
-sign and max's argmax mask are ops that take no gradient, and checks are
-``guard`` ops.
+folding, x * 1 and x - 0 read x, common steps shared, inner-dimension-1
+matmuls run as products), each rewrite giving the graph's bits.  So that
+no data-dependent value is frozen into a recording, abs's sign and max's
+argmax mask are ops that take no gradient, and checks are ``guard`` ops.
 
 Nodes carry no graph object: each gets an increasing ``_id`` at creation,
 inputs always have smaller ids than their consumers, and a graph is freed by
@@ -649,7 +648,7 @@ _Step = collections.namedtuple(
 # recorded steps and what each rewrite removed (``outer``: rewrote).
 _Program = collections.namedtuple("_Program", "slots steps outputs rewrites")
 
-_REWRITES = ("fold", "alias", "share", "dead", "outer")
+_REWRITES = ("fold", "alias", "share", "outer")
 
 
 def _attrs_key(attrs):
@@ -708,14 +707,12 @@ def _record(outputs, inputs, fixed_data=False):
     - share: a step with the same op, argument slots and attrs as an earlier
       one reads that one's result (a callable attr, such as a guard's
       check, compares by identity);
-    - dead: a step that no output needs is dropped.  The walk starts from
-      the outputs and no rewrite above leaves a remaining step unread, so
-      this drops nothing in today's graphs;
     - outer: an inner-dimension-1 ``matmul`` runs as the broadcast product
       ``_outer``, which rounds each entry as matmul's one-term sum does.
 
-    A slot is freed after its last read, and a kept array no step reads is
-    not held.
+    No step is dead: the walk starts from the outputs, and no rewrite above
+    leaves a remaining step unread.  A slot is freed after its last read,
+    and a kept array no step reads is not held.
     """
     rows = 0 if fixed_data else inputs[0].value.shape[0]
     slot = {n._id: i for i, n in enumerate(inputs)}
@@ -772,9 +769,6 @@ def _record(outputs, inputs, fixed_data=False):
     steps, used = [], set(out_slots)
     for n, args in reversed(ops):  # a slot's last read is the first met here
         out = slot[n._id]
-        if out not in used:
-            counts["dead"] += 1
-            continue
         op = n.op
         if op == "matmul" and n.inputs[0].value.shape[1] == 1:
             op = "outer"

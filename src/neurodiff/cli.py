@@ -94,10 +94,27 @@ def build_parser():
     return parser
 
 
-def _resolve_hidden(args, preset):
-    if args.hidden:
-        return tuple(int(h) for h in args.hidden.split(","))
-    return tuple(preset.hidden)
+def _hidden_sizes(text):
+    """``--hidden`` as a tuple of layer sizes, or None if it is not a comma
+    list of positive integers."""
+    try:
+        sizes = tuple(int(h) for h in str(text).split(","))
+    except ValueError:
+        return None
+    return sizes if min(sizes) > 0 else None
+
+
+def _training_flags_error(args):
+    """Why ``--epochs``, ``--batch-size`` or ``--hidden``, given on the
+    command line or by ``--manifest``, cannot train; None if they can."""
+    for flag, value in (("--epochs", args.epochs),
+                        ("--batch-size", args.batch_size)):
+        if value is not None and (type(value) is not int or value < 1):
+            return f"{flag} must be a positive integer, got {value!r}"
+    if args.hidden is not None and _hidden_sizes(args.hidden) is None:
+        return ("--hidden must be comma-separated positive integers, "
+                f"got {args.hidden!r}")
+    return None
 
 
 def _write_metrics(path, metrics):
@@ -143,7 +160,8 @@ def _apply_manifest(args):
 def _train_common(args, preset, outdir):
     seed = args.seed if args.seed is not None else _default_seed()
     epochs = args.epochs if args.epochs is not None else preset.epochs
-    hidden = _resolve_hidden(args, preset)
+    hidden = (preset.hidden if args.hidden is None
+              else _hidden_sizes(args.hidden))
     batch = args.batch_size if args.batch_size is not None else preset.batch
     lr = args.lr if args.lr is not None else preset.lr
     activation = args.activation or preset.activation
@@ -185,6 +203,10 @@ def _manifest_flags(args, seed, epochs, hidden):
 
 def cmd_solve(args):
     args = _apply_manifest(args)
+    error = _training_flags_error(args)
+    if error:
+        print(f"solve: {error}", file=sys.stderr)
+        return 2
     if args.preset == "heat" and args.dim > 3 and not args.allow_large:
         print("heat: --dim above 3 requires --allow-large", file=sys.stderr)
         return 2
@@ -210,6 +232,10 @@ def cmd_solve(args):
 
 def cmd_bundle(args):
     args = _apply_manifest(args)
+    error = _training_flags_error(args)
+    if error:
+        print(f"bundle: {error}", file=sys.stderr)
+        return 2
     preset = presets.get(args.preset)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)

@@ -85,6 +85,11 @@ class SolverConfig:
         if self.precision not in _DTYPES:
             raise ValueError(f"unknown precision {self.precision!r}, "
                              "expected 'f32' or 'f64'")
+        for name, least in (("epochs", 0), ("batches_per_epoch", 1),
+                            ("accumulation_passes", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,11 @@ class SolverState:
         dtype = _DTYPES[config.precision]
         self.networks = [MLP.init(s).astype(dtype) for s in specs]
         self.conditions = list(config.conditions)
-        self._opt_state = None
+        # per parameter: Adam's (m, v) or SGD's (v,)
+        n = 2 if isinstance(config.optimizer, Adam) else 1
+        self._moments = [tuple(np.zeros_like(p) for _ in range(n))
+                         for p in _param_arrays(self)]
+        self._steps = 0  # Adam steps taken
 
 
 def _make_net_fn(mlp, pnodes, theta_cols):
@@ -260,41 +269,34 @@ def _sample_batch(state, rng, generator):
 
 def _adam_step(state, params, grads):
     opt = state.config.optimizer
-    if state._opt_state is None:
-        state._opt_state = {
-            "m": [np.zeros_like(p) for p in params],
-            "v": [np.zeros_like(p) for p in params],
-            "t": 0,
-        }
-    s = state._opt_state
-    s["t"] += 1
-    t = s["t"]
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        s["m"][i] = opt.beta1 * s["m"][i] + (1 - opt.beta1) * g
-        s["v"][i] = opt.beta2 * s["v"][i] + (1 - opt.beta2) * g * g
-        mhat = s["m"][i] / (1 - opt.beta1 ** t)
-        vhat = s["v"][i] / (1 - opt.beta2 ** t)
-        out.append(p - state.lr * mhat / (np.sqrt(vhat) + opt.eps))
-    return out
+    state._steps += 1
+    c1 = 1 - opt.beta1 ** state._steps
+    c2 = 1 - opt.beta2 ** state._steps
+    for p, g, (m, v) in zip(params, grads, state._moments):
+        m *= opt.beta1
+        m += (1 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1 - opt.beta2) * g * g
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
 
 
 def _sgd_step(state, params, grads):
     opt = state.config.optimizer
-    if state._opt_state is None:
-        state._opt_state = {"v": [np.zeros_like(p) for p in params]}
-    s = state._opt_state
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        s["v"][i] = opt.momentum * s["v"][i] + g
-        out.append(p - state.lr * s["v"][i])
-    return out
+    for p, g, (v,) in zip(params, grads, state._moments):
+        v *= opt.momentum
+        v += g
+        p -= state.lr * v
 
 
-def _optimizer_step(state, params, grads):
+def _optimizer_step(state, grads):
+    """One optimizer step, written into the moment arrays and, through the
+    arrays and bias views ``_param_arrays`` returns, into every network's
+    parameters.  No array of ``grads`` may alias a parameter or a moment;
+    ``ad.accumulate_gradients`` returns fresh ones."""
     if isinstance(state.config.optimizer, Adam):
-        return _adam_step(state, params, grads)
-    return _sgd_step(state, params, grads)
+        _adam_step(state, _param_arrays(state), grads)
+    else:
+        _sgd_step(state, _param_arrays(state), grads)
 
 
 def _train_batch(state, batch, programs=None, index=0):
@@ -303,7 +305,7 @@ def _train_batch(state, batch, programs=None, index=0):
     loss raises ``TrainingDiverged`` naming the epoch after ``state.epoch``
     and ``index``, the batch's place in that epoch."""
     programs = {} if programs is None else programs
-    passes = max(1, state.config.accumulation_passes)
+    passes = state.config.accumulation_passes
     chunks = np.array_split(batch, passes) if passes > 1 else [batch]
     chunks = [c for c in chunks if c.shape[0] > 0]
     train_loss, grads = ad.accumulate_gradients(
@@ -312,11 +314,7 @@ def _train_batch(state, batch, programs=None, index=0):
     if not math.isfinite(train_loss):
         raise TrainingDiverged(state.epoch + 1, index, state.loss_spec.kind,
                                train_loss)
-    new = iter(_optimizer_step(state, _param_arrays(state), grads))
-    for net in state.networks:
-        for k, b in enumerate(net.biases):
-            net.weights[k] = next(new)
-            net.biases[k] = next(new).reshape(b.shape)
+    _optimizer_step(state, grads)
     return train_loss
 
 
@@ -356,9 +354,13 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     it: ``config.epochs`` more epochs are run, numbered on from
     ``state.epoch`` with the sampling streams of those epochs, so k epochs
     and then n - k resumed ones equal one n-epoch fit bit for bit; the
-    state's networks keep their dtype.  Steps after the first of each
-    recording key replay it (see the module docstring): residuals must make
-    batch-dependent values with graph ops, or recording raises ValueError.
+    state's networks keep their dtype.  The optimizer updates the network
+    parameters and its moments in place, so an array taken from
+    ``state.networks`` changes as training goes on; ``Solution``,
+    ``state.best_networks`` and checkpoints are copies.  Steps after the
+    first of each recording key replay it (see the module docstring):
+    residuals must make batch-dependent values with graph ops, or
+    recording raises ValueError.
     Validation is recorded together with its batch (every step that reads
     only the batch runs once, at recording) and replayed while the batch's
     bytes equal the recorded ones; other bytes, as from a callback's new

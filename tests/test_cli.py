@@ -87,6 +87,63 @@ class TestSolveArtifacts:
         assert e.value.code == 2
 
 
+BAD_TRAINING_FLAGS = [
+    (["--batch-size", "0"], "--batch-size must be a positive integer, got 0"),
+    (["--batch-size", "-4"], "--batch-size must be a positive integer, got -4"),
+    (["--epochs", "0"], "--epochs must be a positive integer, got 0"),
+    (["--epochs", "-1"], "--epochs must be a positive integer, got -1"),
+    (["--hidden", "32,x"],
+     "--hidden must be comma-separated positive integers, got '32,x'"),
+    (["--hidden", "0"],
+     "--hidden must be comma-separated positive integers, got '0'"),
+    (["--hidden", "8,-2"],
+     "--hidden must be comma-separated positive integers, got '8,-2'"),
+    (["--hidden", "8,,8"],
+     "--hidden must be comma-separated positive integers, got '8,,8'"),
+    (["--hidden", ""],
+     "--hidden must be comma-separated positive integers, got ''"),
+]
+
+
+class TestTrainingFlags:
+    @pytest.mark.parametrize("command, preset", [("solve", "decay"),
+                                                 ("bundle", "decay-bundle")])
+    @pytest.mark.parametrize("flags, message", BAD_TRAINING_FLAGS)
+    def test_bad_flag_exits_2(self, tmp_path, capsys, command, preset, flags,
+                              message):
+        out = tmp_path / "run"
+        code = run([command, preset, "--out", str(out)] + FAST + flags)
+        assert code == 2
+        assert capsys.readouterr().err == f"{command}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", -1, "--epochs must be a positive integer, got -1"),
+        ("epochs", 2.5, "--epochs must be a positive integer, got 2.5"),
+        ("batch_size", 0, "--batch-size must be a positive integer, got 0"),
+        ("hidden", "32,x",
+         "--hidden must be comma-separated positive integers, got '32,x'"),
+        ("hidden", "0",
+         "--hidden must be comma-separated positive integers, got '0'"),
+    ])
+    def test_bad_manifest_flag_exits_2(self, tmp_path, capsys, key, value,
+                                       message):
+        first = str(tmp_path / "a")
+        assert run(["solve", "decay", "--out", first] + FAST) == 0
+        path = os.path.join(first, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        manifest["flags"][key] = value
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        capsys.readouterr()
+        out = tmp_path / "b"
+        assert run(["solve", "decay", "--out", str(out),
+                    "--manifest", path]) == 2
+        assert capsys.readouterr().err == f"solve: {message}\n"
+        assert not out.exists()
+
+
 class TestLossSwitch:
     def test_switch_records_single_transition(self, tmp_path):
         out = str(tmp_path / "run")

@@ -116,6 +116,17 @@ class TestFit:
                                                       match="non-finite"):
             fit(p, cfg)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", -1), ("batches_per_epoch", 0), ("batches_per_epoch", -1),
+        ("accumulation_passes", 0), ("accumulation_passes", -2)])
+    def test_out_of_range_count_raises(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            SolverConfig(**{name: value})
+
+    def test_zero_epochs_train_nothing(self):
+        state = fit(decay_problem(), small_config(epochs=0))
+        assert state.epoch == 0 and state.metrics == []
+
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 6), data=st.data())
@@ -131,6 +142,74 @@ def test_resumed_fit_equals_one_fit(n, data):
     assert split.best_epoch == whole.best_epoch
     assert split.networks[0].flat_params().tobytes() == \
         whole.networks[0].flat_params().tobytes()
+
+
+def adam_textbook(opt, params, steps):
+    """Adam from zero moments, each step a new array."""
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(steps, 1):
+        m = [opt.beta1 * mi + (1 - opt.beta1) * g for mi, g in zip(m, grads)]
+        v = [opt.beta2 * vi + (1 - opt.beta2) * g * g
+             for vi, g in zip(v, grads)]
+        params = [p - opt.lr * (mi / (1 - opt.beta1 ** t))
+                  / (np.sqrt(vi / (1 - opt.beta2 ** t)) + opt.eps)
+                  for p, mi, vi in zip(params, m, v)]
+    return params
+
+
+def sgd_textbook(opt, params, steps):
+    """SGD with momentum from a zero velocity, each step a new array."""
+    v = [np.zeros_like(p) for p in params]
+    for grads in steps:
+        v = [opt.momentum * vi + g for vi, g in zip(v, grads)]
+        params = [p - opt.lr * vi for p, vi in zip(params, v)]
+    return params
+
+
+class TestInPlaceOptimizer:
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("opt, textbook", [
+        (Adam(lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6), adam_textbook),
+        (SGD(lr=0.01, momentum=0.9), sgd_textbook)])
+    def test_steps_equal_the_textbook_update(self, opt, textbook, precision):
+        cfg = small_config(precision=precision)
+        cfg.optimizer = opt
+        state = SolverState(decay_problem(), cfg)
+        start = [p.copy() for p in solver._param_arrays(state)]
+        rng = np.random.default_rng(0)
+        steps = [[rng.normal(size=p.shape).astype(p.dtype) for p in start]
+                 for _ in range(4)]
+        for grads in steps:
+            solver._optimizer_step(state, [g.copy() for g in grads])
+        expected = textbook(opt, start, steps)
+        got = solver._param_arrays(state)
+        assert [p.dtype for p in got] == [p.dtype for p in expected]
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in expected]
+
+    def test_fit_trains_the_network_arrays_in_place(self):
+        cfg = small_config(epochs=3)
+        state = SolverState(decay_problem(), cfg)
+        arrays = [a for net in state.networks for a in net.weights + net.biases]
+        before = [a.copy() for a in arrays]
+        assert fit(decay_problem(), cfg, state=state) is state
+        after = [a for net in state.networks for a in net.weights + net.biases]
+        assert len(after) == len(arrays)
+        assert all(a is b for a, b in zip(after, arrays))
+        assert all((a != b).any() for a, b in zip(arrays, before))
+
+    def test_copies_stay_unchanged_through_a_resumed_fit(self):
+        state = fit(decay_problem(), small_config(epochs=3))
+        best = state.best_networks
+        best_bytes = [n.flat_params().tobytes() for n in best]
+        t = np.linspace(0.0, 2.0, 9)
+        solutions = {s: get_solution(state, s) for s in ("best", "latest")}
+        values = {s: sol(t).tobytes() for s, sol in solutions.items()}
+        fit(decay_problem(), small_config(epochs=3), state=state)
+        assert [n.flat_params().tobytes() for n in best] == best_bytes
+        for s, sol in solutions.items():
+            assert sol(t).tobytes() == values[s]
+        assert get_solution(state, "latest")(t).tobytes() != values["latest"]
 
 
 class TestExactness:

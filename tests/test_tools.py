@@ -53,13 +53,13 @@ class TestProgram:
         for start, end in zip(heads, heads[1:] + [len(lines)]):
             block = lines[start:end]
             left = [int(line.split("-> ")[1]) for line in block if "->" in line]
-            assert [line.split(":")[0].strip() for line in block[1:6]] == [
-                "fold", "alias", "share", "dead", "outer"]
+            assert [line.split(":")[0].strip() for line in block[1:5]] == [
+                "fold", "alias", "share", "outer"]
             recorded = int(block[0].split()[2])
             assert recorded >= left[0] and left == sorted(left, reverse=True)
             steps = [line for line in block if " = " in line]
             assert len(steps) == left[-1] > 0
-            assert block[6].startswith(f"  {left[-1]} steps, ")
+            assert block[5].startswith(f"  {left[-1]} steps, ")
             for line in steps:
                 assert STEP.fullmatch(line), line
             # each slot is written once, and before any step reads it; an
