@@ -19,8 +19,9 @@ tanh's derivative factor 1 - h*h (h = tanh(a)) is one pointwise node,
 ``dtanh``, whose own rule is t * (-2h).  The generic ``mul`` rule then
 gives the second-order tangent in Taylor form, s*z'' + z'*(-2h*h'), and the
 reverse sweep runs through one node instead of a ``1 - h*h`` subgraph.
-``transpose`` and ``column`` return views of their input's array; no
-op writes into an array after it is built.
+``transpose`` and ``column`` return views of their input's array.  No
+node writes into an array after it is built; a replayed step may write its
+result only into a temporary whose last reader it is (see ``_record``).
 
 Each op's value is one numpy expression in the ``_KERNELS`` table.
 ``_record`` turns a graph into a program of those kernels, and ``_replay``
@@ -28,7 +29,8 @@ reruns it on new leaf values, building no node.  The program is a small IR:
 each step keeps its op, attrs, argument and result slots and its result's
 shape and dtype, so ``_record`` rewrites it once before it runs (constant
 folding, x * 1 and x - 0 read x, common steps shared, inner-dimension-1
-matmuls run as products), each rewrite giving the graph's bits.  So that
+matmuls run as products, pointwise results written into a dying operand),
+each rewrite giving the graph's bits.  So that
 no data-dependent value is frozen into a recording, abs's sign and max's
 argmax mask are ops that take no gradient, and checks are ``guard`` ops.
 
@@ -175,6 +177,12 @@ def _outer(a, b):
     return out
 
 
+def _one_minus_square(h, out=None):
+    """1 - h*h, rounded as that expression is; into ``out`` if given."""
+    out = np.multiply(h, h, out)
+    return np.subtract(1.0, out, out)
+
+
 # op -> the numpy expression of its value.  Node construction and replay
 # (``_replay``) both call this table, so a replayed step runs the same ufuncs
 # on the same inputs as the graph it was recorded from.
@@ -182,7 +190,7 @@ _KERNELS = {
     "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
     "pow": lambda x, exponent: np.power(x, exponent), "neg": np.negative,
     "exp": np.exp, "ln": np.log, "sin": np.sin, "cos": np.cos,
-    "tanh": np.tanh, "dtanh": lambda h: 1.0 - h * h, "abs": np.abs,
+    "tanh": np.tanh, "dtanh": _one_minus_square, "abs": np.abs,
     "sign": np.sign, "sum": np.sum, "mean": np.mean, "max": np.max,
     # a one at the first argmax: a deterministic tie-break
     "argmax_mask": lambda x: np.eye(1, x.size, int(np.argmax(x)),
@@ -645,10 +653,21 @@ _Step = collections.namedtuple(
 # A recorded graph: ``slots`` is the register file a replay starts from (the
 # inputs' slots empty, then the kept arrays), ``steps`` the ``_Step``s in run
 # order, ``outputs`` the slots returned, and ``rewrites`` the number of
-# recorded steps and what each rewrite removed (``outer``: rewrote).
+# recorded steps and what each rewrite removed (``outer`` and ``into``:
+# rewrote).
 _Program = collections.namedtuple("_Program", "slots steps outputs rewrites")
 
-_REWRITES = ("fold", "alias", "share", "outer")
+_REWRITES = ("fold", "alias", "share", "outer", "into")
+
+# pointwise ops whose kernel takes a positional ``out`` after its operands,
+# with their operand count: the steps the ``into`` rewrite may write into a
+# dying operand
+_INTO = {"add": 2, "sub": 2, "mul": 2, "div": 2, "neg": 1, "exp": 1, "ln": 1,
+         "sin": 1, "cos": 1, "tanh": 1, "abs": 1, "sign": 1, "dtanh": 1}
+
+# ops whose result shares its block with an argument: a view, or the
+# guarded array itself
+_VIEWS = frozenset(("transpose", "column", "guard"))
 
 
 def _attrs_key(attrs):
@@ -683,6 +702,10 @@ def _alias_operand(node, consts):
     return None
 
 
+def _layout(v):
+    return v.shape, v.dtype, v.strides
+
+
 def _record(outputs, inputs, fixed_data=False):
     """The graph below ``outputs`` as a program that recomputes their
     values from new values of the leaves ``inputs``.
@@ -708,7 +731,15 @@ def _record(outputs, inputs, fixed_data=False):
       one reads that one's result (a callable attr, such as a guard's
       check, compares by identity);
     - outer: an inner-dimension-1 ``matmul`` runs as the broadcast product
-      ``_outer``, which rounds each entry as matmul's one-term sum does.
+      ``_outer``, which rounds each entry as matmul's one-term sum does;
+    - into: a 2-D pointwise step (``_INTO``) writes its result into an
+      argument it reads for the last time, passed as the kernel's ``out``
+      (appended to the step's ``args``).  That argument must be a block a
+      step of this program wrote, no view or guard step reads and no input,
+      kept array or output holds; it appears once among the arguments and
+      has the result's shape, dtype and strides, so later steps see the
+      layout the graph had.  An elementwise ufunc gives the same bits in
+      place.
 
     No step is dead: the walk starts from the outputs, and no rewrite above
     leaves a remaining step unread.  A slot is freed after its last read,
@@ -766,6 +797,11 @@ def _record(outputs, inputs, fixed_data=False):
         slots.append(None)
         ops.append((n, args))
     out_slots = [slot[o._id] for o in outputs]
+    # the layout of each block that only its own slot holds: written by a
+    # step that is not a view or guard, and read by none
+    viewed = {a for n, args in ops if n.op in _VIEWS for a in args}
+    owned = {slot[n._id]: _layout(n.value) for n, _ in ops
+             if n.op not in _VIEWS and slot[n._id] not in viewed}
     steps, used = [], set(out_slots)
     for n, args in reversed(ops):  # a slot's last read is the first met here
         out = slot[n._id]
@@ -776,9 +812,16 @@ def _record(outputs, inputs, fixed_data=False):
         kernel = _KERNELS[op]
         if n.attrs:
             kernel = functools.partial(kernel, **n.attrs)
-        steps.append(_Step(op, n.attrs, args, out, n.value.shape,
-                           n.value.dtype, kernel, tuple(set(args) - used)))
+        free = tuple(set(args) - used)
         used.update(args)
+        if op in _INTO and n.value.ndim == 2:
+            into = next((a for a in args if a in free and args.count(a) == 1
+                         and owned.get(a) == _layout(n.value)), None)
+            if into is not None:
+                args += (into,)
+                counts["into"] += 1
+        steps.append(_Step(op, n.attrs, args, out, n.value.shape,
+                           n.value.dtype, kernel, free))
     # a kept array is copied apart from the blocks the graph frees, and
     # only if a step reads it; a view does not pin its base, and the copy
     # keeps the value's layout (so matmul's bits)

@@ -207,6 +207,10 @@ def cmd_solve(args):
     if error:
         print(f"solve: {error}", file=sys.stderr)
         return 2
+    if args.preset == "heat" and (type(args.dim) is not int or args.dim < 1):
+        print(f"heat: --dim must be a positive integer, got {args.dim!r}",
+              file=sys.stderr)
+        return 2
     if args.preset == "heat" and args.dim > 3 and not args.allow_large:
         print("heat: --dim above 3 requires --allow-large", file=sys.stderr)
         return 2

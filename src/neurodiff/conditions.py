@@ -232,6 +232,10 @@ class BoxIC:
     initial_profile: object
     dim: int
 
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"BoxIC requires dim >= 1, got dim={self.dim}")
+
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, self.dim + 1)
         t = coords[0]

@@ -637,6 +637,13 @@ def _replays_graph(out, x, build):
     return program
 
 
+def _written_into(program):
+    """{op: the argument slot each step of that op writes into, or None}
+    for a program whose ops are all different."""
+    return {s.op: s.args[-1] if len(s.args) > ad._INTO.get(s.op, len(s.args))
+            else None for s in program.steps}
+
+
 class TestRewrites:
     @pytest.mark.parametrize("build, xv", [
         (lambda x: x + 0.0, SIGNED),
@@ -760,6 +767,79 @@ class TestRewrites:
         assert got.dtype == want.dtype and got.strides == want.strides
         assert got.tobytes() == want.tobytes()
 
+    def test_a_pointwise_step_writes_into_its_dying_argument(self):
+        x = ad.variable(np.linspace(-2.0, 2.0, 12).reshape(4, 3))
+
+        def build(x):
+            a = ad.sin(x)
+            return ad.exp(a) * ad.tanh(x)
+        program = _replays_graph(build(x), x, build)
+        out = {s.op: s.out for s in program.steps}
+        # sin reads the input (never written into); exp writes into sin's
+        # block, and mul into exp's (its first dying argument)
+        assert _written_into(program) == {"sin": None, "exp": out["sin"],
+                                          "tanh": None, "mul": out["exp"]}
+        assert program.rewrites["into"] == 2
+
+    def test_an_argument_read_twice_is_not_written_into(self):
+        x = ad.variable(np.linspace(-2.0, 2.0, 12).reshape(4, 3))
+
+        def build(x):
+            a = ad.sin(x)
+            return a * a
+        program = _replays_graph(build(x), x, build)
+        assert _written_into(program) == {"sin": None, "mul": None}
+
+    @pytest.mark.parametrize("view, join", [
+        (ad.transpose, ad.matmul),
+        (lambda a: ad.column(a, 1), lambda v, b: v * ad.column(b, 0)),
+        (lambda a: ad._guard(a, (a,), lambda v: None), ad.mul)])
+    def test_a_block_a_live_view_shares_is_not_written_into(self, view, join):
+        x = ad.variable(np.linspace(-2.0, 2.0, 12).reshape(4, 3))
+
+        def build(x):
+            a = ad.sin(x)
+            v = view(a)  # still read after exp, a's last reader
+            return join(v, ad.exp(a))
+        program = _replays_graph(build(x), x, build)
+        assert _written_into(program)["exp"] is None
+
+    def test_an_f_ordered_block_is_not_written_into_for_a_c_result(self):
+        x = ad.variable(np.linspace(-2.0, 2.0, 12).reshape(3, 4))
+        c = ad.variable(np.linspace(1.0, 3.0, 12).reshape(4, 3))
+        w = ad.variable(np.linspace(-1.0, 1.0, 15).reshape(3, 5))
+        # the product of two transposes is F-ordered; adding a C-ordered
+        # input gives a C-ordered sum, which must not take the product's
+        # block (the matmul would see another layout)
+        p = ad.mul(ad.transpose(ad.sin(x)), ad.transpose(ad.cos(x)))
+        s = ad.add(p, c)
+        out = ad.matmul(s, w)
+        assert p.value.flags.f_contiguous and s.value.flags.c_contiguous
+        program = ad._record([out, s], [x, c, w])
+        assert _written_into(program)["add"] is None
+        assert program.rewrites["into"] == 0
+        got = ad._replay(program, [x.value, c.value, w.value])
+        assert got[1].strides == s.value.strides
+        assert [g.tobytes() for g in got] == [out.value.tobytes(),
+                                              s.value.tobytes()]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtanh_into_a_block_equals_one_minus_the_square(self, dtype):
+        tiny = np.finfo(dtype).tiny
+        h = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny,
+                       tiny / 4, 1e-20, 0.5, -1.0, 1.0 - 1e-7]], dtype=dtype)
+        with np.errstate(all="ignore"):
+            want = 1.0 - h * h
+            fresh = ad._KERNELS["dtanh"](h)
+            block = np.full_like(h, 7.0)
+            got = ad._KERNELS["dtanh"](h, block)
+            into_h = h.copy()
+            ad._KERNELS["dtanh"](into_h, into_h)
+        assert got is block and want.dtype == dtype
+        for result in (fresh, got, into_h):
+            assert result.dtype == dtype
+            assert result.tobytes() == want.tobytes()
+
 
 @settings(max_examples=60, deadline=None)
 @given(program=instructions,
@@ -782,8 +862,16 @@ def test_replayed_program_equals_the_graph(program, seed):
         return outs, [x, y]
     outs, leaves = graph(*values[0])
     recorded = ad._record(outs, leaves)
+    kept = [v.tobytes() for v in recorded.slots if v is not None]
     for xv, yv in values:
         want = [o.value for o in graph(xv, yv)[0]]
-        got = ad._replay(recorded, [xv, yv])
-        assert [g.dtype for g in got] == [w.dtype for w in want]
-        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        inputs = [xv.tobytes(), yv.tobytes()]
+        # a replay writes into no input and no kept array, so a second one
+        # gives the same bytes
+        for _ in range(2):
+            got = ad._replay(recorded, [xv, yv])
+            assert [g.dtype for g in got] == [w.dtype for w in want]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert [xv.tobytes(), yv.tobytes()] == inputs
+            assert [v.tobytes() for v in recorded.slots
+                    if v is not None] == kept

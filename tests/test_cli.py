@@ -74,6 +74,34 @@ class TestSolveArtifacts:
         assert code == 2
         assert "allow-large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_heat_dim_below_one_exits_2(self, tmp_path, capsys, dim):
+        out = tmp_path / "h"
+        code = run(["solve", "heat", "--dim", dim, "--out", str(out)] + FAST)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"heat: --dim must be a positive integer, got {dim}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim", [0, 1.5])
+    def test_bad_heat_dim_in_manifest_exits_2(self, tmp_path, capsys, dim):
+        first = str(tmp_path / "a")
+        assert run(["solve", "decay", "--out", first] + FAST) == 0
+        path = os.path.join(first, "manifest.json")
+        with open(path) as f:
+            manifest = json.load(f)
+        manifest["preset"] = "heat"
+        manifest["flags"]["dim"] = dim
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        capsys.readouterr()
+        out = tmp_path / "b"
+        assert run(["solve", "heat", "--out", str(out),
+                    "--manifest", path]) == 2
+        assert capsys.readouterr().err == (
+            f"heat: --dim must be a positive integer, got {dim!r}\n")
+        assert not out.exists()
+
     def test_hidden_and_loss_flags(self, tmp_path):
         out = str(tmp_path / "run")
         assert run(["solve", "decay", "--out", out, "--hidden", "8",

@@ -151,6 +151,12 @@ class TestBoxIC:
         u = cond.reparameterize([t, x1, x2], net_fn)
         assert abs(u.value[0, 0]) <= 1e-14
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"^BoxIC requires dim >= 1, "
+                                             f"got dim={dim}$"):
+            bc.BoxIC(self.profile, dim)
+
     def test_arity_mismatch(self):
         cond = bc.BoxIC(self.profile, 2)
         with pytest.raises(ValueError):

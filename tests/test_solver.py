@@ -212,6 +212,42 @@ class TestInPlaceOptimizer:
         assert get_solution(state, "latest")(t).tobytes() != values["latest"]
 
 
+def _fit_preset(name):
+    """Three epochs of a built-in preset as the benchmark trains it: the
+    bytes of its weights and biases and of its loss histories, and the
+    programs it recorded."""
+    preset = presets.get(name)
+    cfg = SolverConfig(
+        networks=preset.network_specs(preset.hidden, preset.activation, 1),
+        conditions=preset.conditions, optimizer=Adam(lr=preset.lr),
+        loss=LossSpec("mse"), epochs=3,
+        batches_per_epoch=preset.batches_per_epoch, seed=1)
+    programs, record = [], ad._record
+
+    def recording(*args):
+        programs.append(record(*args))
+        return programs[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "_record", recording)
+        state = fit(preset.problem(preset.batch), cfg, layout=preset.layout)
+    params = [a.tobytes() for net in state.networks
+              for a in net.weights + net.biases]
+    histories = np.asarray(state.train_history + state.valid_history)
+    return (params, histories.tobytes()), programs
+
+
+# poisson-gaussian's programs hold guards and columns
+@pytest.mark.parametrize("name", ["decay", "sho-bundle", "poisson-gaussian"])
+def test_training_is_the_same_without_writing_into_dying_arguments(
+        name, monkeypatch):
+    with_into, programs = _fit_preset(name)
+    assert programs and all(p.rewrites["into"] > 0 for p in programs)
+    monkeypatch.setattr(ad, "_INTO", {})
+    without_into, programs = _fit_preset(name)
+    assert programs and all(p.rewrites["into"] == 0 for p in programs)
+    assert with_into == without_into
+
+
 class TestExactness:
     def test_condition_holds_from_epoch_zero(self):
         # the trial solution satisfies u(0) = 1 before any training

@@ -10,8 +10,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench", "run.py")
 PROGRAM = os.path.join(ROOT, "tools", "program.py")
 LINE = re.compile(r"decay seed=1 sha256=[0-9a-f]{64} nodes/epoch=\d+(\.\d+)? "
                   r"valid_loss=\S+ epochs_to_tol=\d+")
-STEP = re.compile(r" +\d+ = [a-z_]+\((\d+(, \d+)*)?\) \((\d+(, \d+)*)?,?\) "
-                  r"float64")
+STEP = re.compile(r" +\d+ = [a-z_]+\((\d+(, \d+)*)?\)( into \d+)? "
+                  r"\((\d+(, \d+)*)?,?\) float64")
 
 
 def fingerprint(*args):
@@ -53,23 +53,31 @@ class TestProgram:
         for start, end in zip(heads, heads[1:] + [len(lines)]):
             block = lines[start:end]
             left = [int(line.split("-> ")[1]) for line in block if "->" in line]
-            assert [line.split(":")[0].strip() for line in block[1:5]] == [
-                "fold", "alias", "share", "outer"]
+            assert [line.split(":")[0].strip() for line in block[1:6]] == [
+                "fold", "alias", "share", "outer", "into"]
             recorded = int(block[0].split()[2])
             assert recorded >= left[0] and left == sorted(left, reverse=True)
             steps = [line for line in block if " = " in line]
             assert len(steps) == left[-1] > 0
-            assert block[5].startswith(f"  {left[-1]} steps, ")
+            assert block[6].startswith(f"  {left[-1]} steps, ")
             for line in steps:
                 assert STEP.fullmatch(line), line
             # each slot is written once, and before any step reads it; an
             # input's or a kept array's slot is written by no step
             written = [int(line.split(" = ")[0]) for line in steps]
             assert len(set(written)) == len(written)
+            read = [[int(a) for a in filter(None, line.split("(")[1]
+                                            .split(")")[0].split(", "))]
+                    for line in steps]
             for k, line in enumerate(steps):
-                args = line.split("(")[1].split(")")[0]
-                for a in map(int, filter(None, args.split(", "))):
+                for a in read[k]:
                     assert a in written[:k] or a not in written, line
+                # a step writes only into an argument a step wrote, and no
+                # later step reads that slot
+                if " into " in line:
+                    into = int(line.split(" into ")[1].split()[0])
+                    assert into in written[:k] and into in read[k], line
+                    assert not any(into in r for r in read[k + 1:]), line
 
 
 class TestPerfbench:

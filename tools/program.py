@@ -7,8 +7,11 @@ perfbench recipe (``perfbench/workloads.py`` and ``bench.run_trial``) with
 one BLAS thread and prints each program that ``fit`` records: the training
 step's, then the validation pass's.  For each program it prints the number
 of recorded steps and the count left after each of ``autodiff._record``'s
-rewrites, the kept arrays and their bytes, and then one line per step:
-result slot, op, argument slots, result shape and dtype.
+rewrites that removes steps, the counts of the two that rewrite a step in
+place (``outer`` and ``into``), the kept arrays and their bytes, and then
+one line per step: result slot, op, argument slots, the argument slot the
+result is written into (``into``, for a step the ``into`` rewrite changed),
+result shape and dtype.
 """
 
 import argparse
@@ -50,14 +53,19 @@ def recorded_programs(wl, seed):
     return programs
 
 
+# the rewrites that change a step rather than remove it
+IN_PLACE = {"outer": "matmuls run as products",
+            "into": "steps write into a dying argument"}
+
+
 def describe(kind, program):
     """The lines that print one program."""
     counts = program.rewrites
     left = counts["recorded"]
     lines = [f"{kind} program: {left} recorded steps"]
     for name in ad._REWRITES:
-        if name == "outer":
-            lines.append(f"  outer: {counts[name]} matmuls run as products")
+        if name in IN_PLACE:
+            lines.append(f"  {name}: {counts[name]} {IN_PLACE[name]}")
             continue
         left -= counts[name]
         lines.append(f"  {name}: -{counts[name]} -> {left}")
@@ -66,9 +74,11 @@ def describe(kind, program):
                  f"({sum(v.nbytes for v in kept)} bytes), "
                  f"outputs {list(program.outputs)}")
     for step in program.steps:
-        args = ", ".join(map(str, step.args))
-        lines.append(f"  {step.out:5d} = {step.op}({args}) "
-                     f"{step.shape} {step.dtype}")
+        args, into = step.args, ""
+        if len(args) > ad._INTO.get(step.op, len(args)):
+            args, into = args[:-1], f" into {args[-1]}"
+        lines.append(f"  {step.out:5d} = {step.op}({', '.join(map(str, args))})"
+                     f"{into} {step.shape} {step.dtype}")
     return lines
 
 
