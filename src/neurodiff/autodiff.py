@@ -29,7 +29,8 @@ reruns it on new leaf values, building no node.  The program is a small IR:
 each step keeps its op, attrs, argument and result slots and its result's
 shape and dtype, so ``_record`` rewrites it once before it runs (constant
 folding, x * 1 and x - 0 read x, common steps shared, inner-dimension-1
-matmuls run as products, pointwise results written into a dying operand),
+matmuls run as products or, for a kept column of ones, as repeated rows,
+pointwise results written into a dying operand),
 each rewrite giving the graph's bits.  So that
 no data-dependent value is frozen into a recording, abs's sign and max's
 argmax mask are ops that take no gradient, and checks are ``guard`` ops.
@@ -42,6 +43,11 @@ reference counting once its last node is dropped.
 the output (the activity analysis of reverse mode).  Everything else could
 never reach a returned gradient, and every kept adjoint receives the same
 contributions in the same order, so results equal a full sweep bit for bit.
+The adjoint of a node read only column by column is accumulated where its
+nonzeros are: each column's contributions are summed and the columns are
+joined once, instead of summing zero-padded blocks of the node's width
+(equal bits, up to the sign of a NaN where two NaNs meet; see
+``backward``).
 ``diff`` applies the same rule forwards: only nodes that depend on the
 seeded coordinate get tangents, so no weight-shaped node is built.
 
@@ -177,6 +183,16 @@ def _outer(a, b):
     return out
 
 
+def _repeat(ones, b):
+    """ones @ b for an N x 1 column of ones and a 1 x M b: b's row N times.
+    1.0 * x is x, and adding +0.0 turns -0.0 into +0.0 as matmul's one-term
+    sum does, so the bits equal matmul's."""
+    out = np.empty((ones.shape[0], b.shape[1]), np.result_type(ones, b))
+    out[...] = b
+    out += 0.0
+    return out
+
+
 def _one_minus_square(h, out=None):
     """1 - h*h, rounded as that expression is; into ``out`` if given."""
     out = np.multiply(h, h, out)
@@ -200,8 +216,9 @@ _KERNELS = {
     "matmul": np.matmul, "transpose": lambda a: a.T,
     "column": lambda a, j: a[:, j:j + 1],
     "concat": lambda *cols: np.concatenate(cols, axis=1), "guard": _guarded,
-    # no node has this op; ``_record`` runs an inner-dimension-1 matmul so
-    "outer": _outer,
+    # no node has these ops; ``_record`` runs an inner-dimension-1 matmul
+    # so, and one whose left operand is a kept column of ones as ``repeat``
+    "outer": _outer, "repeat": _repeat,
 }
 
 
@@ -404,7 +421,8 @@ def _vjp(node, g, need):
     gives input i the ``_jvp`` rule with g as input i's tangent; only
     structural ops have a rule here.  ``matmul``
     pairs g with a transpose of the other operand, which is a view, so no
-    activation is copied for a weight gradient.
+    activation is copied for a weight gradient.  ``column`` has no rule:
+    ``backward`` gathers a node's column reads (``_column_adjoint``).
     """
     op = node.op
     if op == "guard":
@@ -430,14 +448,36 @@ def _vjp(node, g, need):
                 matmul(transpose(a), g) if need[1] else None)
     if op == "transpose":
         return (transpose(g),)
-    if op == "column":
-        j, k = node.attrs["j"], a.value.shape[1]
-        zero = constant(np.zeros_like(g.value))
-        return (concat_cols([zero] * j + [g] + [zero] * (k - j - 1)),)
     if op == "concat":
         return tuple(column(g, i) if wanted else None
                      for i, wanted in enumerate(need))
     raise ValueError(f"no vjp for op {op!r}")
+
+
+def _padded(a, j, g):
+    """g as column j of an otherwise zero block of a's width."""
+    zero = constant(np.zeros_like(g.value))
+    return concat_cols([zero] * j + [g] + [zero] * (a.value.shape[1] - j - 1))
+
+
+def _column_adjoint(a, reads):
+    """The adjoint of ``a`` from its column reads alone: ``reads`` holds
+    ``(j, g)`` in arrival order.
+
+    Each column folds its own contributions in that order, and one
+    ``concat_cols`` joins the columns.  Summing the zero-padded blocks
+    instead would add the padding's +0.0 to every column once two distinct
+    columns are read, which turns -0.0 into +0.0 and changes nothing else;
+    one ``add(·, 0.0)`` stands for it.  Every adjoint of one ``backward``
+    has the output's dtype (promotion only widens), so no column sums in a
+    narrower dtype than the padded fold would.
+    """
+    cols = {}
+    for j, g in reads:
+        cols[j] = add(cols[j], g) if j in cols else g
+    zero = constant(np.zeros_like(reads[0][1].value))
+    block = concat_cols([cols.get(j, zero) for j in range(a.value.shape[1])])
+    return add(block, 0.0) if len(cols) > 1 else block
 
 
 def backward(output, wrt):
@@ -452,6 +492,17 @@ def backward(output, wrt):
     gradient builds no coordinate adjoints, and a coordinate derivative
     builds no weight-gradient products.  The pruned nodes could never reach
     a returned gradient, so the results equal a full sweep bit for bit.
+
+    The contributions a node receives from ``column`` reads are held until
+    the sweep reaches the node, or until its first dense contribution
+    arrives, and then built in one piece (``_column_adjoint``): per-column
+    sums joined by one concatenation, not a sum of zero-padded full-width
+    blocks.  A column read that arrives after a dense contribution is
+    padded and added in arrival order, as every contribution is.  The
+    entries equal the padded fold's bit for bit, except that where two NaNs
+    meet in one addition the sign of the NaN that survives depends on
+    numpy's loop for the shapes at hand: a NaN entry is NaN in both, but
+    its sign may differ.
     """
     if not _is_scalar(output.value):
         raise ShapeError(
@@ -467,17 +518,31 @@ def backward(output, wrt):
         if any(inp._id in active for inp in node.inputs):
             active.add(node._id)
     adjoint = {output._id: constant(np.ones_like(output.value))}
+    # node id -> the (j, g) of its column reads, while it has no other
+    # contribution; built into one adjoint when the sweep reaches the node
+    reads = {}
     for node in reversed(order):
+        if node._id in reads:
+            adjoint[node._id] = _column_adjoint(node, reads.pop(node._id))
         g = adjoint.get(node._id)
         if g is None:
             continue
         need = [inp._id in active for inp in node.inputs]
         if not any(need):
             continue
+        if node.op == "column":
+            a, j = node.inputs[0], node.attrs["j"]
+            if a._id in adjoint:  # after a dense contribution: padded
+                adjoint[a._id] = add(adjoint[a._id], _padded(a, j, g))
+            else:
+                reads.setdefault(a._id, []).append((j, g))
+            continue
         for inp, ig in zip(node.inputs, _vjp(node, g, need)):
             if ig is None:
                 continue
             ig = _fit_shape(ig, inp)
+            if inp._id in reads:  # a dense contribution after column reads
+                adjoint[inp._id] = _column_adjoint(inp, reads.pop(inp._id))
             prev = adjoint.get(inp._id)
             adjoint[inp._id] = ig if prev is None else add(prev, ig)
     results = []
@@ -654,7 +719,7 @@ _Step = collections.namedtuple(
 # inputs' slots empty, then the kept arrays), ``steps`` the ``_Step``s in run
 # order, ``outputs`` the slots returned, and ``rewrites`` the number of
 # recorded steps and what each rewrite removed (``outer`` and ``into``:
-# rewrote).
+# rewrote; ``repeat``: how many of the ``outer`` steps run as ``_repeat``).
 _Program = collections.namedtuple("_Program", "slots steps outputs rewrites")
 
 _REWRITES = ("fold", "alias", "share", "outer", "into")
@@ -732,6 +797,10 @@ def _record(outputs, inputs, fixed_data=False):
       check, compares by identity);
     - outer: an inner-dimension-1 ``matmul`` runs as the broadcast product
       ``_outer``, which rounds each entry as matmul's one-term sum does;
+      when its left argument is a kept column of ones (a tangent seed), as
+      ``_repeat``, which copies the right argument's row down and adds
+      +0.0, since 1.0 * x is x (counted as ``repeat`` among the ``outer``
+      steps);
     - into: a 2-D pointwise step (``_INTO``) writes its result into an
       argument it reads for the last time, passed as the kernel's ``out``
       (appended to the step's ``args``).  That argument must be a block a
@@ -755,7 +824,7 @@ def _record(outputs, inputs, fixed_data=False):
             if n._id not in slot:
                 stack.extend(n.inputs)
     slots, kept, shared, ops = [None] * len(inputs), {}, {}, []
-    counts = dict.fromkeys(("recorded",) + _REWRITES, 0)
+    counts = dict.fromkeys(("recorded",) + _REWRITES + ("repeat",), 0)
 
     def keep(v):
         key = (v.dtype.str, v.shape, v.strides, v.tobytes())
@@ -807,8 +876,11 @@ def _record(outputs, inputs, fixed_data=False):
         out = slot[n._id]
         op = n.op
         if op == "matmul" and n.inputs[0].value.shape[1] == 1:
-            op = "outer"
+            left = slots[args[0]]  # None unless kept
+            ones = left is not None and (left == 1).all()
+            op = "repeat" if ones else "outer"
             counts["outer"] += 1
+            counts["repeat"] += op == "repeat"
         kernel = _KERNELS[op]
         if n.attrs:
             kernel = functools.partial(kernel, **n.attrs)

@@ -7,6 +7,7 @@ effect from the next epoch and never rewrites recorded history.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 logger = logging.getLogger("neurodiff")
@@ -39,6 +40,11 @@ class Always(TriggerCondition):
 class EveryNEpochs(TriggerCondition):
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(
+                f"EveryNEpochs: n must be at least 1, got {self.n!r}")
+
     def evaluate(self, state):
         return state.epoch % self.n == 0
 
@@ -58,6 +64,14 @@ class ValidationConverged(TriggerCondition):
 
     delta: float
     window: int
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError("ValidationConverged: window must be at least 1, "
+                             f"got {self.window!r}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("ValidationConverged: delta must be finite and "
+                             f"above 0, got {self.delta!r}")
 
     def evaluate(self, state):
         v = state.valid_history
@@ -165,6 +179,11 @@ class LogMessage(Action):
 @dataclass(frozen=True)
 class SetBatchSize(Action):
     n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(
+                f"SetBatchSize: n must be at least 1, got {self.n!r}")
 
     def apply(self, state):
         state.train_generator = state.train_generator.with_size(self.n)

@@ -105,8 +105,9 @@ def _hidden_sizes(text):
 
 
 def _training_flags_error(args):
-    """Why ``--epochs``, ``--batch-size`` or ``--hidden``, given on the
-    command line or by ``--manifest``, cannot train; None if they can."""
+    """Why ``--epochs``, ``--batch-size``, ``--hidden``, ``--switch-window``
+    or ``--switch-delta``, given on the command line or by ``--manifest``,
+    cannot train; None if they can."""
     for flag, value in (("--epochs", args.epochs),
                         ("--batch-size", args.batch_size)):
         if value is not None and (type(value) is not int or value < 1):
@@ -114,6 +115,12 @@ def _training_flags_error(args):
     if args.hidden is not None and _hidden_sizes(args.hidden) is None:
         return ("--hidden must be comma-separated positive integers, "
                 f"got {args.hidden!r}")
+    window, delta = args.switch_window, args.switch_delta
+    if type(window) is not int or window < 1:
+        return f"--switch-window must be a positive integer, got {window!r}"
+    if (type(delta) not in (int, float) or not math.isfinite(delta)
+            or delta <= 0):
+        return f"--switch-delta must be a finite number above 0, got {delta!r}"
     return None
 
 
@@ -256,8 +263,11 @@ def cmd_bundle(args):
 def _load_bundle_solution(preset, bundle_dir):
     nets = []
     i = 0
-    while os.path.exists(os.path.join(bundle_dir, f"net{i}.ckpt")):
-        nets.append(MLP.load(os.path.join(bundle_dir, f"net{i}.ckpt")))
+    while os.path.exists(path := os.path.join(bundle_dir, f"net{i}.ckpt")):
+        try:
+            nets.append(MLP.load(path))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from e
         i += 1
     if not nets:
         raise FileNotFoundError(f"no net*.ckpt checkpoints in {bundle_dir}")

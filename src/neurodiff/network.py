@@ -18,6 +18,14 @@ _MAGIC = b"NDCK"
 _VERSION = 2
 _DTYPES = {"<f4": np.float32, "<f8": np.float64}
 
+
+def _check_size(blob, end, part):
+    """Raise unless the checkpoint ``blob`` holds its ``part`` up to ``end``."""
+    if len(blob) < end:
+        raise ValueError(f"checkpoint: truncated {part} "
+                         f"({len(blob)} of at least {end} bytes)")
+
+
 _ACTIVATIONS = {
     "tanh": ad.tanh,
     "sin": ad.sin,
@@ -144,13 +152,15 @@ class MLP:
         """Read a checkpoint; parameters keep the dtype they were saved in."""
         with open(path, "rb") as f:
             blob = f.read()
-        if blob[:4] != _MAGIC:
+        if blob[:4] != _MAGIC[:len(blob)]:
             raise ValueError("checkpoint: bad magic header")
+        _check_size(blob, 9, "prefix")
         if blob[4] not in (1, _VERSION):
             raise ValueError(f"checkpoint: unsupported version {blob[4]}")
         off = 5
         (hlen,) = struct.unpack_from("<I", blob, off)
         off += 4
+        _check_size(blob, off + hlen, "header")
         try:
             header = json.loads(blob[off:off + hlen].decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -165,10 +175,11 @@ class MLP:
         dtype = _DTYPES[stored]
         spec = MLPSpec(header["input_dim"], tuple(header["hidden_dims"]),
                        header["output_dim"], header["activation"], header["seed"])
+        _check_size(blob, off + 8, "parameter count")
         (count,) = struct.unpack_from("<Q", blob, off)
         off += 8
-        if len(blob) - off < count * np.dtype(dtype).itemsize:
-            raise ValueError("checkpoint: truncated parameter block")
+        _check_size(blob, off + count * np.dtype(dtype).itemsize,
+                    "parameter block")
         flat = np.frombuffer(blob, dtype=stored, count=count, offset=off)
         layers = list(zip(spec.dims[1:], spec.dims[:-1]))  # (fan_out, fan_in)
         expected = sum(o * i + o for o, i in layers)

@@ -875,3 +875,144 @@ def test_replayed_program_equals_the_graph(program, seed):
             assert [xv.tobytes(), yv.tobytes()] == inputs
             assert [v.tobytes() for v in recorded.slots
                     if v is not None] == kept
+
+
+# -- column adjoints --------------------------------------------------------
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _entries(rng, shape, dtype):
+    """Values of mixed magnitude, so the order of a sum shows in its bits,
+    with a fifth of them signed zeros, infinities or NaN."""
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    special = rng.random(shape) < 0.2
+    v[special] = rng.choice(SPECIALS, shape)[special]
+    return v.astype(dtype)
+
+
+def _column_reads(a, pattern, weights):
+    """sum_i sum(read_i * w_i): read_i is column j of a for an entry j of
+    ``pattern`` and all of a for None, so read i's adjoint is 1 * w_i."""
+    terms = [ad.reduce_sum((a if j is None else ad.column(a, j)) * w)
+             for j, w in zip(pattern, weights)]
+    return functools.reduce(ad.add, terms)
+
+
+def _padded_fold(shape, pattern, contributions):
+    """The adjoint as a sum of full-width blocks in arrival order (the
+    last read first), a column read padded with +0.0 to a's width."""
+    acc = None
+    for j, c in reversed(list(zip(pattern, contributions))):
+        block = c
+        if j is not None:
+            block = np.zeros(shape, c.dtype)
+            block[:, j:j + 1] = c
+        with np.errstate(all="ignore"):
+            acc = block if acc is None else acc + block
+    return acc
+
+
+def _same_up_to_nan_sign(got, want):
+    """Equal dtype, NaN in the same places, and equal bytes elsewhere."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern=st.lists(st.one_of(st.integers(0, 3), st.none()),
+                        min_size=1, max_size=8),
+       width=st.integers(2, 4), seed=st.integers(0, 2 ** 16),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_column_adjoints_equal_the_zero_padded_fold(pattern, width, seed,
+                                                    dtype):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n = 16
+    pattern = [None if j is None else j % width for j in pattern]
+    a = ad.variable(rng.uniform(-1.0, 1.0, (n, width)).astype(dtype))
+    weights = [ad.variable(_entries(rng, (n, width if j is None else 1),
+                                    dtype)) for j in pattern]
+    (grad,) = ad.backward(_column_reads(a, pattern, weights), [a])
+    with np.errstate(all="ignore"):
+        contributions = [np.ones_like(w.value) * w.value for w in weights]
+    _same_up_to_nan_sign(grad.value, _padded_fold(a.value.shape, pattern,
+                                                  contributions))
+    # the gathered adjoint is itself differentiable: d sum(grad * v) / d w_i
+    # is 1 * v's column j (all of v for a dense read)
+    v = _entries(rng, (n, width), dtype)
+    nested = ad.backward(ad.reduce_sum(grad * ad.constant(v)), weights)
+    for j, w, g in zip(pattern, weights, nested):
+        want = v if j is None else v[:, j:j + 1]
+        with np.errstate(all="ignore"):
+            _same_up_to_nan_sign(g.value, np.ones_like(want) * want)
+
+
+@pytest.mark.parametrize("pattern, signbits", [
+    # one column read twice: no padding is added, so -0.0 + -0.0 stays
+    ([1, 1], [False, True, False]),
+    # two columns: the padding's +0.0 reaches both
+    ([1, 2], [False, False, False]),
+    ([1, 2, 1], [False, False, False]),
+    # a lone read
+    ([0], [True, False, False]),
+])
+def test_negative_zero_column_adjoints(pattern, signbits):
+    a = ad.variable(np.ones((2, 3)))
+    weights = [ad.variable(np.full((2, 1), -0.0)) for _ in pattern]
+    (grad,) = ad.backward(_column_reads(a, pattern, weights), [a])
+    assert not grad.value.any()
+    assert np.signbit(grad.value).tolist() == [signbits] * 2
+
+
+def test_column_reads_build_one_concatenation(monkeypatch):
+    a = ad.variable(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
+    pattern = [0, 2, 0, 2, 2]
+    weights = [ad.variable(np.full((4, 1), float(i))) for i in range(5)]
+    out = _column_reads(a, pattern, weights)
+    built = []
+    init = ad.Node.__init__
+
+    def recording_init(node, *args, **kwargs):
+        init(node, *args, **kwargs)
+        built.append(node)
+    monkeypatch.setattr(ad.Node, "__init__", recording_init)
+    (grad,) = ad.backward(out, [a])
+    assert [n.op for n in built if n.op == "concat"] == ["concat"]
+    # one add per repeated read and one for the padding's +0.0
+    assert len([n for n in built if n.op == "add"]) == 3 + 1
+    assert grad.value.tolist() == [[2.0, 0.0, 8.0]] * 4
+
+
+# -- repeated rows ----------------------------------------------------------
+
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32),
+                                    (np.float64, np.float64),
+                                    (np.float32, np.float64),
+                                    (np.float64, np.float32)])
+@pytest.mark.parametrize("shape", [(512, 32), (7, 3), (1, 5), (33, 1)])
+def test_a_ones_seeded_matmul_repeats_the_row(dtypes, shape):
+    n, m = shape
+    b = np.array([[-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-40, -1.5,
+                   3.25] * 4])[:, :m].astype(dtypes[1])
+    ones = ad.constant(np.ones((n, 1), dtypes[0]))
+    x = ad.variable(b)
+    program = ad._record([ad.matmul(ones, x)], [x])
+    assert [s.op for s in program.steps] == ["repeat"]
+    assert program.rewrites["outer"] == program.rewrites["repeat"] == 1
+    for v in (b, b[:, ::-1].copy()):
+        with np.errstate(all="ignore"):
+            want = np.matmul(ones.value, v)
+        (got,) = ad._replay(program, [v])
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("left", [np.full((4, 1), 2.0),
+                                  np.array([[1.0], [1.0], [-1.0], [1.0]])])
+def test_a_kept_column_that_is_not_ones_runs_outer(left):
+    x = ad.variable(np.array([[-0.0, 1.5, np.nan]]))
+    program = ad._record([ad.matmul(ad.constant(left), x)], [x])
+    assert [s.op for s in program.steps] == ["outer"]
+    assert program.rewrites["repeat"] == 0

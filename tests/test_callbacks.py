@@ -89,6 +89,22 @@ class TestValidationConverged:
         assert fired[0] == first
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: cb.EveryNEpochs(0), "n must be at least 1, got 0"),
+    (lambda: cb.EveryNEpochs(-2), "n must be at least 1, got -2"),
+    (lambda: cb.ValidationConverged(1e-3, 0), "window must be at least 1"),
+    (lambda: cb.ValidationConverged(1e-3, -1), "window must be at least 1"),
+    (lambda: cb.ValidationConverged(0.0, 3), "delta must be finite and above"),
+    (lambda: cb.ValidationConverged(-1.0, 3), "delta must be finite and above"),
+    (lambda: cb.ValidationConverged(float("nan"), 3), "delta must be finite"),
+    (lambda: cb.ValidationConverged(float("inf"), 3), "delta must be finite"),
+    (lambda: cb.SetBatchSize(0), "n must be at least 1, got 0"),
+])
+def test_meaningless_settings_are_rejected_when_built(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 class TestBooleanAlgebra:
     def test_truth_tables(self):
         s = FakeState()

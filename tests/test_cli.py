@@ -3,6 +3,7 @@ import errno
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ BAD_TRAINING_FLAGS = [
      "--hidden must be comma-separated positive integers, got '8,,8'"),
     (["--hidden", ""],
      "--hidden must be comma-separated positive integers, got ''"),
+    (["--switch-window", "0"],
+     "--switch-window must be a positive integer, got 0"),
+    (["--switch-window", "-3"],
+     "--switch-window must be a positive integer, got -3"),
+    (["--switch-delta", "-1"],
+     "--switch-delta must be a finite number above 0, got -1.0"),
+    (["--switch-delta", "0"],
+     "--switch-delta must be a finite number above 0, got 0.0"),
+    (["--switch-delta", "nan"],
+     "--switch-delta must be a finite number above 0, got nan"),
+    (["--switch-delta", "inf"],
+     "--switch-delta must be a finite number above 0, got inf"),
 ]
 
 
@@ -153,6 +166,14 @@ class TestTrainingFlags:
          "--hidden must be comma-separated positive integers, got '32,x'"),
         ("hidden", "0",
          "--hidden must be comma-separated positive integers, got '0'"),
+        ("switch_window", 0,
+         "--switch-window must be a positive integer, got 0"),
+        ("switch_window", 2.5,
+         "--switch-window must be a positive integer, got 2.5"),
+        ("switch_delta", -1,
+         "--switch-delta must be a finite number above 0, got -1"),
+        ("switch_delta", "0.1",
+         "--switch-delta must be a finite number above 0, got '0.1'"),
     ])
     def test_bad_manifest_flag_exits_2(self, tmp_path, capsys, key, value,
                                        message):
@@ -330,6 +351,29 @@ class TestBundleInvert:
         assert capsys.readouterr().err == (
             f"invert: {bundle} holds 2 net*.ckpt checkpoints, but "
             f"decay-bundle has 1 unknown(s)\n")
+        assert not os.path.exists(tmp_path / "inv")
+
+    @pytest.mark.parametrize("cut, part", [
+        (lambda blob, hlen: 0, "prefix"), (lambda blob, hlen: 4, "prefix"),
+        (lambda blob, hlen: 7, "prefix"), (lambda blob, hlen: 12, "header"),
+        (lambda blob, hlen: 9 + hlen + 3, "parameter count"),
+        (lambda blob, hlen: len(blob) - 1, "parameter block")])
+    def test_invert_truncated_checkpoint_exits_2(self, tmp_path, capsys, cut,
+                                                 part):
+        bundle = self._train_bundle(tmp_path)
+        ckpt = os.path.join(bundle, "net0.ckpt")
+        with open(ckpt, "rb") as f:
+            blob = f.read()
+        with open(ckpt, "wb") as f:
+            f.write(blob[:cut(blob, struct.unpack_from("<I", blob, 5)[0])])
+        data = self._write_data(tmp_path)
+        capsys.readouterr()
+        code = run(["invert", "decay-bundle", "--data", data,
+                    "--bundle-dir", bundle, "--out", str(tmp_path / "inv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invert: {ckpt}: checkpoint: truncated {part} ")
+        assert err.count("\n") == 1
         assert not os.path.exists(tmp_path / "inv")
 
     def test_invert_wrong_input_width_exits_2(self, tmp_path, capsys):

@@ -140,6 +140,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             MLP.load(path)
 
+    def test_every_truncation_names_itself(self, tmp_path):
+        mlp = MLP.init(MLPSpec(1, (4,), 1, seed=0))
+        path = tmp_path / "net.ckpt"
+        mlp.save(path)
+        blob = path.read_bytes()
+        hlen = struct.unpack_from("<I", blob, 5)[0]
+        parts = {0: "prefix", 4: "prefix", 8: "prefix", 9: "header",
+                 9 + hlen - 1: "header", 9 + hlen: "parameter count",
+                 9 + hlen + 7: "parameter count",
+                 9 + hlen + 8: "parameter block",
+                 len(blob) - 1: "parameter block"}
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match="truncated") as e:
+                MLP.load(path)
+            if cut in parts:
+                assert parts[cut] in str(e.value), (cut, e.value)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "net.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 32)

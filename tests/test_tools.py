@@ -55,6 +55,9 @@ class TestProgram:
             left = [int(line.split("-> ")[1]) for line in block if "->" in line]
             assert [line.split(":")[0].strip() for line in block[1:6]] == [
                 "fold", "alias", "share", "outer", "into"]
+            # decay's tangent seed times the first weight is a repeated row
+            assert block[4].endswith(" (1 as repeated rows)")
+            assert len([line for line in block if " = repeat(" in line]) == 1
             recorded = int(block[0].split()[2])
             assert recorded >= left[0] and left == sorted(left, reverse=True)
             steps = [line for line in block if " = " in line]
@@ -78,6 +81,18 @@ class TestProgram:
                     into = int(line.split(" into ")[1].split()[0])
                     assert into in written[:k] and into in read[k], line
                     assert not any(into in r for r in read[k + 1:]), line
+
+    def test_poisson_gaussian_builds_each_column_adjoint_once(self):
+        run = subprocess.run([sys.executable, PROGRAM, "--workload",
+                              "poisson-gaussian"],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        training = run.stdout.split("validation program")[0].splitlines()
+        # the radial net's output and its two r-tangents, 9 columns read
+        # from each: one concatenation per adjoint, not one per read
+        concats = [line for line in training if " = concat(" in line
+                   and line.endswith(" (512, 9) float64")]
+        assert len(concats) == 3
 
 
 class TestPerfbench:

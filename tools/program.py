@@ -8,10 +8,11 @@ one BLAS thread and prints each program that ``fit`` records: the training
 step's, then the validation pass's.  For each program it prints the number
 of recorded steps and the count left after each of ``autodiff._record``'s
 rewrites that removes steps, the counts of the two that rewrite a step in
-place (``outer`` and ``into``), the kept arrays and their bytes, and then
-one line per step: result slot, op, argument slots, the argument slot the
-result is written into (``into``, for a step the ``into`` rewrite changed),
-result shape and dtype.
+place (``outer``, with how many of its matmuls run as ``repeat`` because
+their left operand is a kept column of ones, and ``into``), the kept arrays
+and their bytes, and then one line per step: result slot, op, argument
+slots, the argument slot the result is written into (``into``, for a step
+the ``into`` rewrite changed), result shape and dtype.
 """
 
 import argparse
@@ -65,7 +66,9 @@ def describe(kind, program):
     lines = [f"{kind} program: {left} recorded steps"]
     for name in ad._REWRITES:
         if name in IN_PLACE:
-            lines.append(f"  {name}: {counts[name]} {IN_PLACE[name]}")
+            rows = (f" ({counts['repeat']} as repeated rows)"
+                    if name == "outer" else "")
+            lines.append(f"  {name}: {counts[name]} {IN_PLACE[name]}{rows}")
             continue
         left -= counts[name]
         lines.append(f"  {name}: -{counts[name]} -> {left}")
