@@ -19,7 +19,8 @@ tanh's derivative factor 1 - h*h (h = tanh(a)) is one pointwise node,
 ``dtanh``, whose own rule is t * (-2h).  The generic ``mul`` rule then
 gives the second-order tangent in Taylor form, s*z'' + z'*(-2h*h'), and the
 reverse sweep runs through one node instead of a ``1 - h*h`` subgraph.
-``transpose`` and ``column`` return views of their input's array.  No
+``transpose``, ``column`` and ``columns`` return views of their input's
+array.  No
 node writes into an array after it is built; a replayed step may write its
 result only into a temporary whose last reader it is (see ``_record``).
 
@@ -43,18 +44,28 @@ reference counting once its last node is dropped.
 the output (the activity analysis of reverse mode).  Everything else could
 never reach a returned gradient, and every kept adjoint receives the same
 contributions in the same order, so results equal a full sweep bit for bit.
-The adjoint of a node read only column by column is accumulated where its
-nonzeros are: each column's contributions are summed and the columns are
+The adjoint of a node read only by column ranges is accumulated where its
+nonzeros are: each range's contributions are summed and the ranges are
 joined once, instead of summing zero-padded blocks of the node's width
 (equal bits, up to the sign of a NaN where two NaNs meet; see
 ``backward``).
 ``diff`` applies the same rule forwards: only nodes that depend on the
 seeded coordinate get tangents, so no weight-shaped node is built.
 
-A scalar broadcasts against any tensor and a 1 x k row against an N x k one;
-any other shape mix raises ``ShapeError``.  Non-finite results (log of a
-negative, division by zero) propagate without clamping and are detectable
-via the node values.
+A scalar broadcasts against any tensor, a 1 x k row against an N x k one,
+and an N x 1 column against an N x k one (whose adjoint, a ``rowsum``, adds
+the columns left to right); any other shape mix raises ``ShapeError``.
+Non-finite results (log of a negative, division by zero) propagate without
+clamping and are detectable via the node values.
+
+Layout is part of a value's bits where a sum's order follows it: BLAS sums
+a matmul's products in an order that depends on its operands' layouts, and
+numpy's reductions sum along contiguous memory pairwise.  So a block that
+may reach a matmul is C-ordered (row-major), as numpy makes it by default,
+and a column stack (``concat_cols(..., order="F")``, a column broadcast
+down a block, a column against a block) is F-ordered: its pointwise ops
+and its row fold run down contiguous columns, as the N x 1 columns it
+replaces did.
 """
 
 import collections
@@ -161,10 +172,18 @@ def _is_row_of(row, shape):
             and row[1] == shape[1])
 
 
+def _is_column_of(col, shape):
+    """Whether shape ``col`` is N x 1 and ``shape`` is N x k, for N > 1 (a
+    1 x 1 column is a scalar) and k > 1."""
+    return (len(col) == 2 and len(shape) == 2 and col[1] == 1 < shape[1]
+            and col[0] == shape[0] > 1)
+
+
 def _check_elementwise(op, a, b):
     sa, sb = a.value.shape, b.value.shape
     if (sa == sb or _is_scalar(a.value) or _is_scalar(b.value)
-            or _is_row_of(sa, sb) or _is_row_of(sb, sa)):
+            or _is_row_of(sa, sb) or _is_row_of(sb, sa)
+            or _is_column_of(sa, sb) or _is_column_of(sb, sa)):
         return
     raise ShapeError(f"{op}: incompatible shapes {a.value.shape} and {b.value.shape}")
 
@@ -193,6 +212,26 @@ def _repeat(ones, b):
     return out
 
 
+def _rowsum(a):
+    """Each row of a 2-D a added left to right from -0.0, so from its first
+    entry: -0.0 + x is x, a row of -0.0 sums to -0.0.  ``np.add.reduce``
+    over the rows of an F-ordered block adds whole columns in turn, which is
+    that order; a C-ordered row would be summed pairwise, so a C-ordered
+    block is copied first.  A lone row is contiguous either way and is
+    summed by ``np.add.accumulate``, which runs left to right."""
+    if a.shape[0] == 1:
+        return np.add.accumulate(a, axis=1)[:, -1:]
+    return np.add.reduce(np.asfortranarray(a), axis=1, keepdims=True,
+                         initial=-0.0)
+
+
+def _concat(*pieces, order="C"):
+    """2-D pieces joined side by side into a block of the given layout."""
+    out = np.empty((pieces[0].shape[0], sum(p.shape[1] for p in pieces)),
+                   np.result_type(*pieces), order)
+    return np.concatenate(pieces, axis=1, out=out)
+
+
 def _one_minus_square(h, out=None):
     """1 - h*h, rounded as that expression is; into ``out`` if given."""
     out = np.multiply(h, h, out)
@@ -211,11 +250,12 @@ _KERNELS = {
     # a one at the first argmax: a deterministic tie-break
     "argmax_mask": lambda x: np.eye(1, x.size, int(np.argmax(x)),
                                     dtype=x.dtype).reshape(x.shape),
-    "broadcast": lambda a, shape: np.broadcast_to(
-        a.reshape(()) if a.size == 1 else a, shape).copy(),
+    "rowsum": _rowsum,
+    "broadcast": lambda a, shape, order="C": np.broadcast_to(
+        a.reshape(()) if a.size == 1 else a, shape).copy(order),
     "matmul": np.matmul, "transpose": lambda a: a.T,
-    "column": lambda a, j: a[:, j:j + 1],
-    "concat": lambda *cols: np.concatenate(cols, axis=1), "guard": _guarded,
+    "column": lambda a, lo, hi: a[:, lo:hi],
+    "concat": _concat, "guard": _guarded,
     # no node has these ops; ``_record`` runs an inner-dimension-1 matmul
     # so, and one whose left operand is a kept column of ones as ``repeat``
     "outer": _outer, "repeat": _repeat,
@@ -234,7 +274,11 @@ def _elementwise(op, a, b):
     a = _wrap(a, b)
     b = _wrap(b, a)
     _check_elementwise(op, a, b)
-    return _op(op, (a, b), a.requires_grad or b.requires_grad)
+    sa, sb = a.value.shape, b.value.shape
+    # a column against a block runs column-major (see the module docstring)
+    column_major = _is_column_of(sa, sb) or _is_column_of(sb, sa)
+    return _op(op, (a, b), a.requires_grad or b.requires_grad,
+               {"order": "F"} if column_major else None)
 
 
 def _unary(op, a, attrs=None):
@@ -310,9 +354,24 @@ def reduce_max(a):
     return _unary("max", a)
 
 
+def rowsum(a):
+    """The sum of each row of a 2-D node as an N x 1 node; a one-column node
+    itself.  The columns are added left to right, as the fold ``total =
+    total + term`` over them does, bit for bit on any layout (``_rowsum``);
+    an F-ordered block is folded in place, a C-ordered one copied first."""
+    if a.value.ndim != 2:
+        raise ShapeError(f"rowsum requires a 2-D operand, got {a.value.shape}")
+    if a.value.shape[1] == 1:
+        return a
+    return _unary("rowsum", a)
+
+
 def broadcast_to(a, shape):
-    """Repeat a scalar, or a 1 x k row down N rows, to ``shape``."""
+    """Repeat a scalar, a 1 x k row down N rows, or an N x 1 column across
+    k columns (F-ordered, as a column stack is) to ``shape``."""
     shape = tuple(shape)
+    if _is_column_of(a.value.shape, shape):
+        return _unary("broadcast", a, {"shape": shape, "order": "F"})
     if not (_is_scalar(a.value) or _is_row_of(a.value.shape, shape)):
         raise ShapeError(f"cannot broadcast shape {a.value.shape} to {shape}")
     return _unary("broadcast", a, {"shape": shape})
@@ -340,19 +399,39 @@ def column(a, j):
     """Column j of a 2-D node as an N x 1 node; a one-column node itself."""
     if a.value.ndim != 2 or not 0 <= j < a.value.shape[1]:
         raise ShapeError(f"no column {j} in shape {a.value.shape}")
-    if a.value.shape[1] == 1:
+    return columns(a, j, j + 1)
+
+
+def columns(a, lo, hi):
+    """Columns lo..hi-1 of a 2-D node as a view; all of them is the node
+    itself."""
+    if a.value.ndim != 2 or not 0 <= lo < hi <= a.value.shape[1]:
+        raise ShapeError(f"no columns {lo}:{hi} in shape {a.value.shape}")
+    if hi - lo == a.value.shape[1]:
         return a
-    return _unary("column", a, {"j": j})
+    return _unary("column", a, {"lo": lo, "hi": hi})
 
 
-def concat_cols(cols):
-    """Join N x 1 nodes side by side; a single column comes back unchanged."""
-    shapes = [c.value.shape for c in cols]
-    if not shapes or len(set(shapes)) > 1 or shapes[0][1:] != (1,):
-        raise ShapeError(f"concat_cols needs N x 1 columns, got {shapes}")
-    if len(cols) == 1:
-        return cols[0]
-    return _op("concat", tuple(cols), any(c.requires_grad for c in cols))
+def concat_cols(pieces, order="C"):
+    """Join 2-D nodes of equal row counts side by side; a single piece comes
+    back unchanged.
+
+    ``order`` is the result's layout.  "C", the default, is what a block
+    that may reach a matmul needs (see the module docstring: a network's
+    input, an adjoint joined from column reads).  "F" stacks columns
+    contiguously: a block whose use is pointwise ops and a row fold (a
+    basis evaluation, expansion coefficients) runs them faster so, and
+    ``rowsum`` folds it without a copy.
+    """
+    shapes = [p.value.shape for p in pieces]
+    if (not shapes or any(len(s) != 2 for s in shapes)
+            or len({s[0] for s in shapes}) > 1):
+        raise ShapeError(f"concat_cols needs 2-D pieces of equal rows, "
+                         f"got {shapes}")
+    if len(pieces) == 1:
+        return pieces[0]
+    return _op("concat", tuple(pieces), any(p.requires_grad for p in pieces),
+               {"order": order})
 
 
 def _sign(x):
@@ -402,6 +481,9 @@ def _fit_shape(g, target):
         if target.value.shape != ():
             s = broadcast_to(s, target.value.shape)
         return s
+    # a column operand folds its adjoint's columns left to right
+    if _is_column_of(target.value.shape, g.value.shape):
+        return rowsum(g)
     raise ShapeError(
         f"gradient shape {g.value.shape} does not fit operand {target.value.shape}"
     )
@@ -423,6 +505,7 @@ def _vjp(node, g, need):
     pairs g with a transpose of the other operand, which is a view, so no
     activation is copied for a weight gradient.  ``column`` has no rule:
     ``backward`` gathers a node's column reads (``_column_adjoint``).
+    ``rowsum`` hands every column g, broadcast F-ordered.
     """
     op = node.op
     if op == "guard":
@@ -442,6 +525,8 @@ def _vjp(node, g, need):
         return (mul(g, _argmax_mask(a)),)
     if op == "broadcast":
         return (g,)  # backward's _fit_shape sums it down to a's shape
+    if op == "rowsum":
+        return (broadcast_to(g, a.value.shape),)
     if op == "matmul":
         b = node.inputs[1]
         return (matmul(g, transpose(b)) if need[0] else None,
@@ -449,35 +534,59 @@ def _vjp(node, g, need):
     if op == "transpose":
         return (transpose(g),)
     if op == "concat":
-        return tuple(column(g, i) if wanted else None
-                     for i, wanted in enumerate(need))
+        ends = np.cumsum([p.value.shape[1] for p in node.inputs])
+        return tuple(columns(g, hi - p.value.shape[1], hi) if wanted else None
+                     for p, hi, wanted in zip(node.inputs, ends.tolist(), need))
     raise ValueError(f"no vjp for op {op!r}")
 
 
-def _padded(a, j, g):
-    """g as column j of an otherwise zero block of a's width."""
-    zero = constant(np.zeros_like(g.value))
-    return concat_cols([zero] * j + [g] + [zero] * (a.value.shape[1] - j - 1))
+def _zero_column(a, like):
+    """A +0.0 column of a's rows in the dtype of the adjoint ``like``."""
+    return constant(np.zeros((a.value.shape[0], 1), like.value.dtype))
+
+
+def _padded(a, lo, hi, g):
+    """g as columns lo..hi-1 of an otherwise zero C-ordered block of a's
+    width."""
+    zero = _zero_column(a, g)
+    return concat_cols([zero] * lo + [g] + [zero] * (a.value.shape[1] - hi))
 
 
 def _column_adjoint(a, reads):
-    """The adjoint of ``a`` from its column reads alone: ``reads`` holds
-    ``(j, g)`` in arrival order.
+    """The adjoint of ``a`` from its column-range reads alone: ``reads``
+    holds ``(lo, hi, g)`` in arrival order.
 
-    Each column folds its own contributions in that order, and one
-    ``concat_cols`` joins the columns.  Summing the zero-padded blocks
-    instead would add the padding's +0.0 to every column once two distinct
-    columns are read, which turns -0.0 into +0.0 and changes nothing else;
-    one ``add(·, 0.0)`` stands for it.  Every adjoint of one ``backward``
-    has the output's dtype (promotion only widens), so no column sums in a
-    narrower dtype than the padded fold would.
+    The read bounds cut a's columns into segments.  Each segment folds, in
+    arrival order, the part of each read that covers it (the read's g, or a
+    ``columns`` view of it), and one C-ordered ``concat_cols`` joins the
+    segments, a shared +0.0 column standing for each unread column: the
+    result may reach a matmul, whose bits follow its layout.  Summing the
+    zero-padded blocks instead would add the padding's +0.0 to a segment
+    that some read does not cover, which turns -0.0 into +0.0 and changes
+    nothing else; one ``add(·, 0.0)`` stands for it, on the joined block
+    when every read segment is such a one (as for reads of two distinct
+    single columns) and on each such segment otherwise.  Every adjoint of
+    one ``backward`` has the output's dtype (promotion only widens), so no
+    segment sums in a narrower dtype than the padded fold would.
     """
-    cols = {}
-    for j, g in reads:
-        cols[j] = add(cols[j], g) if j in cols else g
-    zero = constant(np.zeros_like(reads[0][1].value))
-    block = concat_cols([cols.get(j, zero) for j in range(a.value.shape[1])])
-    return add(block, 0.0) if len(cols) > 1 else block
+    cuts = sorted({0, a.value.shape[1]}.union(
+        *[(lo, hi) for lo, hi, _ in reads]))
+    segments = list(zip(cuts, cuts[1:]))
+    sums, covers = {}, dict.fromkeys(cuts, 0)
+    for lo, hi, g in reads:
+        for s, e in segments:
+            if lo <= s and e <= hi:
+                part = g if (s, e) == (lo, hi) else columns(g, s - lo, e - lo)
+                sums[s] = add(sums[s], part) if s in sums else part
+                covers[s] += 1
+    padded = [s for s in sums if covers[s] < len(reads)]
+    every = len(padded) == len(sums)
+    if not every:
+        sums.update((s, add(sums[s], 0.0)) for s in padded)
+    zero = _zero_column(a, reads[0][2])
+    block = concat_cols([p for s, e in segments
+                         for p in ([sums[s]] if s in sums else [zero] * (e - s))])
+    return add(block, 0.0) if every else block
 
 
 def backward(output, wrt):
@@ -493,16 +602,19 @@ def backward(output, wrt):
     builds no weight-gradient products.  The pruned nodes could never reach
     a returned gradient, so the results equal a full sweep bit for bit.
 
-    The contributions a node receives from ``column`` reads are held until
-    the sweep reaches the node, or until its first dense contribution
-    arrives, and then built in one piece (``_column_adjoint``): per-column
-    sums joined by one concatenation, not a sum of zero-padded full-width
-    blocks.  A column read that arrives after a dense contribution is
-    padded and added in arrival order, as every contribution is.  The
-    entries equal the padded fold's bit for bit, except that where two NaNs
-    meet in one addition the sign of the NaN that survives depends on
-    numpy's loop for the shapes at hand: a NaN entry is NaN in both, but
-    its sign may differ.
+    The contributions a node receives from ``column``/``columns`` reads are
+    held until the sweep reaches the node, or until its first dense
+    contribution arrives, and then built in one piece
+    (``_column_adjoint``): per-segment sums joined by one C-ordered
+    concatenation, not a sum of zero-padded full-width blocks.  A range
+    read that arrives after a dense contribution is padded and added in
+    arrival order, as every contribution is.  The entries equal the padded
+    fold's bit for bit, except that where two NaNs meet in one addition the
+    sign of the NaN that survives depends on numpy's loop for the shapes at
+    hand: a NaN entry is NaN in both, but its sign may differ.  A
+    ``rowsum`` hands its adjoint to every column as one F-ordered
+    broadcast, and an N x 1 operand of a column-against-block op gets its
+    block adjoint folded by ``rowsum``, left to right.
     """
     if not _is_scalar(output.value):
         raise ShapeError(
@@ -531,11 +643,11 @@ def backward(output, wrt):
         if not any(need):
             continue
         if node.op == "column":
-            a, j = node.inputs[0], node.attrs["j"]
+            a, lo, hi = node.inputs[0], node.attrs["lo"], node.attrs["hi"]
             if a._id in adjoint:  # after a dense contribution: padded
-                adjoint[a._id] = add(adjoint[a._id], _padded(a, j, g))
+                adjoint[a._id] = add(adjoint[a._id], _padded(a, lo, hi, g))
             else:
-                reads.setdefault(a._id, []).append((j, g))
+                reads.setdefault(a._id, []).append((lo, hi, g))
             continue
         for inp, ig in zip(node.inputs, _vjp(node, g, need)):
             if ig is None:
@@ -619,10 +731,19 @@ def _jvp(node, t):
     if op == "transpose":
         return transpose(ta)
     if op == "column":
-        return column(ta, node.attrs["j"])
+        return columns(ta, node.attrs["lo"], node.attrs["hi"])
     if op == "concat":
-        zero = constant(np.zeros_like(a.value)) if None in t else None
-        return concat_cols([zero if ti is None else ti for ti in t])
+        # one zero per shape among the pieces with no tangent, shared
+        zeros = {}
+        for p, ti in zip(node.inputs, t):
+            if ti is None and p.value.shape not in zeros:
+                zeros[p.value.shape] = constant(
+                    np.zeros(p.value.shape, a.value.dtype))
+        return concat_cols([zeros[p.value.shape] if ti is None else ti
+                            for p, ti in zip(node.inputs, t)],
+                           node.attrs["order"])
+    if op == "rowsum":
+        return rowsum(ta)
     raise ValueError(f"no jvp for op {op!r}")
 
 
@@ -747,8 +868,10 @@ def _alias_operand(node, consts):
 
     ``consts[i]`` is input i's kept array (None if it is computed).  x * 1
     (ones on either side) and x - (+0.0) are x, when x already has the
-    result's shape and dtype.  x + 0 is not: -0.0 + 0.0 is +0.0, and so is
-    x - (-0.0) for x = -0.0.
+    result's shape and dtype, and for a column against a block (whose
+    result is F-ordered, whatever x's layout) its strides: a later sum or
+    matmul follows the layout.  x + 0 is not: -0.0 + 0.0 is +0.0, and so
+    is x - (-0.0) for x = -0.0.
     """
     if node.op == "mul":
         pairs = ((0, 1), (1, 0))
@@ -759,7 +882,8 @@ def _alias_operand(node, consts):
     out = node.value
     for x, c in pairs:
         v, xv = consts[c], node.inputs[x].value
-        if v is None or (xv.shape, xv.dtype) != (out.shape, out.dtype):
+        if (v is None or (xv.shape, xv.dtype) != (out.shape, out.dtype)
+                or (node.attrs and xv.strides != out.strides)):
             continue
         if (node.op == "mul" and (v == 1).all()) or (
                 node.op == "sub" and not (v.any() or np.signbit(v).any())):

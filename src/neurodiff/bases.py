@@ -4,7 +4,9 @@ Real Fourier series in the azimuth, real spherical harmonics, and zonal
 (m = 0) harmonics.  All basis values are built from sin/cos of integer
 multiples of the angles, so expansions are 2-pi-periodic in the azimuth by
 construction, and they are graph nodes: differentiable through the operator
-suite.
+suite.  ``evaluate`` returns one N x K node, column j the j-th basis
+function, and ``expand`` sums coefficients against it as one product and
+one row fold.
 
 Convention: orthonormal real harmonics, Condon-Shortley phase omitted.
 """
@@ -22,6 +24,21 @@ def _ones_like(node):
     return ad.constant(np.ones_like(node.value))
 
 
+def _stack(columns):
+    """The basis functions' N x 1 columns as one N x K node, F-ordered: a
+    column stack, whose products and row fold run down its columns."""
+    return ad.concat_cols(columns, order="F")
+
+
+def expand(coeffs, values):
+    """sum_j coeffs_j * values_j as one N x 1 node, for N x K coefficients
+    (or an N x 1 column of them) and basis values.  One product and one
+    ``rowsum``, which adds the terms left to right: each entry has the bits
+    of the fold ``total = total + coeffs_j * values_j``.  F-ordered blocks
+    (``evaluate``'s) are folded without a copy."""
+    return ad.rowsum(coeffs * values)
+
+
 class Fourier1D:
     """1, cos(k phi), sin(k phi) for k = 1..K; size 2K + 1."""
 
@@ -32,12 +49,13 @@ class Fourier1D:
         self.size = 2 * self.max_degree + 1
 
     def evaluate(self, phi):
+        """The basis at an N x 1 azimuth as one N x K node."""
         phi = phi if isinstance(phi, ad.Node) else ad.constant(phi)
         out = [_ones_like(phi)]
         for k in range(1, self.max_degree + 1):
             out.append(ad.cos(float(k) * phi))
             out.append(ad.sin(float(k) * phi))
-        return out
+        return _stack(out)
 
 
 def _assoc_legendre(l_max, x, sin_t):
@@ -81,6 +99,8 @@ class RealSphericalHarmonics:
                 for m in range(-l, l + 1)]
 
     def evaluate(self, theta, phi):
+        """The basis at N x 1 angles as one N x K node, columns in
+        ``degrees()`` order."""
         theta = theta if isinstance(theta, ad.Node) else ad.constant(theta)
         phi = phi if isinstance(phi, ad.Node) else ad.constant(phi)
         x = ad.cos(theta)
@@ -96,7 +116,7 @@ class RealSphericalHarmonics:
                 out.append(root2 * n * p[(l, m)] * ad.cos(float(m) * phi))
             else:
                 out.append(root2 * n * p[(l, -m)] * ad.sin(float(-m) * phi))
-        return out
+        return _stack(out)
 
 
 class ZonalHarmonics:
@@ -112,15 +132,18 @@ class ZonalHarmonics:
         return [(l, 0) for l in range(self.max_degree + 1)]
 
     def evaluate(self, theta, phi=None):
+        """The basis at an N x 1 polar angle as one N x K node."""
         theta = theta if isinstance(theta, ad.Node) else ad.constant(theta)
         x = ad.cos(theta)
         sin_t = ad.sin(theta)
         p = _assoc_legendre(self.max_degree, x, sin_t)
-        return [_norm(l, 0) * p[(l, 0)] for l in range(self.max_degree + 1)]
+        return _stack([_norm(l, 0) * p[(l, 0)]
+                       for l in range(self.max_degree + 1)])
 
 
 def basis_solution(basis, radial_net, angles, r):
-    """Sum_j net_j(r) * basis_j(angles) as a single N x 1 field node.
+    """Sum_j net_j(r) * basis_j(angles) as a single N x 1 field node
+    (``expand``).
 
     radial_net is an MLP (or any callable of the radial node) whose output
     dimension equals the basis size.  The result is exactly periodic in the
@@ -136,9 +159,4 @@ def basis_solution(basis, radial_net, angles, r):
             f"radial net output dimension {k} does not match basis size "
             f"{basis.size}"
         )
-    funcs = basis.evaluate(*angles)
-    total = None
-    for j, y in enumerate(funcs):
-        term = ad.column(coeffs, j) * y
-        total = term if total is None else total + term
-    return total
+    return expand(coeffs, basis.evaluate(*angles))

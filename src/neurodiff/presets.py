@@ -213,6 +213,8 @@ class HarmonicExpansionCondition:
     inner radius from the enclosed charge and a Dirichlet value at the outer
     radius from the exterior monopole field.  Higher harmonics are pinned to
     zero at both radii.  Azimuthal periodicity is exact by construction.
+    The coefficients are one N x K block, c_0 beside c_1..c_{K-1}, summed
+    against the basis by ``bases.expand``.
     """
 
     def __init__(self, basis, r0=GAUSSIAN_R0, rmax=GAUSSIAN_RMAX):
@@ -232,16 +234,13 @@ class HarmonicExpansionCondition:
         na, dna = _boundary(net_fn, self.r0, r)
         length = self.rmax - self.r0
         xt = (r - self.r0) / length
-        cols = [self.c0_outer + self.dc0_inner * (r - self.rmax)
-                + (r - self.rmax) * (ad.column(raw, 0) - na + length * dna)]
-        cols += [xt * (1.0 - xt) * ad.column(raw, j)
-                 for j in range(1, raw.shape[1])]
-        funcs = self.basis.evaluate(theta, phi)
-        total = None
-        for c, y in zip(cols, funcs):
-            term = c * y
-            total = term if total is None else total + term
-        return total
+        coeffs = [self.c0_outer + self.dc0_inner * (r - self.rmax)
+                  + (r - self.rmax) * (ad.column(raw, 0) - na + length * dna)]
+        k = raw.shape[1]
+        if k > 1:  # c_1..c_{K-1} as one block, xt (1 - xt) times a view
+            coeffs.append(xt * (1.0 - xt) * ad.columns(raw, 1, k))
+        return bases.expand(ad.concat_cols(coeffs, order="F"),
+                            self.basis.evaluate(theta, phi))
 
 
 def _poisson_gaussian():

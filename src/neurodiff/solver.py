@@ -323,6 +323,32 @@ def _validation_loss(state, rng, programs):
     return _chunk_loss(state, batch, programs, train=False)[0]
 
 
+def _recording_basis(state):
+    """What the recorded programs and the optimizer moments were made for
+    and no callback may change: the networks and the layout (by identity)
+    and each parameter's shape."""
+    return (list(state.networks), state.layout,
+            [p.shape for p in _param_arrays(state)])
+
+
+def _check_recording_basis(state, basis, epoch):
+    """Raise ValueError naming ``epoch`` if ``state`` no longer has the
+    networks, layout or parameter shapes of ``basis``."""
+    networks, layout, shapes = basis
+    if (len(state.networks) != len(networks)
+            or any(a is not b for a, b in zip(state.networks, networks))):
+        what = "replaced a network"
+    elif state.layout is not layout:
+        what = "replaced the bundle layout"
+    elif [p.shape for p in _param_arrays(state)] != shapes:
+        what = "changed a parameter's shape"
+    else:
+        return
+    raise ValueError(f"epoch {epoch}: a callback {what}; the recorded "
+                     "training step and the optimizer state were made for "
+                     "the old one")
+
+
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # from glibc's malloc.h
 
 
@@ -367,7 +393,9 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     generator, record it again.
     Callbacks may change the loss spec, learning rate, batch size,
     generators, residual and condition objects (a replaced residual or
-    condition is recorded again), not the networks.
+    condition is recorded again), not the networks, their parameters'
+    shapes or the bundle layout: after an epoch whose callbacks did,
+    ``fit`` raises ValueError naming the epoch.
     On glibc, fixes the process's malloc thresholds first (see
     ``_keep_freed_heap``).
     """
@@ -376,6 +404,7 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
         state = SolverState(problem, config, layout)
     programs = {}  # recorded steps, kept for this call only
     sources = [state.problem.residual, *state.conditions]
+    basis = _recording_basis(state)
     first = state.epoch + 1
     for epoch in range(first, first + config.epochs):
         epoch_losses = []
@@ -407,6 +436,7 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
             if cb.condition.evaluate(state):
                 for action in cb.actions:
                     action.apply(state)
+        _check_recording_basis(state, basis, epoch)
         # a recording bakes in the residual and the condition objects, so
         # replacing one records again; by identity, as a field may hold an
         # array (``sources`` keeps the old objects, so ids are not reused)

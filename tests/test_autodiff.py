@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
@@ -65,10 +65,21 @@ class TestForward:
         with pytest.raises(ad.ShapeError):
             ad.concat_cols([col, ad.constant(np.ones((2, 1)))])
         with pytest.raises(ad.ShapeError):
-            ad.concat_cols([col, a])
+            ad.concat_cols([col, ad.constant(np.ones((2, 2)))])
+        # a column and a block join; C-ordered unless F is asked for
+        joined = ad.concat_cols([col, a])
+        np.testing.assert_array_equal(joined.value,
+                                      [[0, 0, 1], [2, 2, 3], [4, 4, 5]])
+        assert joined.value.flags.c_contiguous
+        assert ad.concat_cols([col, a], order="F").value.flags.f_contiguous
         for j in (2, -1):
             with pytest.raises(ad.ShapeError):
                 ad.column(a, j)
+        np.testing.assert_array_equal(ad.columns(a, 1, 2).value, [[1], [3], [5]])
+        assert ad.columns(a, 0, 2) is a
+        for lo, hi in ((1, 1), (0, 3), (-1, 1), (2, 1)):
+            with pytest.raises(ad.ShapeError):
+                ad.columns(a, lo, hi)
 
     def test_transpose_is_a_view(self):
         x = ad.variable(np.arange(6.0).reshape(2, 3))
@@ -453,26 +464,56 @@ def _three_node_tanh_jvp(node, t, jvp=ad._jvp):
     return jvp(node, t)
 
 
-def _mlp_derivatives(seed, widths, dtype):
-    """diff orders 1-3 and the parameter gradient of an order-2 residual
-    loss of a random tanh MLP with random biases, at random points."""
+def _mlp_problem(seed, widths, dtype):
+    """A random tanh MLP with random biases, in ``dtype``, and 17 random
+    points."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     mlp = MLP.init(MLPSpec(1, widths, 1, seed=seed))
     biases = [rng.uniform(-1.0, 1.0, b.shape) for b in mlp.biases]
     mlp = MLP(mlp.spec, mlp.weights, biases).astype(dtype)
-    x = ad.variable(rng.uniform(-1.0, 1.0, (17, 1)).astype(dtype))
+    return mlp, rng.uniform(-1.0, 1.0, (17, 1)).astype(dtype)
+
+
+def _order2_residual(mlp, xv):
+    x = ad.variable(xv)
     params = mlp.param_nodes()
     u = mlp.forward(x, params)
+    return x, u, params, ad.diff(u, x, 2) + u
+
+
+def _mlp_derivatives(seed, widths, dtype):
+    """diff orders 1-3 and the parameter gradient of an order-2 residual
+    loss of ``_mlp_problem``."""
+    x, u, params, r = _order2_residual(*_mlp_problem(seed, widths, dtype))
     orders = [ad.diff(u, x, k).value for k in (1, 2, 3)]
-    r = ad.diff(u, x, 2) + u
     grads = [g.value for g in ad.backward(ad.reduce_mean(r * r), params)]
     return orders, grads
+
+
+def _per_sample_gradient_magnitudes(seed, widths, dtype):
+    """sum_i |d(r_i^2 / N) / d theta| for each parameter entry: the
+    magnitudes of the per-sample terms that the loss gradient sums, taken
+    in float64 on the ``dtype`` problem's own (rounded) values."""
+    mlp, xv = _mlp_problem(seed, widths, dtype)
+    x, _, params, r = _order2_residual(mlp.astype(np.float64),
+                                       xv.astype(np.float64))
+    total = [np.zeros(p.shape) for p in params]
+    for i in range(xv.shape[0]):
+        mask = np.zeros(xv.shape)
+        mask[i] = 1.0 / xv.shape[0]
+        grads = ad.backward(ad.reduce_sum(r * r * ad.constant(mask)), params)
+        total = [t + np.abs(g.value) for t, g in zip(total, grads)]
+    return total
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 16),
        widths=st.lists(st.integers(1, 16), min_size=1, max_size=3),
        dtype=st.sampled_from([np.float64, np.float32]))
+# float32 draws that a bound of 32 eps of each array's own largest entry
+# failed: a gradient entry that is a cancelling sum of larger terms
+@example(seed=1, widths=[1, 13, 1], dtype=np.float32)
+@example(seed=10491, widths=[1, 14, 10], dtype=np.float32)
 def test_tanh_derivative_matches_three_node_rule(seed, widths, dtype):
     orders, grads = _mlp_derivatives(seed, tuple(widths), dtype)
     with pytest.MonkeyPatch.context() as mp:
@@ -481,13 +522,25 @@ def test_tanh_derivative_matches_three_node_rule(seed, widths, dtype):
     # -2h * t and -(h*t + t*h) round alike, so the tangents are equal
     for got, ref in zip(orders, ref_orders):
         assert np.array_equal(got, ref)
-    # the reverse sweep adds h's adjoint terms in another order; float32
-    # rounds that to a few ulps of the largest entry
-    tol = 1e-12 if dtype == np.float64 else 32 * np.finfo(np.float32).eps
     for got, ref in zip(grads, ref_grads):
         assert got.dtype == dtype
-        np.testing.assert_allclose(got, ref, rtol=tol,
-                                   atol=tol * np.max(np.abs(ref)))
+    if dtype == np.float64:
+        for got, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(got, ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+        return
+    # the reverse sweep adds h's adjoint terms in another order.  A sum's
+    # rounding error is bounded by eps times the sum of its terms'
+    # magnitudes, not by eps times the result, and a gradient entry sums
+    # per-sample terms that may cancel to far below their size (a bias
+    # gradient of 2e-4 from terms of 1e-1).  So each entry may differ by
+    # 32 float32 eps (room for the few roundings a reordered sum's error
+    # passes through) of its per-sample terms' summed magnitudes
+    scale = _per_sample_gradient_magnitudes(seed, tuple(widths), dtype)
+    eps = np.finfo(np.float32).eps
+    for got, ref, s in zip(grads, ref_grads, scale):
+        diff = np.abs(got.astype(np.float64) - ref)
+        assert (diff <= 32 * eps * s).all(), (diff.max(), s.max())
 
 
 # ops the random-graph property test below does not draw; x is 1 x 1, so
@@ -891,23 +944,32 @@ def _entries(rng, shape, dtype):
     return v.astype(dtype)
 
 
+def _bounds(read):
+    """A read of ``pattern`` below as its column range: column j, a range
+    (lo, hi), or None for all of a."""
+    return (read, read + 1) if isinstance(read, int) else read
+
+
 def _column_reads(a, pattern, weights):
     """sum_i sum(read_i * w_i): read_i is column j of a for an entry j of
-    ``pattern`` and all of a for None, so read i's adjoint is 1 * w_i."""
-    terms = [ad.reduce_sum((a if j is None else ad.column(a, j)) * w)
-             for j, w in zip(pattern, weights)]
+    ``pattern``, columns lo..hi-1 for an entry (lo, hi), and all of a for
+    None, so read i's adjoint is 1 * w_i."""
+    terms = [ad.reduce_sum((a if r is None else ad.columns(a, *_bounds(r)))
+                           * w) for r, w in zip(pattern, weights)]
     return functools.reduce(ad.add, terms)
 
 
 def _padded_fold(shape, pattern, contributions):
     """The adjoint as a sum of full-width blocks in arrival order (the
-    last read first), a column read padded with +0.0 to a's width."""
+    last read first), a column or range read padded with +0.0 to a's
+    width."""
     acc = None
-    for j, c in reversed(list(zip(pattern, contributions))):
+    for r, c in reversed(list(zip(pattern, contributions))):
         block = c
-        if j is not None:
+        if r is not None:
+            lo, hi = _bounds(r)
             block = np.zeros(shape, c.dtype)
-            block[:, j:j + 1] = c
+            block[:, lo:hi] = c
         with np.errstate(all="ignore"):
             acc = block if acc is None else acc + block
     return acc
@@ -957,10 +1019,17 @@ def test_column_adjoints_equal_the_zero_padded_fold(pattern, width, seed,
     ([1, 2, 1], [False, False, False]),
     # a lone read
     ([0], [True, False, False]),
+    # column 0 is read by both ranges, so no padding reaches it; column 1
+    # is padded by the read of column 0 alone
+    ([(0, 2), (0, 1)], [True, False, False]),
+    # both reads cover every read column: no padding anywhere
+    ([(1, 3), (1, 3)], [False, True, True]),
+    ([(0, 2), (2, 3)], [False, False, False]),
 ])
 def test_negative_zero_column_adjoints(pattern, signbits):
     a = ad.variable(np.ones((2, 3)))
-    weights = [ad.variable(np.full((2, 1), -0.0)) for _ in pattern]
+    weights = [ad.variable(np.full((2, hi - lo), -0.0))
+               for lo, hi in map(_bounds, pattern)]
     (grad,) = ad.backward(_column_reads(a, pattern, weights), [a])
     assert not grad.value.any()
     assert np.signbit(grad.value).tolist() == [signbits] * 2
@@ -1016,3 +1085,152 @@ def test_a_kept_column_that_is_not_ones_runs_outer(left):
     program = ad._record([ad.matmul(ad.constant(left), x)], [x])
     assert [s.op for s in program.steps] == ["outer"]
     assert program.rewrites["repeat"] == 0
+
+
+# -- column against block, rowsum, column ranges ----------------------------
+
+def _fold_columns(block):
+    """Each row of a 2-D array added left to right, as ``total + term``."""
+    acc = block[:, :1].copy()
+    with np.errstate(all="ignore"):
+        for j in range(1, block.shape[1]):
+            acc = acc + block[:, j:j + 1]
+    return acc
+
+
+# op -> (forward, adjoint of a, adjoint of b) as numpy expressions of the
+# operands, the output and the output's adjoint w, each as ``_jvp`` builds
+# it; a column operand's adjoint is then folded over the columns
+COLUMN_BLOCK_RULES = {
+    "add": (np.add, lambda a, b, o, w: w, lambda a, b, o, w: w),
+    "sub": (np.subtract, lambda a, b, o, w: w, lambda a, b, o, w: -w),
+    "mul": (np.multiply, lambda a, b, o, w: w * b, lambda a, b, o, w: a * w),
+    "div": (np.divide, lambda a, b, o, w: w / b,
+            lambda a, b, o, w: -(o * w) / b),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(op=st.sampled_from(sorted(COLUMN_BLOCK_RULES)),
+       column_first=st.booleans(), n=st.integers(2, 9),
+       k=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_a_column_against_a_block_matches_numpy_and_a_column_loop(
+        op, column_first, n, k, seed, dtype):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    col, block = _entries(rng, (n, 1), dtype), _entries(rng, (n, k), dtype)
+    w = _entries(rng, (n, k), dtype)
+    av, bv = (col, block) if column_first else (block, col)
+    a, b = ad.variable(av), ad.variable(bv)
+    out = getattr(ad, op)(a, b)
+    forward, rule_a, rule_b = COLUMN_BLOCK_RULES[op]
+    with np.errstate(all="ignore"):
+        want = forward(av, bv)
+        loop = np.concatenate(
+            [forward(av if column_first else av[:, j:j + 1],
+                     bv[:, j:j + 1] if column_first else bv)
+             for j in range(k)], axis=1)
+        adjoints = [rule(av, bv, want, w) for rule in (rule_a, rule_b)]
+    _same_up_to_nan_sign(out.value, want)
+    _same_up_to_nan_sign(out.value, loop)
+    assert out.value.flags.f_contiguous
+    # the output's adjoint is 1 * w = w, exactly
+    grads = ad.backward(ad.reduce_sum(out * ad.constant(w)), [a, b])
+    for g, operand, adjoint in zip(grads, (av, bv), adjoints):
+        if operand.shape == (n, 1):
+            adjoint = _fold_columns(adjoint)
+        _same_up_to_nan_sign(g.value, adjoint)
+
+
+@pytest.mark.parametrize("sa, sb", [((4, 1), (3, 2)), ((3, 2), (4, 1)),
+                                    ((4, 2), (4, 3)), ((1, 3), (4, 1)),
+                                    ((4, 1), (1, 3)), ((4, 1), (4, 1, 1))])
+def test_other_shape_mixes_raise(sa, sb):
+    a, b = ad.constant(np.ones(sa)), ad.constant(np.ones(sb))
+    for op in (ad.add, ad.sub, ad.mul, ad.div):
+        with pytest.raises(ad.ShapeError):
+            op(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(1, 17),
+       seed=st.integers(0, 2 ** 16), order=st.sampled_from("CF"),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_rowsum_is_the_left_to_right_fold(n, k, seed, order, dtype):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    v = _entries(rng, (n, k), dtype)
+    v[rng.random(n) < 0.2] = -0.0  # rows of -0.0 stay -0.0
+    v = np.asarray(v, order=order)
+    x = ad.variable(v)
+    got = ad.rowsum(x).value
+    _same_up_to_nan_sign(got, _fold_columns(v))
+    if k > 1:  # a replay folds the same way
+        (again,) = ad._replay(ad._record([ad.rowsum(x)], [x]), [v])
+        assert again.tobytes() == got.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern=st.lists(st.one_of(st.tuples(st.integers(0, 5),
+                                            st.integers(1, 6)), st.none()),
+                        min_size=1, max_size=8),
+       width=st.integers(2, 6), seed=st.integers(0, 2 ** 16),
+       dtype=st.sampled_from([np.float64, np.float32]))
+def test_column_range_adjoints_equal_the_zero_padded_fold(pattern, width,
+                                                          seed, dtype):
+    # overlapping, nested and repeated ranges, single columns, the whole
+    # width (which is a itself), and dense reads before and after them
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n = 8
+    pattern = [None if r is None else
+               (min(r[0] % width, (r[0] + r[1]) % width),
+                max(r[0] % width, (r[0] + r[1]) % width) + 1)
+               for r in pattern]
+    a = ad.variable(rng.uniform(-1.0, 1.0, (n, width)).astype(dtype))
+    weights = [ad.variable(_entries(rng, (n, width if r is None
+                                          else r[1] - r[0]), dtype))
+               for r in pattern]
+    (grad,) = ad.backward(_column_reads(a, pattern, weights), [a])
+    with np.errstate(all="ignore"):
+        contributions = [np.ones_like(w.value) * w.value for w in weights]
+    _same_up_to_nan_sign(grad.value, _padded_fold(a.value.shape, pattern,
+                                                  contributions))
+    assert grad.value.flags.c_contiguous  # it may reach a matmul
+    # nested, d sum(grad * v) / d w_i is v's columns of read i; equal up to
+    # the sign of a zero, since a read that other reads' bounds cut into
+    # pieces is itself read by pieces, and its adjoint gets their padding
+    v = _entries(rng, (n, width), dtype)
+    nested = ad.backward(ad.reduce_sum(grad * ad.constant(v)), weights)
+    for r, g in zip(pattern, nested):
+        want = v if r is None else v[:, r[0]:r[1]]
+        assert np.array_equal(g.value, want, equal_nan=True)
+
+
+def _expansion(x, y):
+    """A small expansion through every block op: a column against a block,
+    a column range, an F-ordered join and a row fold."""
+    block = ad.tanh(x * y)
+    coeffs = ad.concat_cols([ad.sin(x), x * ad.columns(block, 1, 3)],
+                            order="F")
+    return ad.rowsum(coeffs * block)
+
+
+def test_nested_backward_through_a_block_matches_finite_differences():
+    rng = np.random.Generator(np.random.Philox(key=(12, 12)))
+    xv = rng.uniform(-1.0, 1.0, (5, 1))
+    y = ad.constant(rng.uniform(-1.0, 1.0, (5, 3)))
+
+    def f(v):
+        return _expansion(ad.constant(v), y).value
+
+    x = ad.variable(xv)
+    (g,) = ad.backward(ad.reduce_sum(_expansion(x, y) ** 2.0), [x])
+    (gg,) = ad.backward(ad.reduce_sum(g), [x])
+    h = 1e-5
+    # rows are independent, so each derivative is per row
+    first = (f(xv + h) ** 2 - f(xv - h) ** 2) / (2 * h)
+    second = (f(xv + h) ** 2 - 2 * f(xv) ** 2 + f(xv - h) ** 2) / h ** 2
+    np.testing.assert_allclose(g.value, first, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(gg.value, second, rtol=1e-4, atol=1e-6)
+    # forward mode agrees with the reverse sweep
+    np.testing.assert_allclose(
+        ad.diff(_expansion(x, y) ** 2.0, x).value, g.value, rtol=1e-12)

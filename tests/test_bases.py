@@ -17,11 +17,16 @@ def gauss_legendre_sphere(n_theta=64, n_phi=128):
     return th.ravel(), ph.ravel(), w.ravel()
 
 
+def basis_columns(values):
+    """The columns of an evaluated basis, one flat array each."""
+    return list(values.value.T)
+
+
 def harmonics_values(L, theta, phi):
     basis = bases.RealSphericalHarmonics(L)
     t = ad.constant(theta.reshape(-1, 1))
     p = ad.constant(phi.reshape(-1, 1))
-    return [y.value.ravel() for y in basis.evaluate(t, p)]
+    return basis_columns(basis.evaluate(t, p))
 
 
 class TestOrthonormality:
@@ -38,8 +43,7 @@ class TestOrthonormality:
         phi = np.linspace(0.0, 2 * np.pi, 512, endpoint=False)
         w = 2 * np.pi / 512
         basis = bases.Fourier1D(3)
-        ys = [y.value.ravel()
-              for y in basis.evaluate(ad.constant(phi.reshape(-1, 1)))]
+        ys = basis_columns(basis.evaluate(ad.constant(phi.reshape(-1, 1))))
         norms = [2 * np.pi] + [np.pi] * 6
         for i in range(len(ys)):
             for j in range(len(ys)):
@@ -51,8 +55,7 @@ class TestOrthonormality:
         th, ph, _ = gauss_legendre_sphere(16, 4)
         full = harmonics_values(3, th, ph)
         zonal = bases.ZonalHarmonics(3)
-        zs = [y.value.ravel()
-              for y in zonal.evaluate(ad.constant(th.reshape(-1, 1)))]
+        zs = basis_columns(zonal.evaluate(ad.constant(th.reshape(-1, 1))))
         degrees = bases.RealSphericalHarmonics(3).degrees()
         for l in range(4):
             idx = degrees.index((l, 0))
@@ -100,7 +103,9 @@ class TestEigenproperty:
         basis = bases.RealSphericalHarmonics(L)
         degrees = basis.degrees()
         ys = basis.evaluate(theta, phi)
-        for (l, m), y in zip(degrees, ys):
+        assert ys.shape == (n, len(degrees))
+        for j, (l, m) in enumerate(degrees):
+            y = ad.column(ys, j)
             lap = ops.laplacian(y * _ones_node(r), [r, theta, phi],
                                 "spherical")
             np.testing.assert_allclose(

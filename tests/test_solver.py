@@ -796,6 +796,35 @@ class TestRecordingContract:
         assert trained(state) == trained(built)
 
 
+class TestCallbacksThatInvalidateARecording:
+    class Change(Action):
+        def __init__(self, change):
+            self.change = change
+
+        def apply(self, state):
+            self.change(state)
+
+    @pytest.mark.parametrize("change, what", [
+        (lambda s: s.networks.__setitem__(0, s.networks[0].copy()),
+         "replaced a network"),
+        (lambda s: s.networks[0].weights.__setitem__(0, np.zeros((1, 9))),
+         "changed a parameter's shape"),
+        (lambda s: setattr(s, "layout", BundleLayout()),
+         "replaced the bundle layout"),
+    ])
+    def test_is_refused_naming_the_epoch(self, change, what):
+        cbs = [Callback(AfterEpoch(1), self.Change(change))]
+        with pytest.raises(ValueError, match=rf"^epoch 2: a callback {what};"):
+            fit(decay_problem(), small_config(epochs=4), cbs)
+
+    def test_changes_inside_a_parameter_array_are_allowed(self):
+        def scale(state):
+            state.networks[0].weights[0] *= 0.5
+        cbs = [Callback(AfterEpoch(1), self.Change(scale))]
+        state = fit(decay_problem(), small_config(epochs=3), cbs)
+        assert len(state.metrics) == 3
+
+
 class TestValidationRecording:
     """Validation records with its batch kept in the program, so it replays
     only the same batch bytes."""

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -10,8 +11,17 @@ PERFBENCH = os.path.join(ROOT, "perfbench", "run.py")
 PROGRAM = os.path.join(ROOT, "tools", "program.py")
 LINE = re.compile(r"decay seed=1 sha256=[0-9a-f]{64} nodes/epoch=\d+(\.\d+)? "
                   r"valid_loss=\S+ epochs_to_tol=\d+")
+SHAPES = re.compile(r"  shapes: (\((\d+(, \d+)*)?,?\) \u00d7\d+(, |$))+")
 STEP = re.compile(r" +\d+ = [a-z_]+\((\d+(, \d+)*)?\)( into \d+)? "
                   r"\((\d+(, \d+)*)?,?\) float64")
+
+
+def shape_counts(block):
+    """The ``shapes:`` line of a printed program as {shape: count}."""
+    (line,) = [line for line in block if line.startswith("  shapes: ")]
+    return collections.Counter({
+        shape: int(count)
+        for shape, count in re.findall(r"(\([\d, ]*\)) \u00d7(\d+)", line)})
 
 
 def fingerprint(*args):
@@ -63,6 +73,10 @@ class TestProgram:
             steps = [line for line in block if " = " in line]
             assert len(steps) == left[-1] > 0
             assert block[6].startswith(f"  {left[-1]} steps, ")
+            assert SHAPES.fullmatch(block[7]), block[7]
+            assert shape_counts(block) == collections.Counter(
+                re.search(r" (\([\d, ]*\)) float64$", line).group(1)
+                for line in block if " = " in line)
             for line in steps:
                 assert STEP.fullmatch(line), line
             # each slot is written once, and before any step reads it; an
@@ -82,17 +96,22 @@ class TestProgram:
                     assert into in written[:k] and into in read[k], line
                     assert not any(into in r for r in read[k + 1:]), line
 
-    def test_poisson_gaussian_builds_each_column_adjoint_once(self):
+    def test_poisson_gaussian_builds_its_expansion_in_blocks(self):
         run = subprocess.run([sys.executable, PROGRAM, "--workload",
                               "poisson-gaussian"],
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
-        training = run.stdout.split("validation program")[0].splitlines()
-        # the radial net's output and its two r-tangents, 9 columns read
-        # from each: one concatenation per adjoint, not one per read
-        concats = [line for line in training if " = concat(" in line
-                   and line.endswith(" (512, 9) float64")]
-        assert len(concats) == 3
+        training, validation = [
+            part.splitlines() for part in
+            run.stdout.split("validation program")]
+        # sum_j c_j Y_j, its tangents and its adjoints as (512, 9) blocks:
+        # at most half the (512, 1) steps of the column-by-column build
+        # (457 and 203)
+        assert shape_counts(training)["(512, 1)"] <= 228
+        assert shape_counts(validation)["(512, 1)"] <= 101
+        for block in (training, validation):
+            assert sum(shape_counts(block).values()) == len(
+                [line for line in block if " = " in line])
 
 
 class TestPerfbench:

@@ -10,12 +10,14 @@ of recorded steps and the count left after each of ``autodiff._record``'s
 rewrites that removes steps, the counts of the two that rewrite a step in
 place (``outer``, with how many of its matmuls run as ``repeat`` because
 their left operand is a kept column of ones, and ``into``), the kept arrays
-and their bytes, and then one line per step: result slot, op, argument
-slots, the argument slot the result is written into (``into``, for a step
-the ``into`` rewrite changed), result shape and dtype.
+and their bytes, the step count by result shape (most frequent first), and
+then one line per step: result slot, op, argument slots, the argument slot
+the result is written into (``into``, for a step the ``into`` rewrite
+changed), result shape and dtype.
 """
 
 import argparse
+import collections
 import dataclasses
 import math
 import os
@@ -76,6 +78,9 @@ def describe(kind, program):
     lines.append(f"  {len(program.steps)} steps, {len(kept)} kept arrays "
                  f"({sum(v.nbytes for v in kept)} bytes), "
                  f"outputs {list(program.outputs)}")
+    shapes = collections.Counter(step.shape for step in program.steps)
+    lines.append("  shapes: " + ", ".join(
+        f"{shape} \u00d7{count}" for shape, count in shapes.most_common()))
     for step in program.steps:
         args, into = step.args, ""
         if len(args) > ad._INTO.get(step.op, len(args)):
