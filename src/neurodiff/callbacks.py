@@ -8,6 +8,7 @@ effect from the next epoch and never rewrites recorded history.
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 logger = logging.getLogger("neurodiff")
@@ -139,6 +140,12 @@ class SetLoss(Action):
 @dataclass(frozen=True)
 class SetLearningRate(Action):
     lr: float
+
+    def __post_init__(self):
+        if not (isinstance(self.lr, numbers.Real) and math.isfinite(self.lr)
+                and self.lr > 0):
+            raise ValueError("SetLearningRate: lr must be finite and above 0, "
+                             f"got {self.lr!r}")
 
     def apply(self, state):
         state.lr = self.lr

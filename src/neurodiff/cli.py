@@ -23,6 +23,7 @@ import numpy as np
 from . import operators, presets
 from .callbacks import (AfterEpoch, Callback, SetLearningRate, SetLoss,
                         ValidationConverged)
+from .generators import is_seed
 from .losses import LossSpec
 from .network import MLP
 from .solver import (Adam, SolverConfig, Solution, TrainingDiverged, fit,
@@ -34,6 +35,27 @@ LOSS_FLAGS = {"l2": "l2", "mse": "mse", "l1": "l1", "linf": "linf",
 
 def _default_seed():
     return int(os.environ.get("NEURODIFF_SEED", "0"))
+
+
+def _seed_error(args):
+    """Why ``--seed`` (from the command line or ``--manifest``) or, without
+    it, NEURODIFF_SEED cannot key a sampling stream; None if it can."""
+    if args.seed is not None:
+        return None if is_seed(args.seed) else (
+            f"--seed must be an integer in [0, 2**64), got {args.seed!r}")
+    text = os.environ.get("NEURODIFF_SEED", "0")
+    try:
+        ok = is_seed(int(text))
+    except ValueError:
+        ok = False
+    return None if ok else ("NEURODIFF_SEED must be an integer in "
+                            f"[0, 2**64), got {text!r}")
+
+
+def _positive_number(value):
+    """Whether ``value`` is an int or float, finite and above 0."""
+    return (type(value) in (int, float) and math.isfinite(value)
+            and value > 0)
 
 
 def _add_common(p):
@@ -105,8 +127,9 @@ def _hidden_sizes(text):
 
 
 def _training_flags_error(args):
-    """Why ``--epochs``, ``--batch-size``, ``--hidden``, ``--switch-window``
-    or ``--switch-delta``, given on the command line or by ``--manifest``,
+    """Why ``--epochs``, ``--batch-size``, ``--hidden``, ``--lr``,
+    ``--seed`` (or NEURODIFF_SEED), ``--switch-window`` or
+    ``--switch-delta``, given on the command line or by ``--manifest``,
     cannot train; None if they can."""
     for flag, value in (("--epochs", args.epochs),
                         ("--batch-size", args.batch_size)):
@@ -115,11 +138,15 @@ def _training_flags_error(args):
     if args.hidden is not None and _hidden_sizes(args.hidden) is None:
         return ("--hidden must be comma-separated positive integers, "
                 f"got {args.hidden!r}")
+    if args.lr is not None and not _positive_number(args.lr):
+        return f"--lr must be a finite number above 0, got {args.lr!r}"
+    seed_error = _seed_error(args)
+    if seed_error:
+        return seed_error
     window, delta = args.switch_window, args.switch_delta
     if type(window) is not int or window < 1:
         return f"--switch-window must be a positive integer, got {window!r}"
-    if (type(delta) not in (int, float) or not math.isfinite(delta)
-            or delta <= 0):
+    if not _positive_number(delta):
         return f"--switch-delta must be a finite number above 0, got {delta!r}"
     return None
 
@@ -284,6 +311,10 @@ def _load_bundle_solution(preset, bundle_dir):
 
 
 def cmd_invert(args):
+    if not _positive_number(args.lr):
+        print(f"invert: --lr must be a finite number above 0, got {args.lr!r}",
+              file=sys.stderr)
+        return 2
     preset = presets.get(args.preset)
     try:
         solution = _load_bundle_solution(preset, args.bundle_dir)

@@ -5,15 +5,47 @@ an (n, D) float64 array.  The rng is owned by the caller (the solver) so
 generators themselves carry no mutable state.  The RNG algorithm is numpy's
 counter-based Philox; per-implementation determinism is guaranteed by
 seeding, and independent streams are derived by keying Philox with distinct
-seeds.
+(seed, stream) pairs.  ``rekey`` is the one way to key a stream: it sets a
+generator's Philox to the start of the stream in place, so ``fit`` builds
+one Philox and re-keys it for every batch, and ``make_rng`` builds one and
+keys it once.
 """
+
+import numbers
 
 import numpy as np
 
 
+def is_seed(value):
+    """Whether ``value`` can key a stream: an integer in [0, 2**64), one
+    Philox key word."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and 0 <= value < 2 ** 64)
+
+
+def rekey(rng, seed, stream=0):
+    """Set ``rng``, a Generator on Philox, to the start of the stream for
+    (seed, stream) and return it: key [seed, stream], a zero counter, an
+    empty buffer and no cached 32-bit half, as ``Philox(key=(seed,
+    stream))`` starts, so every draw equals a new generator's byte for
+    byte.  Both must be integers in [0, 2**64)."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([seed, stream], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def make_rng(seed, stream=0):
-    """Deterministic Philox stream for (seed, stream)."""
-    return np.random.Generator(np.random.Philox(key=(int(seed), int(stream))))
+    """A new deterministic Philox stream for (seed, stream)."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not is_seed(value):
+            raise ValueError(f"{name} must be an integer in [0, 2**64), "
+                             f"got {value!r}")
+    # a fixed seed spares Philox drawing OS entropy for a key rekey replaces
+    return rekey(np.random.Generator(np.random.Philox(0)), seed, stream)
 
 
 class Generator:

@@ -11,18 +11,23 @@ dependent values with graph ops: recording refuses an
 program (``ad._record``).  Validation, whose batch is the same every epoch,
 is recorded together with that batch, so its batch-only steps run once.
 ``Solution`` and ``fit_inverse`` build a fresh graph each call.
+
+A ``SolverState`` keeps its networks' parameters in one vector: every
+weight and bias array is a view into it, and the optimizer updates the
+whole vector with one set of ufunc calls per step (``_optimizer_step``).
 """
 
 import ctypes
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import losses as losses_mod
-from .generators import make_rng
+from .generators import is_seed, make_rng, rekey
 from .network import MLP, MLPSpec
 
 
@@ -52,6 +57,17 @@ class Problem:
     valid_generator: object
 
 
+def _check_setting(owner, name, value, ok, what):
+    """Raise ValueError naming ``owner.name`` unless ``value`` is a real
+    number for which ``ok`` holds."""
+    if not (isinstance(value, numbers.Real) and ok(value)):
+        raise ValueError(f"{owner}: {name} must be {what}, got {value!r}")
+
+
+def _positive(x):
+    return math.isfinite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class Adam:
     lr: float = 1e-3
@@ -59,11 +75,25 @@ class Adam:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        for name in ("lr", "eps"):
+            _check_setting("Adam", name, getattr(self, name), _positive,
+                           "finite and above 0")
+        for name in ("beta1", "beta2"):
+            _check_setting("Adam", name, getattr(self, name),
+                           lambda b: 0 <= b < 1, "in [0, 1)")
+
 
 @dataclass(frozen=True)
 class SGD:
     lr: float = 1e-3
     momentum: float = 0.0
+
+    def __post_init__(self):
+        _check_setting("SGD", "lr", self.lr, _positive, "finite and above 0")
+        _check_setting("SGD", "momentum", self.momentum,
+                       lambda m: math.isfinite(m) and m >= 0,
+                       "finite and at least 0")
 
 
 _DTYPES = {"f64": np.float64, "f32": np.float32}
@@ -90,6 +120,9 @@ class SolverConfig:
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, "
                                  f"got {getattr(self, name)!r}")
+        if not is_seed(self.seed):
+            raise ValueError("seed must be an integer in [0, 2**64), "
+                             f"got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +151,17 @@ class BundleLayout:
 
 
 class SolverState:
+    """What a fit trains and keeps between epochs and across resumed fits.
+
+    The networks' parameters live in one contiguous vector in the networks'
+    dtype, network by network in ``_param_arrays`` order (W0, b0, W1, ...):
+    every ``net.weights[k]`` and ``net.biases[k]`` is a view into it, and
+    the optimizer moments are one vector each (Adam's m and v, SGD's v).
+    A parameter array rebound since, as by a network replaced with
+    ``MLP.load``, is copied into the vector when ``fit`` starts
+    (``_bind_parameters``).
+    """
+
     def __init__(self, problem, config, layout=None):
         self.problem = problem
         self.config = config
@@ -155,13 +199,21 @@ class SolverState:
                     f"network input_dim {s.input_dim} exceeds "
                     f"{n_coords} coordinates + {n_theta} bundle parameters"
                 )
-        dtype = _DTYPES[config.precision]
-        self.networks = [MLP.init(s).astype(dtype) for s in specs]
+        self.networks = [MLP.init(s) for s in specs]
         self.conditions = list(config.conditions)
-        # per parameter: Adam's (m, v) or SGD's (v,)
+        shapes = [a.shape for _, _, a in _parameters(self)]
+        self._params = np.empty(sum(math.prod(s) for s in shapes),
+                                _DTYPES[config.precision])
+        # the views every parameter array must be, in vector order
+        self._views, start = [], 0
+        for shape in shapes:
+            stop = start + math.prod(shape)
+            self._views.append(self._params[start:stop].reshape(shape))
+            start = stop
+        _bind_parameters(self)
+        # Adam's (m, v) or SGD's (v,)
         n = 2 if isinstance(config.optimizer, Adam) else 1
-        self._moments = [tuple(np.zeros_like(p) for _ in range(n))
-                         for p in _param_arrays(self)]
+        self._moments = tuple(np.zeros_like(self._params) for _ in range(n))
         self._steps = 0  # Adam steps taken
 
 
@@ -222,6 +274,32 @@ def _param_arrays(state):
     return [a for net in state.networks for a in net.param_arrays()]
 
 
+def _parameters(state):
+    """(list, index, array) for each network parameter in vector order:
+    W0, b0, W1, ..., network by network."""
+    return [(arrays, k, arrays[k]) for net in state.networks
+            for k in range(len(net.weights))
+            for arrays in (net.weights, net.biases)]
+
+
+def _bind_parameters(state):
+    """Make every network parameter array the state's view of its place in
+    the parameter vector: an array that is not (a network or an array
+    replaced since the state was made, e.g. a warm start from
+    ``MLP.load``) is copied into the vector, in its dtype, and rebound.
+    Raises ValueError, changing nothing, if the parameters' shapes are not
+    the state's."""
+    found = _parameters(state)
+    shapes = [a.shape for _, _, a in found]
+    if shapes != [v.shape for v in state._views]:
+        raise ValueError(f"the networks' parameter shapes {shapes} are not "
+                         f"the state's {[v.shape for v in state._views]}")
+    for (arrays, k, a), view in zip(found, state._views):
+        if a is not view:
+            view[...] = a
+            arrays[k] = view
+
+
 def _chunk_loss(state, chunk, programs, train):
     """The loss value of one chunk and, when training, its parameter
     gradients as arrays.  The first chunk of each key (what shapes the
@@ -267,36 +345,32 @@ def _sample_batch(state, rng, generator):
     return pts
 
 
-def _adam_step(state, params, grads):
-    opt = state.config.optimizer
-    state._steps += 1
-    c1 = 1 - opt.beta1 ** state._steps
-    c2 = 1 - opt.beta2 ** state._steps
-    for p, g, (m, v) in zip(params, grads, state._moments):
+def _optimizer_step(state, grads):
+    """One optimizer step on whole vectors: ``grads``, one array per
+    parameter in ``_param_arrays`` order, are joined once into a vector
+    laid out as the parameter vector, and the update is written into the
+    moment vectors and the parameter vector, so into every network's
+    parameter arrays, its views.  Every expression is elementwise with the
+    same scalars as a per-array step, so the bits are the same.  No array
+    of ``grads`` may alias a parameter or a moment;
+    ``ad.accumulate_gradients`` returns fresh ones."""
+    opt, p = state.config.optimizer, state._params
+    g = np.concatenate([np.ravel(a) for a in grads])
+    if isinstance(opt, Adam):
+        m, v = state._moments
+        state._steps += 1
+        c1 = 1 - opt.beta1 ** state._steps
+        c2 = 1 - opt.beta2 ** state._steps
         m *= opt.beta1
         m += (1 - opt.beta1) * g
         v *= opt.beta2
         v += (1 - opt.beta2) * g * g
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
-
-
-def _sgd_step(state, params, grads):
-    opt = state.config.optimizer
-    for p, g, (v,) in zip(params, grads, state._moments):
+    else:
+        (v,) = state._moments
         v *= opt.momentum
         v += g
         p -= state.lr * v
-
-
-def _optimizer_step(state, grads):
-    """One optimizer step, written into the moment arrays and, through the
-    arrays and bias views ``_param_arrays`` returns, into every network's
-    parameters.  No array of ``grads`` may alias a parameter or a moment;
-    ``ad.accumulate_gradients`` returns fresh ones."""
-    if isinstance(state.config.optimizer, Adam):
-        _adam_step(state, _param_arrays(state), grads)
-    else:
-        _sgd_step(state, _param_arrays(state), grads)
 
 
 def _train_batch(state, batch, programs=None, index=0):
@@ -325,23 +399,27 @@ def _validation_loss(state, rng, programs):
 
 def _recording_basis(state):
     """What the recorded programs and the optimizer moments were made for
-    and no callback may change: the networks and the layout (by identity)
-    and each parameter's shape."""
-    return (list(state.networks), state.layout,
-            [p.shape for p in _param_arrays(state)])
+    and no callback may change, beside the state's parameter views: the
+    networks and the layout (by identity)."""
+    return list(state.networks), state.layout
 
 
 def _check_recording_basis(state, basis, epoch):
     """Raise ValueError naming ``epoch`` if ``state`` no longer has the
-    networks, layout or parameter shapes of ``basis``."""
-    networks, layout, shapes = basis
+    networks or layout of ``basis``, or a parameter array is no longer the
+    state's view of the parameter vector (the optimizer would go on
+    updating the vector while the replays read the stray array)."""
+    networks, layout = basis
+    found = [a for _, _, a in _parameters(state)]
     if (len(state.networks) != len(networks)
             or any(a is not b for a, b in zip(state.networks, networks))):
         what = "replaced a network"
     elif state.layout is not layout:
         what = "replaced the bundle layout"
-    elif [p.shape for p in _param_arrays(state)] != shapes:
+    elif [a.shape for a in found] != [v.shape for v in state._views]:
         what = "changed a parameter's shape"
+    elif any(a is not v for a, v in zip(found, state._views)):
+        what = "replaced a parameter array"
     else:
         return
     raise ValueError(f"epoch {epoch}: a callback {what}; the recorded "
@@ -380,10 +458,17 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     it: ``config.epochs`` more epochs are run, numbered on from
     ``state.epoch`` with the sampling streams of those epochs, so k epochs
     and then n - k resumed ones equal one n-epoch fit bit for bit; the
-    state's networks keep their dtype.  The optimizer updates the network
-    parameters and its moments in place, so an array taken from
-    ``state.networks`` changes as training goes on; ``Solution``,
-    ``state.best_networks`` and checkpoints are copies.  Steps after the
+    state's networks keep their dtype.  The optimizer updates the state's
+    parameter vector and its moments in place, so an array taken from
+    ``state.networks``, a view of that vector, changes as training goes
+    on; ``Solution``, ``state.best_networks`` and checkpoints are copies.
+    A parameter array that is not the state's view when ``fit`` starts (a
+    network replaced since the state was made, as a warm start from
+    ``MLP.load``) is copied into the vector and rebound as its view;
+    shapes other than the state's raise ValueError before the first step.
+    The sampling streams are keyed by the config seed and the batch: one
+    Philox per call, re-keyed before every training batch and validation
+    pass (``generators.rekey``).  Steps after the
     first of each recording key replay it (see the module docstring):
     residuals must make batch-dependent values with graph ops, or
     recording raises ValueError.
@@ -393,28 +478,33 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     generator, record it again.
     Callbacks may change the loss spec, learning rate, batch size,
     generators, residual and condition objects (a replaced residual or
-    condition is recorded again), not the networks, their parameters'
-    shapes or the bundle layout: after an epoch whose callbacks did,
-    ``fit`` raises ValueError naming the epoch.
+    condition is recorded again), and the values inside a parameter array,
+    not the networks, the parameter arrays themselves or their shapes, or
+    the bundle layout: after an epoch whose callbacks did, ``fit`` raises
+    ValueError naming the epoch.
     On glibc, fixes the process's malloc thresholds first (see
     ``_keep_freed_heap``).
     """
     _keep_freed_heap()
     if state is None:
         state = SolverState(problem, config, layout)
+    else:
+        _bind_parameters(state)
     programs = {}  # recorded steps, kept for this call only
+    rng = make_rng(config.seed)  # re-keyed for every stream below
     sources = [state.problem.residual, *state.conditions]
     basis = _recording_basis(state)
     first = state.epoch + 1
     for epoch in range(first, first + config.epochs):
         epoch_losses = []
         for b in range(config.batches_per_epoch):
-            rng = make_rng(config.seed, stream=2 * (epoch * config.batches_per_epoch + b))
+            stream = 2 * (epoch * config.batches_per_epoch + b)
+            rekey(rng, config.seed, stream)
             batch = _sample_batch(state, rng, state.train_generator)
             epoch_losses.append(_train_batch(state, batch, programs, b))
         state.epoch = epoch
         train_loss = float(np.mean(epoch_losses))
-        valid_loss = _validation_loss(state, make_rng(config.seed, stream=1),
+        valid_loss = _validation_loss(state, rekey(rng, config.seed, 1),
                                       programs)
         if not math.isfinite(valid_loss):
             raise TrainingDiverged(epoch, -1, state.loss_spec.kind, valid_loss)

@@ -69,6 +69,26 @@ class TestSolveArtifacts:
         m2 = open(os.path.join(out2, "metrics.csv")).read()
         assert m1 == m2
 
+    @pytest.mark.parametrize("command, preset", [("solve", "decay"),
+                                                 ("bundle", "decay-bundle")])
+    @pytest.mark.parametrize("value", ["-3", "18446744073709551616", "abc",
+                                       ""])
+    def test_bad_seed_env_variable_exits_2(self, tmp_path, monkeypatch,
+                                           capsys, command, preset, value):
+        monkeypatch.setenv("NEURODIFF_SEED", value)
+        out = tmp_path / "run"
+        assert run([command, preset, "--out", str(out), "--epochs", "2",
+                    "--batch-size", "32"]) == 2
+        assert capsys.readouterr().err == (
+            f"{command}: NEURODIFF_SEED must be an integer in [0, 2**64), "
+            f"got {value!r}\n")
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        assert run(["solve", "decay", "--out", str(tmp_path / "run"),
+                    "--epochs", "2", "--batch-size", "32",
+                    "--seed", str(2 ** 64 - 1)]) == 0
+
     def test_heat_dim_gate(self, tmp_path, capsys):
         out = str(tmp_path / "h")
         code = run(["solve", "heat", "--dim", "4", "--out", out] + FAST)
@@ -143,6 +163,13 @@ BAD_TRAINING_FLAGS = [
      "--switch-delta must be a finite number above 0, got nan"),
     (["--switch-delta", "inf"],
      "--switch-delta must be a finite number above 0, got inf"),
+    (["--lr", "-0.5"], "--lr must be a finite number above 0, got -0.5"),
+    (["--lr", "0"], "--lr must be a finite number above 0, got 0.0"),
+    (["--lr", "nan"], "--lr must be a finite number above 0, got nan"),
+    (["--lr", "inf"], "--lr must be a finite number above 0, got inf"),
+    (["--seed", "-1"], "--seed must be an integer in [0, 2**64), got -1"),
+    (["--seed", "18446744073709551616"],
+     "--seed must be an integer in [0, 2**64), got 18446744073709551616"),
 ]
 
 
@@ -174,6 +201,12 @@ class TestTrainingFlags:
          "--switch-delta must be a finite number above 0, got -1"),
         ("switch_delta", "0.1",
          "--switch-delta must be a finite number above 0, got '0.1'"),
+        ("lr", -1, "--lr must be a finite number above 0, got -1"),
+        ("lr", "0.1", "--lr must be a finite number above 0, got '0.1'"),
+        ("seed", -3, "--seed must be an integer in [0, 2**64), got -3"),
+        ("seed", 1.5, "--seed must be an integer in [0, 2**64), got 1.5"),
+        ("seed", 2 ** 64,
+         "--seed must be an integer in [0, 2**64), got 18446744073709551616"),
     ])
     def test_bad_manifest_flag_exits_2(self, tmp_path, capsys, key, value,
                                        message):
@@ -243,6 +276,20 @@ class TestBundleInvert:
         # midpoint of the [0.5, 2.0] ranges
         assert result["theta"]["u0"] == pytest.approx(1.25)
         assert result["theta"]["lam"] == pytest.approx(1.25)
+
+    @pytest.mark.parametrize("lr", ["-1", "0", "nan", "inf"])
+    def test_invert_bad_lr_exits_2(self, tmp_path, capsys, lr):
+        bundle = self._train_bundle(tmp_path)
+        data = self._write_data(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "inv"
+        assert run(["invert", "decay-bundle", "--data", data,
+                    "--bundle-dir", bundle, "--lr", lr,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"invert: --lr must be a finite number above 0, "
+            f"got {float(lr)!r}\n")
+        assert not out.exists()
 
     def test_invert_init_theta_flag(self, tmp_path):
         bundle = self._train_bundle(tmp_path)

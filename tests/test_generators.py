@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neurodiff import generators as gen
 
@@ -134,3 +136,56 @@ def test_uniform_random_is_uniform():
     g = gen.Uniform1D(0.0, 1.0, 4096)
     m = g.sample(gen.make_rng(11, 0)).mean()
     assert abs(m - 0.5) < 0.03
+
+
+def _draws(rng):
+    """The draws ``fit`` and its generators make, as bytes: uniform,
+    Beta(1/2, 1/2) (arcsine sampling), integers and 32-bit words."""
+    return b"".join([
+        rng.uniform(-1.0, 2.0, size=5).tobytes(),
+        rng.beta(0.5, 0.5, size=(4, 1)).tobytes(),
+        rng.integers(0, 1000, size=3).tobytes(),
+        rng.integers(0, 2 ** 32, size=3, dtype=np.uint32).tobytes(),
+        rng.uniform(size=2).tobytes(),
+    ])
+
+
+KEY_WORD = st.integers(0, 2 ** 64 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=KEY_WORD, stream=KEY_WORD, old_seed=KEY_WORD,
+       old_stream=KEY_WORD, used=st.integers(0, 9))
+@example(seed=0, stream=0, old_seed=5, old_stream=7, used=1)
+@example(seed=2 ** 64 - 1, stream=2 ** 64 - 1, old_seed=0, old_stream=0,
+         used=3)
+def test_a_rekeyed_generator_draws_the_new_streams_bytes(
+        seed, stream, old_seed, old_stream, used):
+    rng = gen.make_rng(old_seed, old_stream)
+    # a part-used buffer and, for odd counts, a cached 32-bit half
+    rng.integers(0, 2 ** 32, size=used, dtype=np.uint32)
+    rng.uniform(size=used % 3)
+    assert gen.rekey(rng, seed, stream) is rng
+    # a key array of one dtype: numpy turns a tuple that mixes a word below
+    # 2**63 with one above it into float64, rounding the large word
+    fresh = np.random.Generator(np.random.Philox(
+        key=np.array([seed, stream], np.uint64)))
+    expected = _draws(fresh)
+    assert _draws(rng) == expected
+    assert _draws(gen.make_rng(seed, stream)) == expected
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "3", True, None])
+def test_make_rng_rejects_what_cannot_key_a_stream(seed):
+    assert not gen.is_seed(seed)
+    with pytest.raises(ValueError, match=r"^seed must be an integer in "
+                                         r"\[0, 2\*\*64\), got "):
+        gen.make_rng(seed)
+    with pytest.raises(ValueError, match=r"^stream must be an integer"):
+        gen.make_rng(0, seed)
+
+
+def test_large_key_words_are_not_rounded():
+    # Philox(key=(seed, stream)) keyed both of these as (2**63, 0)
+    a, b = (_draws(gen.make_rng(2 ** 63 + d, 0)) for d in (0, 1))
+    assert a != b

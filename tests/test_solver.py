@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from neurodiff import autodiff as ad
 from neurodiff import presets, solver
 from neurodiff.callbacks import (Action, AfterEpoch, Always, Callback,
-                                 EarlyStop, SetBatchSize, SetLoss,
-                                 SetTrainGenerator)
+                                 EarlyStop, SetBatchSize, SetLearningRate,
+                                 SetLoss, SetTrainGenerator)
 from neurodiff.conditions import (IVP1, DirichletNeumann, NeumannDirichlet,
                                   NeumannNeumann)
 from neurodiff.generators import Generator, Uniform1D
@@ -127,6 +127,55 @@ class TestFit:
         state = fit(decay_problem(), small_config(epochs=0))
         assert state.epoch == 0 and state.metrics == []
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "3", True])
+    def test_a_seed_that_cannot_key_a_stream_raises(self, seed):
+        with pytest.raises(ValueError, match=r"^seed must be an integer in "
+                                             r"\[0, 2\*\*64\), got "):
+            SolverConfig(seed=seed)
+
+    def test_the_largest_seed_trains(self):
+        state = fit(decay_problem(), small_config(epochs=2, seed=2 ** 64 - 1))
+        assert np.isfinite(state.valid_history).all()
+
+    def test_one_philox_keys_every_stream_of_a_fit(self, monkeypatch):
+        cfg = small_config(epochs=3, batches_per_epoch=5)
+        state = SolverState(decay_problem(), cfg)
+        made, philox = [0], np.random.Philox
+
+        def counted(*args, **kwargs):
+            made[0] += 1
+            return philox(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(np.random, "Philox", counted)
+            fit(decay_problem(), cfg, state=state)
+        # one per training batch and validation pass was 18
+        assert made[0] == 1
+
+
+class TestOptimizerSettings:
+    @pytest.mark.parametrize("make, field", [
+        (lambda: Adam(lr=-1), "lr"), (lambda: Adam(lr=0), "lr"),
+        (lambda: Adam(lr=float("nan")), "lr"),
+        (lambda: Adam(lr=float("inf")), "lr"),
+        (lambda: Adam(beta1=1.5), "beta1"), (lambda: Adam(beta1=1), "beta1"),
+        (lambda: Adam(beta1=-0.1), "beta1"),
+        (lambda: Adam(beta2=float("nan")), "beta2"),
+        (lambda: Adam(eps=0), "eps"), (lambda: Adam(eps="1e-8"), "eps"),
+        (lambda: SGD(lr=float("nan")), "lr"), (lambda: SGD(lr=-0.5), "lr"),
+        (lambda: SGD(momentum=-2), "momentum"),
+        (lambda: SGD(momentum=float("inf")), "momentum"),
+        (lambda: SetLearningRate(0), "lr"),
+        (lambda: SetLearningRate(float("nan")), "lr"),
+    ])
+    def test_meaningless_settings_raise_naming_the_field(self, make, field):
+        with pytest.raises(ValueError, match=rf"^\w+: {field} must be "):
+            make()
+
+    def test_edges_that_mean_something_are_allowed(self):
+        Adam(beta1=0, beta2=0)
+        SGD(momentum=0)
+        SetLearningRate(1e-300)
+
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 6), data=st.data())
@@ -167,6 +216,18 @@ def sgd_textbook(opt, params, steps):
     return params
 
 
+def assert_views_of_one_vector(state):
+    """Every parameter array is a view of one vector, which they tile in
+    ``_param_arrays`` order."""
+    arrays = [a for _, _, a in solver._parameters(state)]
+    assert all(a.base is state._params for a in arrays)
+    assert np.concatenate([a.ravel() for a in arrays]).tobytes() == \
+        state._params.tobytes()
+    assert sum(a.size for a in arrays) == state._params.size
+    addresses = [a.__array_interface__["data"][0] for a in arrays]
+    assert addresses == sorted(set(addresses))
+
+
 class TestInPlaceOptimizer:
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     @pytest.mark.parametrize("opt, textbook", [
@@ -186,6 +247,27 @@ class TestInPlaceOptimizer:
         got = solver._param_arrays(state)
         assert [p.dtype for p in got] == [p.dtype for p in expected]
         assert [p.tobytes() for p in got] == [p.tobytes() for p in expected]
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_parameters_stay_views_of_one_vector(self, precision):
+        cfg = SolverConfig(networks=[MLPSpec(1, (8, 6), 1, seed=1),
+                                     MLPSpec(1, (5,), 1, seed=2)],
+                           conditions=[IVP1(0.0, 1.0), IVP1(0.0, 0.5)],
+                           epochs=2, precision=precision)
+
+        def residual(u, coords):
+            t, = coords
+            return [ad.diff(u[0], t) + u[1], ad.diff(u[1], t) - u[0]]
+        problem = Problem(residual, 2, ("t",), Uniform1D(0.0, 2.0, 16),
+                          Uniform1D(0.0, 2.0, 16, "equally-spaced"))
+        state = SolverState(problem, cfg)
+        assert state._params.dtype == solver._DTYPES[precision]
+        assert_views_of_one_vector(state)
+        fit(problem, cfg, state=state)
+        assert_views_of_one_vector(state)
+        fit(problem, cfg, state=state)
+        assert_views_of_one_vector(state)
+        assert state.epoch == 4
 
     def test_fit_trains_the_network_arrays_in_place(self):
         cfg = small_config(epochs=3)
@@ -796,6 +878,53 @@ class TestRecordingContract:
         assert trained(state) == trained(built)
 
 
+class TestWarmStart:
+    """A network replaced between ``SolverState`` and ``fit``."""
+
+    def saved(self, tmp_path, spec):
+        path = str(tmp_path / "net.ckpt")
+        MLP.init(spec).save(path)
+        return path
+
+    def test_a_loaded_network_trains_as_if_the_state_had_made_it(
+            self, tmp_path):
+        path = self.saved(tmp_path, MLPSpec(1, (8,), 1, seed=5))
+        warm = SolverState(decay_problem(), small_config(epochs=4))
+        warm.networks[0] = MLP.load(path)
+        fit(decay_problem(), small_config(epochs=4), state=warm)
+        assert_views_of_one_vector(warm)
+        # the same initial weights made by the state itself
+        cfg = small_config(epochs=4)
+        cfg.networks = [MLPSpec(1, (8,), 1, seed=5)]
+        assert trained(warm) == trained(fit(decay_problem(), cfg))
+
+    def test_a_resumed_warm_start_equals_one_fit(self, tmp_path):
+        path = self.saved(tmp_path, MLPSpec(1, (8,), 1, seed=5))
+        states = []
+        for split in ((4,), (1, 3)):
+            state = SolverState(decay_problem(), small_config())
+            state.networks[0] = MLP.load(path)
+            for epochs in split:
+                fit(decay_problem(), small_config(epochs=epochs), state=state)
+            states.append(state)
+        assert trained(states[0]) == trained(states[1])
+        assert states[0].metrics == states[1].metrics
+
+    def test_another_shape_raises_before_the_first_step(self, tmp_path):
+        path = self.saved(tmp_path, MLPSpec(1, (9,), 1, seed=5))
+        state = SolverState(decay_problem(), small_config())
+        before = state._params.copy()
+        old = state.networks[0]
+        state.networks[0] = MLP.load(path)
+        with pytest.raises(ValueError, match="parameter shapes"):
+            fit(decay_problem(), small_config(), state=state)
+        assert state.epoch == 0 and state.metrics == []
+        assert state._params.tobytes() == before.tobytes()
+        state.networks[0] = old
+        fit(decay_problem(), small_config(epochs=1), state=state)
+        assert state.epoch == 1
+
+
 class TestCallbacksThatInvalidateARecording:
     class Change(Action):
         def __init__(self, change):
@@ -811,6 +940,12 @@ class TestCallbacksThatInvalidateARecording:
          "changed a parameter's shape"),
         (lambda s: setattr(s, "layout", BundleLayout()),
          "replaced the bundle layout"),
+        (lambda s: s.networks[0].weights.__setitem__(
+            0, s.networks[0].weights[0].copy()),
+         "replaced a parameter array"),
+        (lambda s: s.networks[0].biases.__setitem__(
+            1, s.networks[0].biases[1] + 0.0),
+         "replaced a parameter array"),
     ])
     def test_is_refused_naming_the_epoch(self, change, what):
         cbs = [Callback(AfterEpoch(1), self.Change(change))]

@@ -9,6 +9,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FINGERPRINT = os.path.join(ROOT, "tools", "fingerprint.py")
 PERFBENCH = os.path.join(ROOT, "perfbench", "run.py")
 PROGRAM = os.path.join(ROOT, "tools", "program.py")
+PHASES = os.path.join(ROOT, "tools", "phases.py")
 LINE = re.compile(r"decay seed=1 sha256=[0-9a-f]{64} nodes/epoch=\d+(\.\d+)? "
                   r"valid_loss=\S+ epochs_to_tol=\d+")
 SHAPES = re.compile(r"  shapes: (\((\d+(, \d+)*)?,?\) \u00d7\d+(, |$))+")
@@ -112,6 +113,29 @@ class TestProgram:
         for block in (training, validation):
             assert sum(shape_counts(block).values()) == len(
                 [line for line in block if " = " in line])
+
+
+class TestPhases:
+    def test_decay_prints_every_phase_within_the_epoch(self):
+        run = subprocess.run([sys.executable, PHASES, "--workload", "decay"],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        head, *rows = run.stdout.splitlines()
+        assert re.fullmatch(r"decay seed=1: median ms per epoch over \d+ "
+                            r"epochs after \d+ warm-up", head), head
+        ms = {}
+        for row in rows:
+            name, value = re.fullmatch(r"  ([a-z ]+?) +(-?\d+\.\d{4})",
+                                       row).groups()
+            ms[name] = float(value)
+        phases = ["train sampling", "stream keying", "training replay",
+                  "optimizer step", "validation sampling",
+                  "validation replay", "other"]
+        assert list(ms) == phases + ["epoch"]
+        assert all(ms[p] >= 0 for p in phases), ms
+        assert all(ms[p] > 0 for p in phases[:-1]), ms
+        # each value is printed rounded to 0.5e-4
+        assert sum(ms[p] for p in phases) <= ms["epoch"] + 4e-4, ms
 
 
 class TestPerfbench:
