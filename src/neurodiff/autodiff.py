@@ -26,7 +26,9 @@ result only into a temporary whose last reader it is (see ``_record``).
 
 Each op's value is one numpy expression in the ``_KERNELS`` table.
 ``_record`` turns a graph into a program of those kernels, and ``_replay``
-reruns it on new leaf values, building no node.  The program is a small IR:
+reruns it on new leaf values, building no node, through one generated
+straight-line Python function per program (compiled at the program's first
+replay): one kernel call per step.  The program is a small IR:
 each step keeps its op, attrs, argument and result slots and its result's
 shape and dtype, so ``_record`` rewrites it once before it runs (constant
 folding, x * 1 and x - 0 read x, common steps shared, inner-dimension-1
@@ -836,12 +838,29 @@ def accumulate_gradients(loss_fn, batches):
 _Step = collections.namedtuple(
     "_Step", "op attrs args out shape dtype kernel free")
 
-# A recorded graph: ``slots`` is the register file a replay starts from (the
-# inputs' slots empty, then the kept arrays), ``steps`` the ``_Step``s in run
-# order, ``outputs`` the slots returned, and ``rewrites`` the number of
-# recorded steps and what each rewrite removed (``outer`` and ``into``:
-# rewrote; ``repeat``: how many of the ``outer`` steps run as ``_repeat``).
-_Program = collections.namedtuple("_Program", "slots steps outputs rewrites")
+class _Program:
+    """A recorded graph (see ``_record``).
+
+    ``inputs`` is the number of input values a replay takes, ``slots`` the
+    register file (the inputs' slots empty, then the kept arrays; None for
+    a slot a step writes or a kept array no step reads), ``steps`` the
+    ``_Step``s in run order, ``outputs`` the slots returned, and
+    ``rewrites`` the number of recorded steps and what each rewrite removed
+    (``outer`` and ``into``: rewrote; ``repeat``: how many of the ``outer``
+    steps run as ``_repeat``).  ``run`` is the program's generated function
+    (``_compile``), built at its first replay; None until then.
+    """
+
+    __slots__ = ("inputs", "slots", "steps", "outputs", "rewrites", "run")
+
+    def __init__(self, inputs, slots, steps, outputs, rewrites):
+        self.inputs = inputs
+        self.slots = slots
+        self.steps = steps
+        self.outputs = outputs
+        self.rewrites = rewrites
+        self.run = None
+
 
 _REWRITES = ("fold", "alias", "share", "outer", "into")
 
@@ -937,6 +956,12 @@ def _record(outputs, inputs, fixed_data=False):
     No step is dead: the walk starts from the outputs, and no rewrite above
     leaves a remaining step unread.  A slot is freed after its last read,
     and a kept array no step reads is not held.
+
+    Each step's kernel is bound from ``_KERNELS`` here, at recording, and a
+    replay calls exactly these (``_compile``).  So a tracer that wraps
+    ``_KERNELS`` entries before ``fit`` sees every replayed step; one that
+    wraps them later sees none.  Recording compiles nothing: the program's
+    function is built at its first replay.
     """
     rows = 0 if fixed_data else inputs[0].value.shape[0]
     slot = {n._id: i for i, n in enumerate(inputs)}
@@ -1023,19 +1048,68 @@ def _record(outputs, inputs, fixed_data=False):
     # keeps the value's layout (so matmul's bits)
     slots = [v.copy(order="K") if v is not None and i in used else None
              for i, v in enumerate(slots)]
-    return _Program(slots, steps[::-1], out_slots, counts)
+    return _Program(len(inputs), slots, steps[::-1], out_slots, counts)
+
+
+def _source(program):
+    """The source of ``program``'s function factory, and the values of the
+    factory's parameters.
+
+    The factory takes step i's kernel as ``k{i}`` and kept slot s as
+    ``r{s}``, and returns ``run``, a function of the input slots ``r0``,
+    ``r1``, ....  ``run`` has one statement per step, ``r{out} =
+    k{i}(r{a}, ...)``, followed by a ``del`` of the registers the step
+    reads for the last time (its ``free``; a kept slot is the factory's and
+    stays), and then returns the list of its output registers.
+    """
+    def regs(slots):
+        return ", ".join(f"r{s}" for s in slots)
+    kept = [s for s, v in enumerate(program.slots) if v is not None]
+    kernels = ", ".join(f"k{i}" for i in range(len(program.steps)))
+    lines = [f"def factory({', '.join(filter(None, (kernels, regs(kept))))}):",
+             f"    def run({regs(range(program.inputs))}):"]
+    for i, step in enumerate(program.steps):
+        lines.append(f"        r{step.out} = k{i}({regs(step.args)})")
+        dead = [s for s in step.free if program.slots[s] is None]
+        if dead:
+            lines.append(f"        del {regs(dead)}")
+    lines.append(f"        return [{regs(program.outputs)}]")
+    lines.append("    return run")
+    closed = [step.kernel for step in program.steps]
+    closed += [program.slots[s] for s in kept]
+    return "\n".join(lines) + "\n", closed
+
+
+def _compile(program):
+    """``program``'s generated function (``_source``), built once and kept
+    as ``program.run``.
+
+    The factory is executed in a fresh namespace and popped out of it, so
+    no reference cycle is left: the function, its code and the closure
+    cells holding the kernels and kept arrays are freed by reference
+    counting together with the program.  ``_replay`` calls this at a
+    program's first replay, not ``_record``: recording runs while the
+    graph it records is alive, at the first epoch's memory peak, and a
+    compile's transient memory (some KB per statement) would add to it.
+    """
+    source, closed = _source(program)
+    namespace = {}
+    exec(compile(source, "<program>", "exec"), namespace)
+    program.run = namespace.pop("factory")(*closed)
+    return program.run
 
 
 def _replay(program, values):
     """Run a recorded program on new values of its inputs, given in
-    ``_record``'s order; returns the values of its outputs.  A loop over
-    the steps on one list of registers; the IR fields are not read."""
-    regs = program.slots.copy()
-    regs[:len(values)] = values
-    read = regs.__getitem__
+    ``_record``'s order; returns the values of its outputs.  Calls the
+    program's generated function (``_compile``, built at the first
+    replay), which runs the steps' kernels in order and drops each
+    register at its last read, with numpy's floating-point warnings off.
+    Raises ``ValueError`` if the number of values is not the program's
+    number of inputs."""
+    if len(values) != program.inputs:
+        raise ValueError(f"the program takes {program.inputs} input values, "
+                         f"got {len(values)}")
+    run = program.run or _compile(program)
     with np.errstate(all="ignore"):
-        for step in program.steps:
-            regs[step.out] = step.kernel(*map(read, step.args))
-            for s in step.free:
-                regs[s] = None
-    return [regs[s] for s in program.outputs]
+        return run(*values)

@@ -311,6 +311,10 @@ def _load_bundle_solution(preset, bundle_dir):
 
 
 def cmd_invert(args):
+    if type(args.steps) is not int or args.steps < 0:
+        print(f"invert: --steps must be an integer >= 0, got {args.steps!r}",
+              file=sys.stderr)
+        return 2
     if not _positive_number(args.lr):
         print(f"invert: --lr must be a finite number above 0, got {args.lr!r}",
               file=sys.stderr)
@@ -384,7 +388,13 @@ def cmd_invert(args):
 
 
 def cmd_bench(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    error = _seed_error(args)
+    if error is None:
+        seed = args.seed if args.seed is not None else _default_seed()
+        error = operators.bench_error(args.sizes, args.repeats, seed)
+    if error:
+        print(f"bench-operators: {error}", file=sys.stderr)
+        return 2
     rows = operators.bench_operators(sizes=args.sizes, repeats=args.repeats,
                                      seed=seed)
     out = open(args.out, "w", newline="") if args.out else sys.stdout

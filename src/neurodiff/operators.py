@@ -24,6 +24,7 @@ import time
 import numpy as np
 
 from . import autodiff as ad
+from .generators import is_seed, make_rng
 
 SYSTEMS = ("cartesian", "cylindrical", "spherical")
 OPERATORS = ("grad", "div", "curl", "laplacian", "vector_laplacian")
@@ -197,6 +198,21 @@ def _as_values(result):
     return [result.value]
 
 
+def bench_error(sizes, repeats, seed):
+    """Why ``bench_operators`` cannot run with these arguments; None if it
+    can.  Sizes and repeats must be integers >= 1, and the seed an integer
+    whose stream key words ``seed * 1009 + rep`` (rep 0..repeats) lie in
+    [0, 2**64)."""
+    if not sizes or not all(type(n) is int and n >= 1 for n in sizes):
+        return f"sizes must be integers >= 1, got {list(sizes)!r}"
+    if type(repeats) is not int or repeats < 1:
+        return f"repeats must be an integer >= 1, got {repeats!r}"
+    if not (is_seed(seed) and is_seed(seed * 1009 + repeats)):
+        return (f"seed must be an integer in [0, 2**64) with seed * 1009 + "
+                f"repeats below 2**64, got {seed!r}")
+    return None
+
+
 def bench_operators(sizes=(4096,), repeats=10, seed=0):
     """Time naive vs fused modes per (system, operator).
 
@@ -205,7 +221,13 @@ def bench_operators(sizes=(4096,), repeats=10, seed=0):
     check of the two modes' outputs (tolerance 1e-12).  Each (mode, rep)
     builds its graph fresh; one untimed warmup rep per mode absorbs
     allocator and cache effects, and the collector is paused while timing.
+    Rep ``rep`` of size ``n`` draws its coordinates from the Philox stream
+    (seed * 1009 + rep, 2n) and its fields from (seed * 1009 + rep, 2n + 1).
+    Raises ``ValueError`` for the arguments ``bench_error`` rejects.
     """
+    error = bench_error(sizes, repeats, seed)
+    if error:
+        raise ValueError(error)
     rows = []
     for n in sizes:
         for system in SYSTEMS:
@@ -216,10 +238,10 @@ def bench_operators(sizes=(4096,), repeats=10, seed=0):
                 for rep in range(repeats + 1):
                     outs = {}
                     for mode in ("naive", "fused"):
-                        coords = _bench_coords(system, n, rng=np.random.Generator(
-                            np.random.Philox(key=(seed * 1009 + rep, 2 * n))))
-                        f, F = _bench_fields(coords, rng=np.random.Generator(
-                            np.random.Philox(key=(seed * 1009 + rep, 2 * n + 1))))
+                        coords = _bench_coords(
+                            system, n, rng=make_rng(seed * 1009 + rep, 2 * n))
+                        f, F = _bench_fields(
+                            coords, rng=make_rng(seed * 1009 + rep, 2 * n + 1))
                         gc_was_on = gc.isenabled()
                         gc.disable()
                         try:

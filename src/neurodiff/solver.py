@@ -590,7 +590,11 @@ def fit_inverse(solution, data, init_theta, steps=500, lr=0.05):
     ``data`` is a sequence of (coords, value) pairs (coords a tuple for
     multi-coordinate problems).  Network weights stay frozen; only the
     parameter inputs move, and the result is clipped to the layout ranges.
+    ``steps``, the number of gradient steps, must be an integer >= 0.
     """
+    if not (isinstance(steps, numbers.Integral) and not isinstance(steps, bool)
+            and steps >= 0):
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     data = list(data)
     if not data:
         raise ValueError("fit_inverse needs at least one observation")

@@ -930,6 +930,155 @@ def test_replayed_program_equals_the_graph(program, seed):
                     if v is not None] == kept
 
 
+class TestGeneratedReplay:
+    """A program runs as one generated function, built at its first
+    replay."""
+
+    @staticmethod
+    def _graph():
+        x = ad.variable(np.linspace(-1.0, 1.0, 12).reshape(4, 3))
+        w = ad.variable(np.linspace(0.5, 2.0, 6).reshape(3, 2))
+        row = ad.constant([[1.0, 2.0]])
+        h = ad.tanh(ad.matmul(x, w)) * row
+        loss = ad.reduce_sum(h * h)
+        return [loss, *ad.backward(loss, [w])], [x, w]
+
+    def test_recording_compiles_nothing_and_the_first_replay_once(
+            self, monkeypatch):
+        import builtins
+        compiled = []
+        real = builtins.compile
+
+        def counting(*args, **kwargs):
+            compiled.append(args[0])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(builtins, "compile", counting)
+        outs, leaves = self._graph()
+        program = ad._record(outs, leaves)
+        assert compiled == [] and program.run is None
+        values = [leaf.value for leaf in leaves]
+        got = ad._replay(program, values)
+        assert len(compiled) == 1 and program.run is not None
+        run = program.run
+        for _ in range(2):
+            again = ad._replay(program, values)
+            assert [a.tobytes() for a in again] == [g.tobytes() for g in got]
+        assert len(compiled) == 1 and program.run is run
+        assert [g.tobytes() for g in got] == [o.value.tobytes() for o in outs]
+
+    def test_a_kernel_wrapped_before_recording_sees_every_step(
+            self, monkeypatch):
+        outs, leaves = self._graph()
+        calls = []
+
+        def wrapped(op, kernel):
+            def traced(*args, **kwargs):
+                calls.append(op)
+                return kernel(*args, **kwargs)
+            return traced
+        for op, kernel in list(ad._KERNELS.items()):
+            monkeypatch.setitem(ad._KERNELS, op, wrapped(op, kernel))
+        program = ad._record(outs, leaves)
+        assert calls == []
+        for _ in range(2):
+            del calls[:]
+            got = ad._replay(program, [leaf.value for leaf in leaves])
+            assert calls == [step.op for step in program.steps]
+        assert [g.tobytes() for g in got] == [o.value.tobytes() for o in outs]
+
+    def test_a_kernel_replaced_after_recording_is_not_called(self,
+                                                             monkeypatch):
+        outs, leaves = self._graph()
+        program = ad._record(outs, leaves)
+        monkeypatch.setitem(ad._KERNELS, "tanh", None)
+        ad._replay(program, [leaf.value for leaf in leaves])
+
+    def test_each_result_is_freed_at_its_last_read(self, monkeypatch):
+        # 1-D pointwise steps: no view shares a block and no step writes
+        # into another's, so each result is its own array
+        x = ad.variable(np.linspace(0.1, 1.2, 6))
+        h = ad.sin(x)
+        a = h * x
+        b = ad.exp(a) + h
+        outs = [ad.tanh(b) * a + b, ad.cos(h)]
+        refs = []
+        program = None
+
+        def checking(kernel):
+            def run(*args, **kwargs):
+                j = len(refs)
+                for i, ref in enumerate(refs):
+                    assert (ref() is not None) == (live[i] >= j), (i, j)
+                out = kernel(*args, **kwargs)
+                refs.append(weakref.ref(out))
+                return out
+            return run
+        for op, kernel in list(ad._KERNELS.items()):
+            monkeypatch.setitem(ad._KERNELS, op, checking(kernel))
+        program = ad._record(outs, [x])
+        steps = program.steps
+        assert all(s.op in ad._POINTWISE for s in steps) and len(steps) > 4
+        assert program.rewrites["into"] == 0
+        # the index of each step's last reader (outputs: past the end)
+        live = [max([len(steps)] * (s.out in program.outputs)
+                    + [j for j, r in enumerate(steps) if s.out in r.args])
+                for s in steps]
+        got = ad._replay(program, [x.value * 2.0])
+        kept = [i for i, ref in enumerate(refs) if ref() is not None]
+        assert kept == [i for i, s in enumerate(steps)
+                        if s.out in program.outputs]
+        assert all(any(refs[i]() is g for g in got) for i in kept)
+
+    def test_only_the_outputs_outlive_a_replay(self, monkeypatch):
+        refs = []
+
+        def keeping(kernel):
+            def run(*args, **kwargs):
+                out = kernel(*args, **kwargs)
+                # a full reduction's numpy scalar is no block
+                refs.append(weakref.ref(out) if isinstance(out, np.ndarray)
+                            else lambda: None)
+                return out
+            return run
+        outs, leaves = self._graph()
+        for op, kernel in list(ad._KERNELS.items()):
+            monkeypatch.setitem(ad._KERNELS, op, keeping(kernel))
+        program = ad._record(outs, leaves)
+        got = ad._replay(program, [leaf.value for leaf in leaves])
+        alive = [r() for r in refs if r() is not None]
+        assert alive and len(refs) == len(program.steps)
+        # an output, or the block an output is a view of
+        assert all(any(a is g or a is g.base for g in got) for a in alive)
+
+    def test_a_program_and_its_function_are_freed_without_gc(self):
+        import gc
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            outs, leaves = self._graph()
+            program = ad._record(outs, leaves)
+            ad._replay(program, [leaf.value for leaf in leaves])
+            kept = [v for v in program.slots if v is not None]
+            assert kept and program.run is not None
+            refs = [weakref.ref(v) for v in kept]
+            refs.append(weakref.ref(program.run))
+            del kept, program, outs, leaves
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("given", [1, 3])
+    def test_the_wrong_number_of_inputs_raises(self, given):
+        outs, leaves = self._graph()
+        program = ad._record(outs, leaves)
+        values = [leaf.value for leaf in leaves]
+        values = (values + values)[:given]
+        with pytest.raises(ValueError, match=(
+                f"the program takes 2 input values, got {given}")):
+            ad._replay(program, values)
+
+
 # -- column adjoints --------------------------------------------------------
 
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])

@@ -291,6 +291,19 @@ class TestBundleInvert:
             f"got {float(lr)!r}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("steps", ["-5", "-1"])
+    def test_invert_negative_steps_exits_2(self, tmp_path, capsys, steps):
+        bundle = self._train_bundle(tmp_path)
+        data = self._write_data(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "inv"
+        assert run(["invert", "decay-bundle", "--data", data,
+                    "--bundle-dir", bundle, "--steps", steps,
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"invert: --steps must be an integer >= 0, got {int(steps)}\n")
+        assert not out.exists()
+
     def test_invert_init_theta_flag(self, tmp_path):
         bundle = self._train_bundle(tmp_path)
         data = self._write_data(tmp_path)
@@ -448,6 +461,30 @@ class TestBench:
         assert rows[0][0] == "system"
         assert len(rows) == 1 + 15  # 3 systems x 5 operators
         assert all(r[-1] == "ok" for r in rows[1:])
+
+    @pytest.mark.parametrize("flags, env, message", [
+        (["--repeats", "0"], None,
+         "repeats must be an integer >= 1, got 0"),
+        (["--sizes", "8", "0"], None,
+         "sizes must be integers >= 1, got [8, 0]"),
+        (["--seed", "-1"], None,
+         "--seed must be an integer in [0, 2**64), got -1"),
+        (["--seed", str(2 ** 64 - 1)], None,
+         "seed must be an integer in [0, 2**64) with seed * 1009 + repeats "
+         f"below 2**64, got {2 ** 64 - 1}"),
+        ([], "abc", "NEURODIFF_SEED must be an integer in [0, 2**64), "
+         "got 'abc'"),
+    ])
+    def test_bad_inputs_exit_2(self, tmp_path, capsys, monkeypatch, flags,
+                               env, message):
+        if env is not None:
+            monkeypatch.setenv("NEURODIFF_SEED", env)
+        out = tmp_path / "bench.csv"
+        argv = ["bench-operators", "--sizes", "8", "--repeats", "1",
+                "--out", str(out)]
+        assert run(argv + flags) == 2
+        assert capsys.readouterr().err == f"bench-operators: {message}\n"
+        assert not out.exists()
 
 
 class TestDivergenceExit:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
 from neurodiff import operators as ops
+from neurodiff.generators import make_rng
 from neurodiff.network import MLP, MLPSpec
 
 
@@ -242,3 +243,30 @@ class TestBenchmark:
         for r in rows:
             assert r["equal"] == "ok"
             assert r["naive_ms_mean"] > 0 and r["fused_ms_mean"] > 0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"repeats": 0}, "repeats must be an integer >= 1"),
+        ({"repeats": 1.0}, "repeats must be an integer >= 1"),
+        ({"sizes": (8, 0)}, "sizes must be integers >= 1"),
+        ({"sizes": ()}, "sizes must be integers >= 1"),
+        ({"seed": -1}, "seed must be an integer"),
+        ({"seed": "abc"}, "seed must be an integer"),
+        # the key word seed * 1009 + repeats passes 2**64
+        ({"seed": 2 ** 64 - 1}, "seed must be an integer"),
+        ({"seed": (2 ** 64 - 1) // 1009, "repeats": 1009},
+         "seed must be an integer"),
+    ])
+    def test_bad_arguments_raise(self, kwargs, message):
+        args = {"sizes": (8,), "repeats": 1, "seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            ops.bench_operators(**args)
+
+    def test_largest_key_word_runs(self):
+        seed = (2 ** 64 - 1) // 1009
+        assert ops.bench_error((8,), 2 ** 64 - 1 - seed * 1009, seed) is None
+
+    @pytest.mark.parametrize("word", [0, 5 * 1009 + 3, 2 ** 63 - 1])
+    def test_streams_below_2_63_are_unchanged(self, word):
+        # the streams the benchmark drew before it keyed them with make_rng
+        old = np.random.Generator(np.random.Philox(key=(word, 2 * 64)))
+        assert (make_rng(word, 2 * 64).random(5) == old.random(5)).all()

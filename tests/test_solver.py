@@ -533,6 +533,12 @@ class TestInverse:
         theta = fit_inverse(sol, [(0.5, 0.8)], {"u0": 1.1}, steps=0)
         assert theta["u0"] == 1.1
 
+    @pytest.mark.parametrize("steps", [-5, -1, 2.0, True, "3", None])
+    def test_steps_must_be_an_integer_at_least_zero(self, steps):
+        sol = self.make_solution()
+        with pytest.raises(ValueError, match="steps must be an integer >= 0"):
+            fit_inverse(sol, [(0.5, 0.8)], {"u0": 1.1}, steps=steps)
+
     def test_requires_observations_and_layout(self):
         sol = self.make_solution()
         with pytest.raises(ValueError, match="observation"):

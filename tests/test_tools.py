@@ -75,6 +75,9 @@ class TestProgram:
             assert len(steps) == left[-1] > 0
             assert block[6].startswith(f"  {left[-1]} steps, ")
             assert SHAPES.fullmatch(block[7]), block[7]
+            statements, code = map(int, re.fullmatch(
+                r"  compiled: (\d+) statements, (\d+) bytes of bytecode",
+                block[8]).groups())
             assert shape_counts(block) == collections.Counter(
                 re.search(r" (\([\d, ]*\)) float64$", line).group(1)
                 for line in block if " = " in line)
@@ -96,6 +99,22 @@ class TestProgram:
                     into = int(line.split(" into ")[1].split()[0])
                     assert into in written[:k] and into in read[k], line
                     assert not any(into in r for r in read[k + 1:]), line
+            # the generated function: a statement per step, a del per step
+            # that reads a register for the last time, and the return.  The
+            # kept arrays are the largest slots no step writes (inputs come
+            # first), and stay the function's
+            outputs = json.loads(block[6].split("outputs ")[1])
+            n_kept = int(block[6].split(", ")[1].split()[0])
+            unwritten = sorted({a for r in read for a in r}.union(outputs)
+                               - set(written))
+            kept = set(unwritten[len(unwritten) - n_kept:])
+            frees = sum(any(a not in kept and a not in outputs
+                            and not any(a in r for r in read[k + 1:])
+                            for a in read[k])
+                        for k in range(len(steps)))
+            assert 0 < frees < len(steps)
+            assert statements == len(steps) + frees + 1
+            assert code > 0
 
     def test_poisson_gaussian_builds_its_expansion_in_blocks(self):
         run = subprocess.run([sys.executable, PROGRAM, "--workload",

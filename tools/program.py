@@ -10,13 +10,17 @@ of recorded steps and the count left after each of ``autodiff._record``'s
 rewrites that removes steps, the counts of the two that rewrite a step in
 place (``outer``, with how many of its matmuls run as ``repeat`` because
 their left operand is a kept column of ones, and ``into``), the kept arrays
-and their bytes, the step count by result shape (most frequent first), and
-then one line per step: result slot, op, argument slots, the argument slot
-the result is written into (``into``, for a step the ``into`` rewrite
-changed), result shape and dtype.
+and their bytes, the step count by result shape (most frequent first), the
+size of the program's generated function (``autodiff._compile``, which a
+replay builds once: its statements, that is one per step, one per step that
+frees a register and one return, and the bytes of its bytecode), and then
+one line per step: result slot, op, argument slots, the argument slot the
+result is written into (``into``, for a step the ``into`` rewrite changed),
+result shape and dtype.
 """
 
 import argparse
+import ast
 import collections
 import dataclasses
 import math
@@ -81,6 +85,11 @@ def describe(kind, program):
     shapes = collections.Counter(step.shape for step in program.steps)
     lines.append("  shapes: " + ", ".join(
         f"{shape} \u00d7{count}" for shape, count in shapes.most_common()))
+    source, _ = ad._source(program)
+    (factory,) = ast.parse(source).body
+    run = program.run or ad._compile(program)
+    lines.append(f"  compiled: {len(factory.body[0].body)} statements, "
+                 f"{len(run.__code__.co_code)} bytes of bytecode")
     for step in program.steps:
         args, into = step.args, ""
         if len(args) > ad._INTO.get(step.op, len(args)):
