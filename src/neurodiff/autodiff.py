@@ -542,21 +542,10 @@ def _vjp(node, g, need):
     raise ValueError(f"no vjp for op {op!r}")
 
 
-def _zero_column(a, like):
-    """A +0.0 column of a's rows in the dtype of the adjoint ``like``."""
-    return constant(np.zeros((a.value.shape[0], 1), like.value.dtype))
-
-
-def _padded(a, lo, hi, g):
-    """g as columns lo..hi-1 of an otherwise zero C-ordered block of a's
-    width."""
-    zero = _zero_column(a, g)
-    return concat_cols([zero] * lo + [g] + [zero] * (a.value.shape[1] - hi))
-
-
 def _column_adjoint(a, reads):
     """The adjoint of ``a`` from its column-range reads alone: ``reads``
-    holds ``(lo, hi, g)`` in arrival order.
+    holds ``(lo, hi, g)`` in arrival order.  A single read is g padded with
+    +0.0 columns to a's width (g itself when it spans a).
 
     The read bounds cut a's columns into segments.  Each segment folds, in
     arrival order, the part of each read that covers it (the read's g, or a
@@ -585,7 +574,7 @@ def _column_adjoint(a, reads):
     every = len(padded) == len(sums)
     if not every:
         sums.update((s, add(sums[s], 0.0)) for s in padded)
-    zero = _zero_column(a, reads[0][2])
+    zero = constant(np.zeros((a.value.shape[0], 1), reads[0][2].value.dtype))
     block = concat_cols([p for s, e in segments
                          for p in ([sums[s]] if s in sums else [zero] * (e - s))])
     return add(block, 0.0) if every else block
@@ -609,11 +598,12 @@ def backward(output, wrt):
     contribution arrives, and then built in one piece
     (``_column_adjoint``): per-segment sums joined by one C-ordered
     concatenation, not a sum of zero-padded full-width blocks.  A range
-    read that arrives after a dense contribution is padded and added in
-    arrival order, as every contribution is.  The entries equal the padded
-    fold's bit for bit, except that where two NaNs meet in one addition the
-    sign of the NaN that survives depends on numpy's loop for the shapes at
-    hand: a NaN entry is NaN in both, but its sign may differ.  A
+    read that arrives after a dense contribution is built alone by the same
+    function, as a padded block, and added in arrival order, as every
+    contribution is.  The entries equal the padded fold's bit for bit,
+    except that where two NaNs meet in one addition the sign of the NaN
+    that survives depends on numpy's loop for the shapes at hand: a NaN
+    entry is NaN in both, but its sign may differ.  A
     ``rowsum`` hands its adjoint to every column as one F-ordered
     broadcast, and an N x 1 operand of a column-against-block op gets its
     block adjoint folded by ``rowsum``, left to right.
@@ -646,8 +636,9 @@ def backward(output, wrt):
             continue
         if node.op == "column":
             a, lo, hi = node.inputs[0], node.attrs["lo"], node.attrs["hi"]
-            if a._id in adjoint:  # after a dense contribution: padded
-                adjoint[a._id] = add(adjoint[a._id], _padded(a, lo, hi, g))
+            if a._id in adjoint:  # after a dense contribution
+                adjoint[a._id] = add(adjoint[a._id],
+                                     _column_adjoint(a, [(lo, hi, g)]))
             else:
                 reads.setdefault(a._id, []).append((lo, hi, g))
             continue

@@ -92,7 +92,7 @@ class RealSphericalHarmonics:
         if not 0 <= max_degree <= MAX_DEGREE:
             raise ValueError(f"max_degree must be in [0, {MAX_DEGREE}]")
         self.max_degree = int(max_degree)
-        self.size = (self.max_degree + 1) ** 2
+        self.size = len(self.degrees())
 
     def degrees(self):
         return [(l, m) for l in range(self.max_degree + 1)
@@ -100,9 +100,11 @@ class RealSphericalHarmonics:
 
     def evaluate(self, theta, phi):
         """The basis at N x 1 angles as one N x K node, columns in
-        ``degrees()`` order."""
+        ``degrees()`` order.  ``phi`` is read only by m != 0 columns, and
+        may be None when there are none."""
         theta = theta if isinstance(theta, ad.Node) else ad.constant(theta)
-        phi = phi if isinstance(phi, ad.Node) else ad.constant(phi)
+        if phi is not None:
+            phi = phi if isinstance(phi, ad.Node) else ad.constant(phi)
         x = ad.cos(theta)
         sin_t = ad.sin(theta)
         p = _assoc_legendre(self.max_degree, x, sin_t)
@@ -119,26 +121,17 @@ class RealSphericalHarmonics:
         return _stack(out)
 
 
-class ZonalHarmonics:
-    """Azimuth-independent harmonics Y_l0 for l = 0..L; size L + 1."""
-
-    def __init__(self, max_degree):
-        if not 0 <= max_degree <= MAX_DEGREE:
-            raise ValueError(f"max_degree must be in [0, {MAX_DEGREE}]")
-        self.max_degree = int(max_degree)
-        self.size = self.max_degree + 1
+class ZonalHarmonics(RealSphericalHarmonics):
+    """Azimuth-independent harmonics Y_l0 for l = 0..L; size L + 1: the
+    m = 0 columns of ``RealSphericalHarmonics``."""
 
     def degrees(self):
         return [(l, 0) for l in range(self.max_degree + 1)]
 
     def evaluate(self, theta, phi=None):
-        """The basis at an N x 1 polar angle as one N x K node."""
-        theta = theta if isinstance(theta, ad.Node) else ad.constant(theta)
-        x = ad.cos(theta)
-        sin_t = ad.sin(theta)
-        p = _assoc_legendre(self.max_degree, x, sin_t)
-        return _stack([_norm(l, 0) * p[(l, 0)]
-                       for l in range(self.max_degree + 1)])
+        """The basis at an N x 1 polar angle as one N x K node; ``phi`` is
+        not read."""
+        return super().evaluate(theta, None)
 
 
 def basis_solution(basis, radial_net, angles, r):

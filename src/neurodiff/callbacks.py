@@ -193,7 +193,11 @@ class SetBatchSize(Action):
                 f"SetBatchSize: n must be at least 1, got {self.n!r}")
 
     def apply(self, state):
-        state.train_generator = state.train_generator.with_size(self.n)
+        gen = state.train_generator
+        if not hasattr(gen, "with_size"):
+            raise ValueError(f"SetBatchSize: cannot resize a "
+                             f"{type(gen).__name__} generator")
+        state.train_generator = gen.with_size(self.n)
 
 
 @dataclass(frozen=True)

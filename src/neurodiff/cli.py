@@ -33,23 +33,21 @@ LOSS_FLAGS = {"l2": "l2", "mse": "mse", "l1": "l1", "linf": "linf",
               "h1": "h1", "semi-h1": "semi_h1"}
 
 
-def _default_seed():
-    return int(os.environ.get("NEURODIFF_SEED", "0"))
-
-
-def _seed_error(args):
-    """Why ``--seed`` (from the command line or ``--manifest``) or, without
-    it, NEURODIFF_SEED cannot key a sampling stream; None if it can."""
+def _seed(args):
+    """``(seed, None)`` for ``--seed`` (from the command line or
+    ``--manifest``) or, without it, NEURODIFF_SEED (default 0); ``(None,
+    why)`` if it cannot key a sampling stream."""
     if args.seed is not None:
-        return None if is_seed(args.seed) else (
-            f"--seed must be an integer in [0, 2**64), got {args.seed!r}")
-    text = os.environ.get("NEURODIFF_SEED", "0")
-    try:
-        ok = is_seed(int(text))
-    except ValueError:
-        ok = False
-    return None if ok else ("NEURODIFF_SEED must be an integer in "
-                            f"[0, 2**64), got {text!r}")
+        seed, name, given = args.seed, "--seed", args.seed
+    else:
+        name, given = "NEURODIFF_SEED", os.environ.get("NEURODIFF_SEED", "0")
+        try:
+            seed = int(given)
+        except ValueError:
+            seed = None
+    if is_seed(seed):
+        return seed, None
+    return None, f"{name} must be an integer in [0, 2**64), got {given!r}"
 
 
 def _positive_number(value):
@@ -130,7 +128,8 @@ def _training_flags_error(args):
     """Why ``--epochs``, ``--batch-size``, ``--hidden``, ``--lr``,
     ``--seed`` (or NEURODIFF_SEED), ``--switch-window`` or
     ``--switch-delta``, given on the command line or by ``--manifest``,
-    cannot train; None if they can."""
+    cannot train; None if they can, with the seed resolved into
+    ``args.seed``."""
     for flag, value in (("--epochs", args.epochs),
                         ("--batch-size", args.batch_size)):
         if value is not None and (type(value) is not int or value < 1):
@@ -140,7 +139,7 @@ def _training_flags_error(args):
                 f"got {args.hidden!r}")
     if args.lr is not None and not _positive_number(args.lr):
         return f"--lr must be a finite number above 0, got {args.lr!r}"
-    seed_error = _seed_error(args)
+    args.seed, seed_error = _seed(args)
     if seed_error:
         return seed_error
     window, delta = args.switch_window, args.switch_delta
@@ -192,7 +191,7 @@ def _apply_manifest(args):
 
 
 def _train_common(args, preset, outdir):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = args.seed
     epochs = args.epochs if args.epochs is not None else preset.epochs
     hidden = (preset.hidden if args.hidden is None
               else _hidden_sizes(args.hidden))
@@ -388,9 +387,8 @@ def cmd_invert(args):
 
 
 def cmd_bench(args):
-    error = _seed_error(args)
+    seed, error = _seed(args)
     if error is None:
-        seed = args.seed if args.seed is not None else _default_seed()
         error = operators.bench_error(args.sizes, args.repeats, seed)
     if error:
         print(f"bench-operators: {error}", file=sys.stderr)

@@ -112,12 +112,6 @@ class MLP:
             h = act(z) if k < n_layers - 1 else z
         return h
 
-    def astype(self, dtype):
-        """This network with its parameters cast to ``dtype``."""
-        return MLP(self.spec,
-                   [w.astype(dtype, copy=False) for w in self.weights],
-                   [b.astype(dtype, copy=False) for b in self.biases])
-
     def copy(self):
         return MLP(self.spec,
                    [w.copy() for w in self.weights],

@@ -68,6 +68,11 @@ def _positive(x):
     return math.isfinite(x) and x > 0
 
 
+def _is_integer(x):
+    """Whether ``x`` is an int or numpy integer (a bool is not)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Adam:
     lr: float = 1e-3
@@ -117,9 +122,11 @@ class SolverConfig:
                              "expected 'f32' or 'f64'")
         for name, least in (("epochs", 0), ("batches_per_epoch", 1),
                             ("accumulation_passes", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, "
-                                 f"got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
         if not is_seed(self.seed):
             raise ValueError("seed must be an integer in [0, 2**64), "
                              f"got {self.seed!r}")
@@ -590,11 +597,12 @@ def fit_inverse(solution, data, init_theta, steps=500, lr=0.05):
     ``data`` is a sequence of (coords, value) pairs (coords a tuple for
     multi-coordinate problems).  Network weights stay frozen; only the
     parameter inputs move, and the result is clipped to the layout ranges.
-    ``steps``, the number of gradient steps, must be an integer >= 0.
+    ``steps``, the number of gradient steps, must be an integer >= 0, and
+    ``lr``, the step size, a finite number above 0.
     """
-    if not (isinstance(steps, numbers.Integral) and not isinstance(steps, bool)
-            and steps >= 0):
+    if not (_is_integer(steps) and steps >= 0):
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    _check_setting("fit_inverse", "lr", lr, _positive, "finite and above 0")
     data = list(data)
     if not data:
         raise ValueError("fit_inverse needs at least one observation")

@@ -464,13 +464,19 @@ def _three_node_tanh_jvp(node, t, jvp=ad._jvp):
     return jvp(node, t)
 
 
+def _cast(mlp, dtype):
+    """``mlp`` with its weights and biases cast to ``dtype``."""
+    return MLP(mlp.spec, [w.astype(dtype) for w in mlp.weights],
+               [b.astype(dtype) for b in mlp.biases])
+
+
 def _mlp_problem(seed, widths, dtype):
     """A random tanh MLP with random biases, in ``dtype``, and 17 random
     points."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     mlp = MLP.init(MLPSpec(1, widths, 1, seed=seed))
     biases = [rng.uniform(-1.0, 1.0, b.shape) for b in mlp.biases]
-    mlp = MLP(mlp.spec, mlp.weights, biases).astype(dtype)
+    mlp = _cast(MLP(mlp.spec, mlp.weights, biases), dtype)
     return mlp, rng.uniform(-1.0, 1.0, (17, 1)).astype(dtype)
 
 
@@ -495,7 +501,7 @@ def _per_sample_gradient_magnitudes(seed, widths, dtype):
     magnitudes of the per-sample terms that the loss gradient sums, taken
     in float64 on the ``dtype`` problem's own (rounded) values."""
     mlp, xv = _mlp_problem(seed, widths, dtype)
-    x, _, params, r = _order2_residual(mlp.astype(np.float64),
+    x, _, params, r = _order2_residual(_cast(mlp, np.float64),
                                        xv.astype(np.float64))
     total = [np.zeros(p.shape) for p in params]
     for i in range(xv.shape[0]):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from neurodiff import callbacks as cb
-from neurodiff.generators import Uniform1D
+from neurodiff.generators import Concat, Product, Static, Uniform1D
 from neurodiff.losses import LossSpec
 from neurodiff.network import MLP, MLPSpec
 
@@ -150,6 +150,19 @@ class TestActions:
         s = FakeState()
         cb.SetBatchSize(64).apply(s)
         assert len(s.train_generator) == 64
+
+    @pytest.mark.parametrize("gen", [
+        Static(np.zeros((8, 1))),
+        Concat(Uniform1D(0.0, 1.0, 4), Uniform1D(1.0, 2.0, 4)),
+        Product(Uniform1D(0.0, 1.0, 8), Uniform1D(1.0, 2.0, 8))],
+        ids=lambda g: type(g).__name__)
+    def test_set_batch_size_without_with_size_raises(self, gen):
+        s = FakeState()
+        s.train_generator = gen
+        with pytest.raises(ValueError, match="^SetBatchSize: cannot resize a "
+                                             f"{type(gen).__name__} generator"):
+            cb.SetBatchSize(4).apply(s)
+        assert s.train_generator is gen
 
     def test_set_train_generator(self):
         s = FakeState()

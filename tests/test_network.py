@@ -108,7 +108,9 @@ class TestCheckpoint:
                 == mlp.forward(xb).value.tobytes())
 
     def test_f32_round_trip_keeps_dtype_and_bits(self, tmp_path):
-        mlp = MLP.init(MLPSpec(2, (16, 8), 3, seed=13)).astype(np.float32)
+        mlp = MLP.init(MLPSpec(2, (16, 8), 3, seed=13))
+        mlp = MLP(mlp.spec, [w.astype(np.float32) for w in mlp.weights],
+                  [b.astype(np.float32) for b in mlp.biases])
         path = tmp_path / "net.ckpt"
         mlp.save(path)
         loaded = MLP.load(path)

@@ -123,6 +123,22 @@ class TestFit:
         with pytest.raises(ValueError, match=f"^{name} must be >= "):
             SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 1.5), ("epochs", 2.0), ("epochs", True),
+        ("batches_per_epoch", 2.0), ("accumulation_passes", 1.5),
+        ("accumulation_passes", "2")])
+    def test_non_integer_count_raises(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got "):
+            SolverConfig(**{name: value})
+
+    def test_numpy_integer_counts_train(self):
+        counts = {"epochs": 2, "batches_per_epoch": 2, "accumulation_passes": 2}
+        state = fit(decay_problem(), small_config(**counts))
+        numpy = fit(decay_problem(), small_config(
+            **{k: np.int64(v) for k, v in counts.items()}))
+        assert numpy.train_history == state.train_history
+
     def test_zero_epochs_train_nothing(self):
         state = fit(decay_problem(), small_config(epochs=0))
         assert state.epoch == 0 and state.metrics == []
@@ -538,6 +554,14 @@ class TestInverse:
         sol = self.make_solution()
         with pytest.raises(ValueError, match="steps must be an integer >= 0"):
             fit_inverse(sol, [(0.5, 0.8)], {"u0": 1.1}, steps=steps)
+
+    @pytest.mark.parametrize("lr", [0, 0.0, -1.0, float("nan"),
+                                    float("inf"), "0.1", None])
+    def test_lr_must_be_finite_and_above_zero(self, lr):
+        sol = self.make_solution()
+        with pytest.raises(ValueError,
+                           match="^fit_inverse: lr must be finite and above 0"):
+            fit_inverse(sol, [(0.5, 0.8)], {"u0": 1.1}, steps=1, lr=lr)
 
     def test_requires_observations_and_layout(self):
         sol = self.make_solution()

@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FINGERPRINT = os.path.join(ROOT, "tools", "fingerprint.py")
 PERFBENCH = os.path.join(ROOT, "perfbench", "run.py")
@@ -48,6 +50,21 @@ class TestFingerprint:
             run = fingerprint("--workload", "decay", "--seeds", seeds)
             assert run.returncode == 2, seeds
             assert "not a seed or seed range" in run.stderr
+
+
+class TestAllWorkloads:
+    @pytest.mark.parametrize("name", ["fingerprint", "program"])
+    def test_all_expands_to_the_four_workloads(self, name):
+        # import the tool in a child, whose BLAS and malloc it pins
+        tools = os.path.join(ROOT, "tools")
+        run = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; sys.path.insert(0, {tools!r}); import {name}; "
+             f"print(*[w.name for w in {name}.workloads('all')])"],
+            capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["decay", "heat-d3", "poisson-gaussian",
+                                      "sho-bundle"]
 
 
 class TestProgram:

@@ -2,9 +2,10 @@
 
     python3 tools/fingerprint.py --workload decay --seeds 1-10
 
-Run from the root of a checkout.  For each seed it trains one trial of the
-workload's perfbench recipe (``perfbench/workloads.py`` and
-``bench.run_trial``), untimed and with one BLAS thread, and prints one line:
+``--workload all`` runs every workload, in name order.  Run from the root
+of a checkout.  For each seed it trains one trial of the workload's
+perfbench recipe (``perfbench/workloads.py`` and ``bench.run_trial``),
+untimed and with one BLAS thread, and prints one line:
 
 - the SHA-256 over the final weights and biases of every network and the
   train and validation loss histories;
@@ -52,6 +53,12 @@ def parse_seeds(text):
     return seeds
 
 
+def workloads(name):
+    """The workloads ``--workload`` names: one, or all four in name order."""
+    return ([WORKLOADS[n] for n in sorted(WORKLOADS)] if name == "all"
+            else [WORKLOADS[name]])
+
+
 def fingerprint(wl, seed):
     first_id = ad._id_counter[0]
     replayed_ops = [0]
@@ -88,16 +95,17 @@ def fingerprint(wl, seed):
 
 def main(argv=None):
     p = argparse.ArgumentParser(prog="tools/fingerprint.py")
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    p.add_argument("--workload", required=True,
+                   choices=sorted(WORKLOADS) + ["all"])
     p.add_argument("--seeds", type=parse_seeds, default=[1])
     args = p.parse_args(argv)
-    wl = WORKLOADS[args.workload]
-    for seed in args.seeds:
-        f = fingerprint(wl, seed)
-        print(f"{wl.name} seed={seed} sha256={f['sha256']} "
-              f"nodes/epoch={f['nodes_per_epoch']:g} "
-              f"valid_loss={f['valid_loss']!r} "
-              f"epochs_to_tol={f['epochs_to_tol']}", flush=True)
+    for wl in workloads(args.workload):
+        for seed in args.seeds:
+            f = fingerprint(wl, seed)
+            print(f"{wl.name} seed={seed} sha256={f['sha256']} "
+                  f"nodes/epoch={f['nodes_per_epoch']:g} "
+                  f"valid_loss={f['valid_loss']!r} "
+                  f"epochs_to_tol={f['epochs_to_tol']}", flush=True)
     return 0
 
 

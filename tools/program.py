@@ -2,10 +2,11 @@
 
     python3 tools/program.py --workload decay
 
-Run from the root of a checkout.  It trains one epoch of the workload's
-perfbench recipe (``perfbench/workloads.py`` and ``bench.run_trial``) with
-one BLAS thread and prints each program that ``fit`` records: the training
-step's, then the validation pass's.  For each program it prints the number
+``--workload all`` prints every workload's, in name order.  Run from the
+root of a checkout.  It trains one epoch of the workload's perfbench recipe
+(``perfbench/workloads.py`` and ``bench.run_trial``) with one BLAS thread
+and prints each program that ``fit`` records: the training step's, then
+the validation pass's.  For each program it prints the number
 of recorded steps and the count left after each of ``autodiff._record``'s
 rewrites that removes steps, the counts of the two that rewrite a step in
 place (``outer``, with how many of its matmuls run as ``repeat`` because
@@ -37,6 +38,12 @@ pin.pin()  # one BLAS thread; before numpy is imported
 import bench  # noqa: E402
 from neurodiff import autodiff as ad  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+
+def workloads(name):
+    """The workloads ``--workload`` names: one, or all four in name order."""
+    return ([WORKLOADS[n] for n in sorted(WORKLOADS)] if name == "all"
+            else [WORKLOADS[name]])
 
 
 def recorded_programs(wl, seed):
@@ -101,13 +108,14 @@ def describe(kind, program):
 
 def main(argv=None):
     p = argparse.ArgumentParser(prog="tools/program.py")
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    p.add_argument("--workload", required=True,
+                   choices=sorted(WORKLOADS) + ["all"])
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
-    wl = WORKLOADS[args.workload]
-    print(f"{wl.name} seed={args.seed} epoch 1")
-    for kind, program in recorded_programs(wl, args.seed):
-        print("\n".join(describe(kind, program)), flush=True)
+    for wl in workloads(args.workload):
+        print(f"{wl.name} seed={args.seed} epoch 1")
+        for kind, program in recorded_programs(wl, args.seed):
+            print("\n".join(describe(kind, program)), flush=True)
     return 0
 
 
