@@ -9,7 +9,15 @@ numbers, so they are themselves differentiable.  Two sweeps build them:
 
 - ``diff`` is forward mode: the per-sample derivative of a residual field
   along one coordinate, one ``_jvp`` rule per op.  Higher orders share one
-  tangent memo, so a second-order residual needs no reverse pass;
+  tangent memo, so a second-order residual needs no reverse pass.
+  ``laplacian`` sums the second derivatives along several coordinates in
+  one forward sweep: a first-order tangent memo per coordinate, and one
+  second-order stream that all coordinates share, to which each node adds
+  its curvature along each coordinate (the second-order tangent of its
+  first-order one, the inputs' held at zero).  So a D-dimensional
+  Laplacian costs one second-order matmul per layer, not D.  It equals the
+  sum of the ``diff(u, x, 2)`` to a few ulps of its terms' magnitudes, not
+  bit for bit, since the directions are added node by node;
 - ``backward`` is reverse mode: the gradient of a scalar (a training loss)
   with respect to many nodes (the parameters).  A pointwise op's Jacobian
   is diagonal, so its own transpose: ``backward`` applies the forward rule
@@ -453,14 +461,15 @@ def _guard(node, checked, check):
                {"check": check})
 
 
-def _topo_below(root):
-    """Requires-grad nodes below root in creation (= topological) order."""
+def _topo_below(root, stop=()):
+    """Requires-grad nodes below root in creation (= topological) order; the
+    walk neither collects nor passes the nodes whose ids are in ``stop``."""
     seen = set()
     stack = [root]
     collected = []
     while stack:
         n = stack.pop()
-        if n._id in seen or not n.requires_grad:
+        if n._id in seen or n._id in stop or not n.requires_grad:
             continue
         seen.add(n._id)
         collected.append(n)
@@ -747,23 +756,35 @@ def _plus(p, q):
     return p if q is None else add(p, q)
 
 
+def _tangent(node, t):
+    """``_jvp(node, t)`` at node's shape; None if no input has a tangent,
+    and for a guard whose node has none."""
+    if all(ti is None for ti in t):
+        return None
+    tn = _jvp(node, t)
+    # an active scalar or row met a tensor
+    if tn is not None and tn.value.shape != node.value.shape:
+        tn = broadcast_to(tn, node.value.shape)
+    return tn
+
+
+def _seeded(x):
+    """A tangent memo whose seed is x, with a tangent of ones; x must
+    require grad."""
+    if not x.requires_grad:
+        raise ValueError("wrt node does not require grad")
+    return {x._id: constant(np.ones_like(x.value))}
+
+
 def _push_tangents(u, tangents):
-    """Tangent of u, filling the memo ``tangents`` (node id -> tangent node,
-    or None for a node that does not depend on the seed) on the way."""
-    for node in _topo_below(u):
-        if node._id in tangents:
-            continue
-        t = [tangents.get(inp._id) for inp in node.inputs]
-        if not any(ti is not None for ti in t):
-            tangents[node._id] = None
-            continue
-        tn = _jvp(node, t)  # None for a guard whose node has no tangent
-        # an active scalar or row met a tensor
-        if tn is not None and tn.value.shape != node.value.shape:
-            tn = broadcast_to(tn, node.value.shape)
-        tangents[node._id] = tn
-    tu = tangents.get(u._id)
-    return tu if tu is not None else constant(np.zeros_like(u.value))
+    """Tangent of u, or None if u does not depend on the seed, filling the
+    memo ``tangents`` (node id -> tangent node, or None for a node that does
+    not depend on the seed) on the way.  The walk stops at the nodes the
+    memo holds: a memo entry stands for the node's whole subgraph."""
+    for node in _topo_below(u, tangents):
+        tangents[node._id] = _tangent(
+            node, [tangents.get(inp._id) for inp in node.inputs])
+    return tangents.get(u._id)
 
 
 def diff(u, x, order=1):
@@ -785,15 +806,52 @@ def _derivatives(u, x, k):
     """``[du/dx, ..., d^k u/dx^k]``, every order from one tangent memo."""
     if k < 1:
         raise ValueError("order must be >= 1; use u directly for order 0")
-    if not x.requires_grad:
-        raise ValueError("wrt node does not require grad")
-    tangents = {x._id: constant(np.ones_like(x.value))}
+    tangents = _seeded(x)
     out = []
     g = u
     for _ in range(k):
-        g = _push_tangents(g, tangents)
+        t = _push_tangents(g, tangents)
+        g = t if t is not None else constant(np.zeros_like(g.value))
         out.append(g)
     return out
+
+
+def laplacian(u, xs):
+    """Per-sample Laplacian sum_i d^2 u / dx_i^2 over the coordinates ``xs``
+    as a new graph node, from one forward sweep (the forward Laplacian of
+    Li et al. 2023, arXiv:2307.08214).
+
+    u and each x are as for ``diff``; every x must require grad
+    (``ValueError`` otherwise).  Each coordinate gets its first-order
+    tangent memo, as ``diff`` builds it.  Then one walk in ``_id`` order
+    gives each node n its Laplacian L(n): the linear part ``_jvp(n,
+    [L(inputs)])``, one stream that every direction shares (one second-order
+    matmul per layer, not one per coordinate), plus, for each x_i in the
+    given order, the curvature of n along x_i: the tangent along x_i of n's
+    first-order tangent T_i(n), pushed by ``_jvp`` through the nodes built
+    for T_i(n) while the inputs' T_i are held at zero tangent.  The push's
+    walk stops at the nodes the memo already holds, so it visits only the
+    nodes built for T_i(n).
+
+    The result equals ``sum(diff(u, x, 2) for x in xs)`` to a few ulps of
+    the summed magnitudes of its terms, not bit for bit: the directions are
+    added inside the sweep, node by node, not once at the end.  If u does
+    not depend on any x, the result is zeros of u's shape.
+    """
+    memos = [_seeded(x) for x in xs]
+    for tangents in memos:
+        _push_tangents(u, tangents)
+    lap = {}
+    for node in _topo_below(u):
+        total = _tangent(node, [lap.get(inp._id) for inp in node.inputs])
+        for tangents in memos:
+            t = tangents.get(node._id)
+            if t is not None:
+                total = _plus(total, _push_tangents(t, tangents))
+                tangents[t._id] = None  # held at zero for n's consumers
+        lap[node._id] = total
+    total = lap.get(u._id)
+    return total if total is not None else constant(np.zeros_like(u.value))
 
 
 def accumulate_gradients(loss_fn, batches):

@@ -11,6 +11,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from .generators import _check_count
+
 logger = logging.getLogger("neurodiff")
 
 
@@ -42,9 +44,7 @@ class EveryNEpochs(TriggerCondition):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(
-                f"EveryNEpochs: n must be at least 1, got {self.n!r}")
+        _check_count("EveryNEpochs", "n", self.n)
 
     def evaluate(self, state):
         return state.epoch % self.n == 0
@@ -67,9 +67,7 @@ class ValidationConverged(TriggerCondition):
     window: int
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("ValidationConverged: window must be at least 1, "
-                             f"got {self.window!r}")
+        _check_count("ValidationConverged", "window", self.window)
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("ValidationConverged: delta must be finite and "
                              f"above 0, got {self.delta!r}")
@@ -188,9 +186,7 @@ class SetBatchSize(Action):
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(
-                f"SetBatchSize: n must be at least 1, got {self.n!r}")
+        _check_count("SetBatchSize", "n", self.n)
 
     def apply(self, state):
         gen = state.train_generator

@@ -16,11 +16,24 @@ import numbers
 import numpy as np
 
 
+def _is_integer(x):
+    """Whether ``x`` is an int or numpy integer (a bool is not)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_count(owner, name, value):
+    """Raise ``ValueError`` naming ``owner``'s ``name`` unless ``value`` is
+    an integer (``_is_integer``) of at least 1."""
+    if not _is_integer(value):
+        raise ValueError(f"{owner}: {name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{owner}: {name} must be at least 1, got {value!r}")
+
+
 def is_seed(value):
     """Whether ``value`` can key a stream: an integer in [0, 2**64), one
     Philox key word."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and 0 <= value < 2 ** 64)
+    return _is_integer(value) and 0 <= value < 2 ** 64
 
 
 def rekey(rng, seed, stream=0):
@@ -68,8 +81,7 @@ class Uniform1D(Generator):
     def __init__(self, lo, hi, n, method="uniform-random"):
         if not lo < hi:
             raise ValueError(f"Uniform1D requires lo < hi, got [{lo}, {hi}]")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        _check_count("Uniform1D", "n", n)
         if method not in ("equally-spaced", "equally-spaced-noisy", "uniform-random"):
             raise ValueError(f"unknown sampling method {method!r}")
         self.lo, self.hi, self.n, self.method = float(lo), float(hi), int(n), method
@@ -100,8 +112,7 @@ class CubeND(Generator):
             raise ValueError("lows and highs must be 1-D vectors of equal length")
         if not np.all(lows < highs):
             raise ValueError("CubeND requires lows < highs componentwise")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        _check_count("CubeND", "n", n)
         self.lows, self.highs, self.n = lows, highs, int(n)
 
     def sample(self, rng):

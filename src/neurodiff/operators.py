@@ -3,9 +3,11 @@
 Every operator exists in two modes.  ``naive`` runs one backward pass per
 partial derivative; ``fused`` computes all partials of a scalar in a single
 backward traversal.  The scalar Laplacian's fused mode runs no backward pass
-at all: it takes the first and second partials along each coordinate in
-forward mode, both orders from one tangent memo per coordinate, and builds
-the coordinate system's formula from them.  The two modes agree numerically;
+at all.  In Cartesian coordinates it is ``autodiff.laplacian``, one forward
+sweep for the sum of the second partials; in the curvilinear systems it
+takes the first and second partials along each coordinate in forward mode,
+both orders from one tangent memo per coordinate, and builds the
+coordinate system's formula from them.  The two modes agree numerically;
 fused is faster whenever an operator needs several partials of the same
 scalar (gradient, curl, Laplacian), and is intentionally no faster for
 divergence, which needs one partial per component.
@@ -131,13 +133,17 @@ def curl(F, coords, system="cartesian", mode="fused"):
 @_checked
 def laplacian(f, coords, system="cartesian", mode="fused"):
     """Scalar Laplacian.  naive mode is div(grad f), one backward pass per
-    partial; fused mode takes d/dc and d2/dc2 along each coordinate c in
-    forward mode and divides in div(grad f)'s order, so both round alike."""
+    partial.  fused mode runs in forward mode: in Cartesian coordinates it
+    is ``autodiff.laplacian``, one sweep whose second-order stream all three
+    coordinates share (equal to the sum of the three second partials to a
+    few ulps); in cylindrical and spherical ones it takes d/dc and d2/dc2
+    along each coordinate c and divides in div(grad f)'s order, so both
+    modes round alike."""
     if mode == "naive":
         return div(grad(f, coords, system, mode), coords, system, mode)
-    (d0, dd0), (d1, dd1), (_, dd2) = [ad._derivatives(f, c, 2) for c in coords]
     if system == "cartesian":
-        return dd0 + dd1 + dd2
+        return ad.laplacian(f, coords)
+    (d0, dd0), (d1, dd1), (_, dd2) = [ad._derivatives(f, c, 2) for c in coords]
     if system == "cylindrical":
         rho = coords[0]
         return dd0 + d0 / rho + dd1 / rho / rho + dd2

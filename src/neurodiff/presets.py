@@ -105,10 +105,7 @@ def _heat(dim):
     def residual(u, coords):
         t = coords[0]
         xs = coords[1:]
-        r = ad.diff(u[0], t)
-        for x in xs:
-            r = r - k * ad.diff(u[0], x, 2)
-        return [r]
+        return [ad.diff(u[0], t) - k * ad.laplacian(u[0], xs)]
 
     def profile(*xs):
         p = None

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses as losses_mod
-from .generators import is_seed, make_rng, rekey
+from .generators import _is_integer, is_seed, make_rng, rekey
 from .network import MLP, MLPSpec
 
 
@@ -66,11 +66,6 @@ def _check_setting(owner, name, value, ok, what):
 
 def _positive(x):
     return math.isfinite(x) and x > 0
-
-
-def _is_integer(x):
-    """Whether ``x`` is an int or numpy integer (a bool is not)."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

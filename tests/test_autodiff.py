@@ -1389,3 +1389,157 @@ def test_nested_backward_through_a_block_matches_finite_differences():
     # forward mode agrees with the reverse sweep
     np.testing.assert_allclose(
         ad.diff(_expansion(x, y) ** 2.0, x).value, g.value, rtol=1e-12)
+
+
+# -- the forward Laplacian --------------------------------------------------
+
+def _laplacian_problem(seed, widths, dims, dtype):
+    """A random tanh MLP on ``dims`` coordinates with random biases, in
+    ``dtype``, and 13 random points as one N x 1 array per coordinate."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    mlp = MLP.init(MLPSpec(dims, widths, 1, seed=seed))
+    biases = [rng.uniform(-1.0, 1.0, b.shape) for b in mlp.biases]
+    mlp = _cast(MLP(mlp.spec, mlp.weights, biases), dtype)
+    return mlp, list(rng.uniform(-1.0, 1.0, (dims, 13, 1)).astype(dtype))
+
+
+def _trial(mlp, xs, params=None):
+    """x_0 * N(x), a trial solution that vanishes at x_0 = 0."""
+    return xs[0] * mlp.forward(ad.concat_cols(xs), params)
+
+
+def _second_derivative_sum(u, xs):
+    total = ad.diff(u, xs[0], 2)
+    for x in xs[1:]:
+        total = total + ad.diff(u, x, 2)
+    return total
+
+
+def _laplacian_term_magnitudes(mlp, xvs):
+    """The summed magnitudes of the terms that the Laplacian of ``_trial``
+    adds up, in float64 on the problem's own (rounded) values: the forward
+    sweep's recurrences with every term taken by its absolute value."""
+    xs = [x.astype(np.float64) for x in xvs]
+    weights = [np.abs(w.astype(np.float64)) for w in mlp.weights]
+    h = np.hstack(xs)
+    # the first layer's tangent along x_i is column i of W_0, on every row
+    first = [np.broadcast_to(weights[0][:, i], (h.shape[0],
+                                                  weights[0].shape[0]))
+             for i in range(len(xs))]
+    second = np.zeros_like(first[0])
+    for k, (w, b) in enumerate(zip(mlp.weights[:-1], mlp.biases[:-1])):
+        h = np.tanh(h @ w.astype(np.float64).T + b.astype(np.float64))
+        factor = np.abs(1.0 - h * h)
+        first_h = [factor * t for t in first]
+        # tanh's curvature term T(z) * (T(h) * (-2h)) along each coordinate
+        second = factor * second + sum(t * th * 2.0 * np.abs(h)
+                                       for t, th in zip(first, first_h))
+        first = [t @ weights[k + 1].T for t in first_h]
+        second = second @ weights[k + 1].T
+    # x_0 * N: |x_0| L(N) plus the product's two cross terms along x_0
+    return np.abs(xs[0]) * second + 2.0 * first[0]
+
+
+class TestLaplacian:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           widths=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+           dims=st.integers(1, 4),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    def test_matches_the_sum_of_second_derivatives(self, seed, widths, dims,
+                                                   dtype):
+        mlp, xvs = _laplacian_problem(seed, tuple(widths), dims, dtype)
+        xs = [ad.variable(v) for v in xvs]
+        u = _trial(mlp, xs)
+        got = ad.laplacian(u, xs)
+        want = _second_derivative_sum(u, xs)
+        assert got.value.dtype == want.value.dtype == dtype
+        assert got.shape == u.shape
+        # the directions are summed inside the sweep, node by node, so the
+        # two differ by a few roundings of the terms they add, each bounded
+        # by eps times the summed magnitudes of its terms
+        scale = _laplacian_term_magnitudes(mlp, xvs)
+        eps = np.finfo(dtype).eps
+        diff = np.abs(got.value.astype(np.float64) - want.value)
+        assert (diff <= 16 * eps * scale).all(), (diff.max(), scale.max())
+
+    def test_matches_finite_differences(self):
+        mlp, xvs = _laplacian_problem(5, (8, 8), 3, np.float64)
+        xs = [ad.variable(v) for v in xvs]
+        got = ad.laplacian(_trial(mlp, xs), xs).value
+
+        def f(vs):
+            return _trial(mlp, [ad.constant(v) for v in vs]).value
+
+        h = 1e-4
+        fd = sum((f([v + h * (j == i) for j, v in enumerate(xvs)])
+                  - 2.0 * f(xvs)
+                  + f([v - h * (j == i) for j, v in enumerate(xvs)])) / h ** 2
+                 for i in range(len(xvs)))
+        np.testing.assert_allclose(got, fd, rtol=1e-5, atol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(program=instructions, seed=st.integers(0, 2 ** 16))
+    def test_every_forward_rule_matches_the_sum(self, program, seed):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        x, y = (ad.variable(v) for v in rng.uniform(-1.0, 1.0, (2, 4, 1)))
+        u = _build(program, x, y)
+        np.testing.assert_allclose(ad.laplacian(u, [x, y]).value,
+                                   _second_derivative_sum(u, [x, y]).value,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_independent_u_gives_zeros_of_its_shape(self, dtype):
+        x = ad.variable(np.ones((1, 1), dtype))
+        y = ad.variable(np.linspace(-1.0, 1.0, 3, dtype=dtype).reshape(-1, 1))
+        lap = ad.laplacian(ad.tanh(y) * 2.0, [x])
+        assert lap.value.dtype == dtype
+        np.testing.assert_array_equal(lap.value, np.zeros((3, 1), dtype))
+        # linear in x: the second-order stream is zero too
+        lap = ad.laplacian(3.0 * x + y, [x, y])
+        np.testing.assert_array_equal(lap.value, np.zeros((3, 1), dtype))
+
+    def test_a_coordinate_that_does_not_require_grad_raises(self):
+        x = ad.variable(np.ones((3, 1)))
+        c = ad.constant(np.ones((3, 1)))
+        with pytest.raises(ValueError, match="require grad"):
+            ad.laplacian(ad.sin(x), [x, c])
+        with pytest.raises(ValueError, match="require grad"):
+            ad.laplacian(ad.sin(x), [ad.variable(np.ones((3, 1)),
+                                                  requires_grad=False)])
+
+    def test_backward_through_it_matches_the_per_coordinate_sum(self):
+        mlp, xvs = _laplacian_problem(8, (6, 5), 3, np.float64)
+        grads = []
+        for build in (ad.laplacian, _second_derivative_sum):
+            xs = [ad.variable(v) for v in xvs]
+            params = mlp.param_nodes()
+            u = _trial(mlp, xs, params)
+            r = build(u, xs) - u
+            grads.append([g.value for g in ad.backward(
+                ad.reduce_mean(r * r), params + xs)])
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("hidden", [1, 2, 3])
+    def test_a_coordinate_adds_a_first_order_chain_only(self, monkeypatch,
+                                                        hidden):
+        # L hidden layers: L + 1 matmuls per tangent chain, the first one
+        # the coordinate's one-hot seed times the first weight
+        def matmuls(dims, build):
+            mlp = MLP.init(MLPSpec(dims, (4,) * hidden, 1, seed=dims))
+            xs = [ad.variable(np.full((5, 1), 0.1 * i)) for i in range(dims)]
+            u = mlp.forward(ad.concat_cols(xs), mlp.param_nodes())
+            built = _record_nodes(monkeypatch)
+            build(u, xs)
+            monkeypatch.undo()
+            return len([m for m in built if m.op == "matmul"])
+
+        for dims in (1, 2, 3):
+            # one first-order chain per coordinate, one shared second-order
+            # chain (the seeds have no second-order tangent)
+            assert matmuls(dims, ad.laplacian) == (hidden + 1) * dims + hidden
+            # the per-coordinate sum pays a second-order chain each
+            assert matmuls(dims, _second_derivative_sum) == (
+                (2 * hidden + 1) * dims)

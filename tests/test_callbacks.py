@@ -99,10 +99,24 @@ class TestValidationConverged:
     (lambda: cb.ValidationConverged(float("nan"), 3), "delta must be finite"),
     (lambda: cb.ValidationConverged(float("inf"), 3), "delta must be finite"),
     (lambda: cb.SetBatchSize(0), "n must be at least 1, got 0"),
+    # a count that is not an integer was truncated or failed mid-run
+    (lambda: cb.SetBatchSize(2.5), "SetBatchSize: n must be an integer, got 2.5"),
+    (lambda: cb.SetBatchSize(True), "SetBatchSize: n must be an integer, got True"),
+    (lambda: cb.SetBatchSize(np.float64(4.0)), "n must be an integer"),
+    (lambda: cb.EveryNEpochs(2.5), "EveryNEpochs: n must be an integer"),
+    (lambda: cb.ValidationConverged(1e-3, 2.5),
+     "ValidationConverged: window must be an integer, got 2.5"),
+    (lambda: cb.ValidationConverged(1e-3, True), "window must be an integer"),
 ])
 def test_meaningless_settings_are_rejected_when_built(make, match):
     with pytest.raises(ValueError, match=match):
         make()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert cb.SetBatchSize(np.int64(4)).n == 4
+    assert cb.EveryNEpochs(np.int32(2)).evaluate(FakeState(epoch=4))
+    assert cb.ValidationConverged(1e-3, np.uint8(1)).window == 1
 
 
 class TestBooleanAlgebra:

@@ -55,6 +55,30 @@ class TestUniform1D:
         assert g.sample(rng()).shape == (20, 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda n: gen.Uniform1D(0.0, 1.0, n),
+    lambda n: gen.Uniform1D(0.0, 1.0, 8).with_size(n),
+    lambda n: gen.CubeND([0.0, 0.0], [1.0, 1.0], n),
+    lambda n: gen.CubeND([0.0], [1.0], 8).with_size(n),
+])
+class TestSizes:
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4.0), "4"])
+    def test_a_size_that_is_not_an_integer_raises(self, make, n):
+        with pytest.raises(ValueError, match=r": n must be an integer, got "):
+            make(n)
+
+    @pytest.mark.parametrize("n", [0, -3, np.int64(0)])
+    def test_a_size_below_1_raises(self, make, n):
+        with pytest.raises(ValueError, match=r": n must be at least 1, got "):
+            make(n)
+
+    @pytest.mark.parametrize("n", [5, np.int64(5), np.uint16(5)])
+    def test_integer_sizes_draw_that_many_points(self, make, n):
+        g = make(n)
+        assert len(g) == 5 and type(g.n) is int
+        assert g.sample(rng()).shape[0] == 5
+
+
 class TestCubeND:
     def test_bounds_per_axis(self):
         g = gen.CubeND([0.0, -2.0], [1.0, 3.0], 100)

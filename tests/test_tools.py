@@ -150,28 +150,60 @@ class TestProgram:
             assert sum(shape_counts(block).values()) == len(
                 [line for line in block if " = " in line])
 
-
-class TestPhases:
-    def test_decay_prints_every_phase_within_the_epoch(self):
-        run = subprocess.run([sys.executable, PHASES, "--workload", "decay"],
+    def test_heat_d3_shares_one_second_order_stream(self):
+        run = subprocess.run([sys.executable, PROGRAM, "--workload",
+                              "heat-d3"],
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
-        head, *rows = run.stdout.splitlines()
-        assert re.fullmatch(r"decay seed=1: median ms per epoch over \d+ "
+        training, validation = [
+            len(re.findall(r" = matmul\(", part)) for part in
+            run.stdout.split("validation program")]
+        # the Laplacian's three coordinates share one second-order matmul
+        # per layer (a second-order chain per coordinate: 51 and 21)
+        assert training <= 43
+        assert validation <= 17
+
+
+class TestPhases:
+    PHASES = ["train sampling", "stream keying", "training replay",
+              "optimizer step", "validation sampling", "validation replay",
+              "other"]
+
+    def check_block(self, name, head, rows):
+        """One workload's printed lines: its head, then every phase within
+        the epoch."""
+        assert re.fullmatch(rf"{name} seed=1: median ms per epoch over \d+ "
                             r"epochs after \d+ warm-up", head), head
         ms = {}
         for row in rows:
-            name, value = re.fullmatch(r"  ([a-z ]+?) +(-?\d+\.\d{4})",
-                                       row).groups()
-            ms[name] = float(value)
-        phases = ["train sampling", "stream keying", "training replay",
-                  "optimizer step", "validation sampling",
-                  "validation replay", "other"]
+            phase, value = re.fullmatch(r"  ([a-z ]+?) +(-?\d+\.\d{4})",
+                                        row).groups()
+            ms[phase] = float(value)
+        phases = self.PHASES
         assert list(ms) == phases + ["epoch"]
         assert all(ms[p] >= 0 for p in phases), ms
         assert all(ms[p] > 0 for p in phases[:-1]), ms
         # each value is printed rounded to 0.5e-4
         assert sum(ms[p] for p in phases) <= ms["epoch"] + 4e-4, ms
+
+    def test_decay_prints_every_phase_within_the_epoch(self):
+        run = subprocess.run([sys.executable, PHASES, "--workload", "decay"],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        head, *rows = run.stdout.splitlines()
+        self.check_block("decay", head, rows)
+
+    def test_all_prints_the_four_workloads_in_name_order(self):
+        run = subprocess.run([sys.executable, PHASES, "--workload", "all"],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        names = ["decay", "heat-d3", "poisson-gaussian", "sho-bundle"]
+        size = len(self.PHASES) + 2
+        assert len(lines) == size * len(names)
+        for k, name in enumerate(names):
+            head, *rows = lines[k * size:(k + 1) * size]
+            self.check_block(name, head, rows)
 
 
 class TestPerfbench:

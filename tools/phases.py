@@ -2,7 +2,8 @@
 
     python3 tools/phases.py --workload decay
 
-Run from the root of a checkout.  It trains one trial of the workload's
+``--workload all`` runs every workload, in name order.  Run from the root
+of a checkout.  It trains one trial of the workload's
 perfbench recipe (``perfbench/workloads.py`` and ``bench.run_trial``) with
 one BLAS thread, times these solver functions by wrapping them, as
 ``tools/program.py`` wraps ``autodiff._record``, and credits each call to
@@ -41,6 +42,7 @@ pin.pin()  # one BLAS thread; before numpy is imported
 
 import bench  # noqa: E402
 from neurodiff import solver  # noqa: E402
+from program import workloads  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 PHASES = ("train sampling", "stream keying", "training replay",
@@ -112,15 +114,16 @@ def phase_medians(wl, trial, calls):
 
 def main(argv=None):
     p = argparse.ArgumentParser(prog="tools/phases.py")
-    p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    p.add_argument("--workload", required=True,
+                   choices=sorted(WORKLOADS) + ["all"])
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
-    wl = WORKLOADS[args.workload]
-    trial, calls = timed_trial(wl, args.seed)
-    print(f"{wl.name} seed={args.seed}: median ms per epoch over "
-          f"{trial.epochs - wl.warmup} epochs after {wl.warmup} warm-up")
-    for phase, ms in phase_medians(wl, trial, calls).items():
-        print(f"  {phase:<20}{ms:8.4f}")
+    for wl in workloads(args.workload):
+        trial, calls = timed_trial(wl, args.seed)
+        print(f"{wl.name} seed={args.seed}: median ms per epoch over "
+              f"{trial.epochs - wl.warmup} epochs after {wl.warmup} warm-up")
+        for phase, ms in phase_medians(wl, trial, calls).items():
+            print(f"  {phase:<20}{ms:8.4f}", flush=True)
     return 0
 
 
