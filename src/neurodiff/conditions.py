@@ -18,11 +18,13 @@ are then resolved against the sampled parameter columns at build time.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from .generators import _check_count, _is_integer
 
 
 def _resolve(value, params):
@@ -45,6 +47,17 @@ def _boundary(net_fn, x0, like):
     return nb, ad.diff(nb, xb)
 
 
+def _check_finite(cond, *names):
+    """Raise ValueError unless each named field of ``cond`` is a finite
+    real number: a NaN or infinite origin, end or rate would make the trial
+    solution NaN or drop the constraint it should hold exactly."""
+    for name in names:
+        value = getattr(cond, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{type(cond).__name__} requires a finite "
+                             f"{name}, got {value!r}")
+
+
 def _check_arity(cond, coords, expected):
     if len(coords) != expected:
         raise ValueError(
@@ -59,8 +72,15 @@ class NoCondition:
         return net_fn(*coords)
 
 
+class _Initial:
+    """A condition at the start t0 of the time interval."""
+
+    def __post_init__(self):
+        _check_finite(self, "t0")
+
+
 @dataclass(frozen=True)
-class IVP1:
+class IVP1(_Initial):
     t0: float
     u0: object
 
@@ -73,7 +93,7 @@ class IVP1:
 
 
 @dataclass(frozen=True)
-class IVP2:
+class IVP2(_Initial):
     t0: float
     u0: object
     du0: object
@@ -92,6 +112,7 @@ class _TwoPoint:
     """A condition at the two ends x0 < x1 of an interval."""
 
     def __post_init__(self):
+        _check_finite(self, "x0", "x1")
         if not self.x0 < self.x1:
             raise ValueError(f"{type(self).__name__} requires x0 < x1")
 
@@ -197,8 +218,7 @@ class InfinityBVP:
     decay: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.r0):
-            raise ValueError("InfinityBVP requires a finite r0")
+        _check_finite(self, "r0", "decay")
         if self.decay <= 0:
             raise ValueError("InfinityBVP requires decay > 0")
 
@@ -233,8 +253,9 @@ class BoxIC:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
+        if _is_integer(self.dim) and self.dim < 1:
             raise ValueError(f"BoxIC requires dim >= 1, got dim={self.dim}")
+        _check_count("BoxIC", "dim", self.dim)
 
     def reparameterize(self, coords, net_fn, params=None):
         _check_arity(self, coords, self.dim + 1)

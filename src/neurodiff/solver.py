@@ -10,11 +10,16 @@ dependent values with graph ops: recording refuses an
 ``ad.constant(x.value)`` made from data, which would be frozen into the
 program (``ad._record``).  Validation, whose batch is the same every epoch,
 is recorded together with that batch, so its batch-only steps run once.
+A recording replays only for the residual, conditions, networks and layout
+it was made from; other ones record again.
 ``Solution`` and ``fit_inverse`` build a fresh graph each call.
 
 A ``SolverState`` keeps its networks' parameters in one vector: every
 weight and bias array is a view into it, and the optimizer updates the
 whole vector with one set of ufunc calls per step (``_optimizer_step``).
+Every epoch starts as a resumed ``fit`` does, rebinding a replaced network
+or parameter array as a view of the vector (``_bind_parameters``), so a
+callback may change anything on the state but the parameter shapes.
 """
 
 import ctypes
@@ -160,7 +165,7 @@ class SolverState:
     every ``net.weights[k]`` and ``net.biases[k]`` is a view into it, and
     the optimizer moments are one vector each (Adam's m and v, SGD's v).
     A parameter array rebound since, as by a network replaced with
-    ``MLP.load``, is copied into the vector when ``fit`` starts
+    ``MLP.load``, is copied into the vector when a ``fit`` epoch starts
     (``_bind_parameters``).
     """
 
@@ -191,8 +196,11 @@ class SolverState:
                      for i in range(problem.n_unknowns)]
         if len(specs) != problem.n_unknowns:
             raise ValueError("one network spec per unknown is required")
-        if len(config.conditions) != problem.n_unknowns:
-            raise ValueError("one condition per unknown is required")
+        conds = config.conditions
+        n_conds = None if conds is None else len(conds)
+        if n_conds != problem.n_unknowns:
+            raise ValueError("one condition per unknown is required, got "
+                             f"{n_conds} for {problem.n_unknowns} unknown(s)")
         for s in specs:
             # conditions may feed a network a subset of the coordinates
             # (e.g. only the radius of a harmonic expansion), never more
@@ -289,13 +297,14 @@ def _bind_parameters(state):
     the parameter vector: an array that is not (a network or an array
     replaced since the state was made, e.g. a warm start from
     ``MLP.load``) is copied into the vector, in its dtype, and rebound.
-    Raises ValueError, changing nothing, if the parameters' shapes are not
-    the state's."""
+    Raises ValueError naming the epoch after ``state.epoch``, changing
+    nothing, if the parameters' shapes are not the state's."""
     found = _parameters(state)
     shapes = [a.shape for _, _, a in found]
     if shapes != [v.shape for v in state._views]:
-        raise ValueError(f"the networks' parameter shapes {shapes} are not "
-                         f"the state's {[v.shape for v in state._views]}")
+        raise ValueError(f"epoch {state.epoch + 1}: the networks' parameter "
+                         f"shapes {shapes} are not the state's "
+                         f"{[v.shape for v in state._views]}")
     for (arrays, k, a), view in zip(found, state._views):
         if a is not view:
             view[...] = a
@@ -309,17 +318,24 @@ def _chunk_loss(state, chunk, programs, train):
     and records it in ``programs``; later ones replay the recording.  Both
     take the chunk's columns cast once to the networks' dtype.
 
-    Validation records with its columns kept in the program, so every step
-    that reads only the batch runs once, at recording (``ad._record``'s
-    ``fixed_data``).  It keeps the recorded batch's bytes and replays only
-    while a new batch has the same ones; other bytes record again."""
+    A recording bakes in the residual, the conditions, the networks and the
+    layout it was made from, so it replays only while the state has those
+    very objects (by identity, as a field may hold an array; the entry
+    keeps them, so no id is reused); other ones record again.  Validation
+    records with its columns kept in the program, so every step that reads
+    only the batch runs once, at recording (``ad._record``'s
+    ``fixed_data``): it replays only while a new batch has the recorded
+    batch's bytes, too."""
     dtype = state.networks[0].weights[0].dtype
     cols = [np.asarray(chunk[:, d:d + 1], dtype=dtype)
             for d in range(chunk.shape[1])]
     key = (train, chunk.shape, state.loss_spec, dtype)
+    made_from = [state.problem.residual, state.layout, *state.conditions,
+                 *state.networks]
     data = None if train else np.asarray(chunk, dtype=dtype).tobytes()
-    program, recorded_data = programs.get(key, (None, None))
-    if program is not None and recorded_data == data:
+    program, recorded_from, recorded_data = programs.get(key, (None, (), None))
+    if (program is not None and recorded_data == data
+            and list(map(id, recorded_from)) == list(map(id, made_from))):
         inputs = (cols if train else []) + _param_arrays(state)
         loss, *grads = ad._replay(program, inputs)
         return float(loss), grads
@@ -328,7 +344,8 @@ def _chunk_loss(state, chunk, programs, train):
     loss, leaves = _build_loss(state, cols, pnodes)
     grads = ad.backward(loss, flat) if train else []
     inputs = (leaves if train else []) + flat
-    programs[key] = (ad._record([loss, *grads], inputs, not train), data)
+    programs[key] = (ad._record([loss, *grads], inputs, not train), made_from,
+                     data)
     return float(loss.value), [g.value for g in grads]
 
 
@@ -399,36 +416,6 @@ def _validation_loss(state, rng, programs):
     return _chunk_loss(state, batch, programs, train=False)[0]
 
 
-def _recording_basis(state):
-    """What the recorded programs and the optimizer moments were made for
-    and no callback may change, beside the state's parameter views: the
-    networks and the layout (by identity)."""
-    return list(state.networks), state.layout
-
-
-def _check_recording_basis(state, basis, epoch):
-    """Raise ValueError naming ``epoch`` if ``state`` no longer has the
-    networks or layout of ``basis``, or a parameter array is no longer the
-    state's view of the parameter vector (the optimizer would go on
-    updating the vector while the replays read the stray array)."""
-    networks, layout = basis
-    found = [a for _, _, a in _parameters(state)]
-    if (len(state.networks) != len(networks)
-            or any(a is not b for a, b in zip(state.networks, networks))):
-        what = "replaced a network"
-    elif state.layout is not layout:
-        what = "replaced the bundle layout"
-    elif [a.shape for a in found] != [v.shape for v in state._views]:
-        what = "changed a parameter's shape"
-    elif any(a is not v for a, v in zip(found, state._views)):
-        what = "replaced a parameter array"
-    else:
-        return
-    raise ValueError(f"epoch {epoch}: a callback {what}; the recorded "
-                     "training step and the optimizer state were made for "
-                     "the old one")
-
-
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # from glibc's malloc.h
 
 
@@ -464,40 +451,33 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     parameter vector and its moments in place, so an array taken from
     ``state.networks``, a view of that vector, changes as training goes
     on; ``Solution``, ``state.best_networks`` and checkpoints are copies.
-    A parameter array that is not the state's view when ``fit`` starts (a
-    network replaced since the state was made, as a warm start from
-    ``MLP.load``) is copied into the vector and rebound as its view;
-    shapes other than the state's raise ValueError before the first step.
+    Every epoch starts as a resumed fit does: a parameter array that is
+    not the state's view (a network or an array replaced since, as a warm
+    start from ``MLP.load``) is copied into the vector and rebound as its
+    view, and parameter shapes other than the state's raise ValueError
+    naming the epoch, before its first step (``_bind_parameters``).  So a
+    callback may change anything on the state but the parameter shapes,
+    and training goes on as a fit resumed after that epoch would.
     The sampling streams are keyed by the config seed and the batch: one
     Philox per call, re-keyed before every training batch and validation
-    pass (``generators.rekey``).  Steps after the
-    first of each recording key replay it (see the module docstring):
-    residuals must make batch-dependent values with graph ops, or
-    recording raises ValueError.
-    Validation is recorded together with its batch (every step that reads
-    only the batch runs once, at recording) and replayed while the batch's
-    bytes equal the recorded ones; other bytes, as from a callback's new
-    generator, record it again.
-    Callbacks may change the loss spec, learning rate, batch size,
-    generators, residual and condition objects (a replaced residual or
-    condition is recorded again), and the values inside a parameter array,
-    not the networks, the parameter arrays themselves or their shapes, or
-    the bundle layout: after an epoch whose callbacks did, ``fit`` raises
-    ValueError naming the epoch.
+    pass (``generators.rekey``).  Steps after the first of each recording
+    key replay it (see the module docstring): residuals must make
+    batch-dependent values with graph ops, or recording raises ValueError.
+    A recording is replayed only for the residual, conditions, networks
+    and layout it was made from, and validation only for the batch bytes
+    it was made from; anything else, as a callback's new generator,
+    condition or network, records it again (``_chunk_loss``).
     On glibc, fixes the process's malloc thresholds first (see
     ``_keep_freed_heap``).
     """
     _keep_freed_heap()
     if state is None:
         state = SolverState(problem, config, layout)
-    else:
-        _bind_parameters(state)
     programs = {}  # recorded steps, kept for this call only
     rng = make_rng(config.seed)  # re-keyed for every stream below
-    sources = [state.problem.residual, *state.conditions]
-    basis = _recording_basis(state)
     first = state.epoch + 1
     for epoch in range(first, first + config.epochs):
+        _bind_parameters(state)
         epoch_losses = []
         for b in range(config.batches_per_epoch):
             stream = 2 * (epoch * config.batches_per_epoch + b)
@@ -528,14 +508,6 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
             if cb.condition.evaluate(state):
                 for action in cb.actions:
                     action.apply(state)
-        _check_recording_basis(state, basis, epoch)
-        # a recording bakes in the residual and the condition objects, so
-        # replacing one records again; by identity, as a field may hold an
-        # array (``sources`` keeps the old objects, so ids are not reused)
-        now = [state.problem.residual, *state.conditions]
-        if list(map(id, now)) != list(map(id, sources)):
-            programs.clear()
-            sources = now
         if state.stop_requested:
             break
     return state

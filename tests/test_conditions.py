@@ -53,6 +53,14 @@ class TestIVP:
         du = ad.diff(u, t)
         assert abs(du.value[0, 0] - du0) <= 1e-10
 
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf, "0"])
+    @pytest.mark.parametrize("cls, rest", [(bc.IVP1, (1.0,)),
+                                           (bc.IVP2, (1.0, 0.0))])
+    def test_t0_must_be_finite(self, cls, rest, t0):
+        with pytest.raises(ValueError, match=rf"^{cls.__name__} requires a "
+                                             rf"finite t0, got "):
+            cls(t0, *rest)
+
 
 class TestTwoPoint:
     @pytest.mark.parametrize("seed", range(0, N_NETS, 5))
@@ -101,6 +109,17 @@ class TestTwoPoint:
                                match=f"^{cls.__name__} requires x0 < x1$"):
                 cls(1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("x0, x1, bad", [
+        (0.0, np.inf, "x1"), (-np.inf, 1.0, "x0"), (np.nan, 1.0, "x0"),
+        (0.0, np.nan, "x1")])
+    @pytest.mark.parametrize("cls", [bc.DirichletBVP1D, bc.DirichletNeumann,
+                                     bc.NeumannDirichlet, bc.NeumannNeumann])
+    def test_ends_must_be_finite(self, cls, x0, x1, bad):
+        # an infinite x1 made DirichletBVP1D drop u(x1) = u1 silently
+        with pytest.raises(ValueError, match=rf"^{cls.__name__} requires a "
+                                             rf"finite {bad}, got "):
+            cls(x0, 0.0, x1, 0.0)
+
 
 class TestInfinity:
     @pytest.mark.parametrize("seed", range(0, N_NETS, 5))
@@ -118,6 +137,18 @@ class TestInfinity:
         r = column([21.0])  # r0 + 20: e^-20 bounds the residual terms
         u = cond.reparameterize([r], random_net_fn(seed))
         assert abs(u.value[0, 0] - u_inf) < 1e-8 * (1 + abs(u_inf))
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"decay": np.nan}, "a finite decay, got nan"),
+        ({"decay": np.inf}, "a finite decay, got inf"),
+        ({"r0": np.nan}, "a finite r0, got nan"),
+        ({"r0": -np.inf}, "a finite r0, got -inf"),
+        ({"decay": 0.0}, "decay > 0"), ({"decay": -1.0}, "decay > 0")])
+    def test_bad_r0_or_decay_rejected(self, kw, message):
+        # decay = nan made every trial value NaN, and decay = inf NaN at r0
+        with pytest.raises(ValueError,
+                           match=rf"^InfinityBVP requires {message}$"):
+            bc.InfinityBVP(**{"r0": 1.0, "u0": 0.0, "u_inf": 1.0, **kw})
 
 
 class TestBoxIC:
@@ -155,6 +186,12 @@ class TestBoxIC:
     def test_dim_below_one_rejected(self, dim):
         with pytest.raises(ValueError, match=f"^BoxIC requires dim >= 1, "
                                              f"got dim={dim}$"):
+            bc.BoxIC(self.profile, dim)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2"])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(ValueError, match=rf"^BoxIC: dim must be an "
+                                             rf"integer, got {dim!r}$"):
             bc.BoxIC(self.profile, dim)
 
     def test_arity_mismatch(self):

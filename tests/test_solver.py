@@ -42,6 +42,13 @@ def small_config(epochs=5, seed=0, **kw):
 
 
 class TestFit:
+    def test_missing_conditions_raise(self):
+        # SolverConfig's conditions default to None
+        cfg = SolverConfig(networks=[MLPSpec(1, (8,), 1)], epochs=1)
+        with pytest.raises(ValueError, match=r"^one condition per unknown is "
+                                             r"required, got None for 1 "):
+            fit(decay_problem(), cfg)
+
     def test_metrics_one_row_per_epoch(self):
         state = fit(decay_problem(), small_config(epochs=7))
         assert len(state.metrics) == 7
@@ -946,7 +953,8 @@ class TestWarmStart:
         before = state._params.copy()
         old = state.networks[0]
         state.networks[0] = MLP.load(path)
-        with pytest.raises(ValueError, match="parameter shapes"):
+        with pytest.raises(ValueError,
+                           match="^epoch 1: the networks' parameter shapes"):
             fit(decay_problem(), small_config(), state=state)
         assert state.epoch == 0 and state.metrics == []
         assert state._params.tobytes() == before.tobytes()
@@ -955,7 +963,20 @@ class TestWarmStart:
         assert state.epoch == 1
 
 
+def load_scaled(state, path):
+    """Replace the first network by a saved and loaded copy of it with half
+    its first layer's weights."""
+    net = state.networks[0].copy()
+    net.weights[0] *= 0.5
+    net.save(path)
+    state.networks[0] = MLP.load(path)
+
+
 class TestCallbacksThatInvalidateARecording:
+    """Every epoch starts as a resumed fit does: a callback's change to the
+    state trains as if the fit had stopped after that epoch, the change
+    been made, and the fit been resumed."""
+
     class Change(Action):
         def __init__(self, change):
             self.change = change
@@ -963,24 +984,55 @@ class TestCallbacksThatInvalidateARecording:
         def apply(self, state):
             self.change(state)
 
-    @pytest.mark.parametrize("change, what", [
-        (lambda s: s.networks.__setitem__(0, s.networks[0].copy()),
-         "replaced a network"),
-        (lambda s: s.networks[0].weights.__setitem__(0, np.zeros((1, 9))),
-         "changed a parameter's shape"),
-        (lambda s: setattr(s, "layout", BundleLayout()),
-         "replaced the bundle layout"),
-        (lambda s: s.networks[0].weights.__setitem__(
-            0, s.networks[0].weights[0].copy()),
-         "replaced a parameter array"),
-        (lambda s: s.networks[0].biases.__setitem__(
-            1, s.networks[0].biases[1] + 0.0),
-         "replaced a parameter array"),
-    ])
-    def test_is_refused_naming_the_epoch(self, change, what):
-        cbs = [Callback(AfterEpoch(1), self.Change(change))]
-        with pytest.raises(ValueError, match=rf"^epoch 2: a callback {what};"):
+    # (preset, change, recordings: train and valid in epoch 1, and again in
+    # epoch 3 when the change replaced what the recordings were made from)
+    CHANGES = {
+        "network copy": ("decay", lambda s, path: s.networks.__setitem__(
+            0, s.networks[0].copy()), 4),
+        "loaded network": ("decay", load_scaled, 4),
+        "weight array": ("decay", lambda s, path: s.networks[0].weights
+                         .__setitem__(0, s.networks[0].weights[0] * 0.5), 2),
+        "bias array": ("decay", lambda s, path: s.networks[0].biases
+                       .__setitem__(1, s.networks[0].biases[1] + 0.25), 2),
+        "layout": ("decay-bundle", lambda s, path: setattr(
+            s, "layout", BundleLayout(theta_ic={"u0": (1.0, 1.5)},
+                                      theta_eq={"lam": (0.25, 1.0)})), 4),
+    }
+
+    @pytest.mark.parametrize("what", sorted(CHANGES))
+    def test_trains_as_a_resumed_fit(self, what, tmp_path):
+        name, change, expected = self.CHANGES[what]
+        path = str(tmp_path / "net.ckpt")
+        # after epoch 2 only
+        cbs = [Callback(AfterEpoch(1) & ~AfterEpoch(2),
+                        self.Change(lambda s: change(s, path)))]
+        records = [0]
+        with counting("_record", records):
+            whole = preset_fit(name, epochs=4, callbacks=cbs)
+        assert records[0] == expected
+        assert_views_of_one_vector(whole)
+        with graph_path():
+            built = preset_fit(name, epochs=4, callbacks=cbs)
+        split = preset_fit(name, epochs=2)
+        change(split, path)
+        preset_fit(name, epochs=2, state=split)
+        for other in (built, split):
+            assert trained(whole) == trained(other)
+            assert whole.metrics == other.metrics
+
+    def test_is_refused_naming_the_epoch(self):
+        seen = []
+
+        def reshape(state):
+            seen.extend([state, state._params.copy()])
+            state.networks[0].weights[0] = np.zeros((1, 9))
+        cbs = [Callback(AfterEpoch(1), self.Change(reshape))]
+        with pytest.raises(ValueError, match=r"^epoch 3: the networks' "
+                                             r"parameter shapes"):
             fit(decay_problem(), small_config(epochs=4), cbs)
+        state, before = seen
+        assert state.epoch == 2 and len(state.metrics) == 2
+        assert state._params.tobytes() == before.tobytes()
 
     def test_changes_inside_a_parameter_array_are_allowed(self):
         def scale(state):

@@ -38,6 +38,7 @@ import numpy as np  # noqa: E402
 
 import bench  # noqa: E402
 from neurodiff import autodiff as ad  # noqa: E402
+from program import workloads  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
@@ -51,12 +52,6 @@ def parse_seeds(text):
     if not seeds:
         raise argparse.ArgumentTypeError(f"not a seed or seed range: {text!r}")
     return seeds
-
-
-def workloads(name):
-    """The workloads ``--workload`` names: one, or all four in name order."""
-    return ([WORKLOADS[n] for n in sorted(WORKLOADS)] if name == "all"
-            else [WORKLOADS[name]])
 
 
 def fingerprint(wl, seed):
