@@ -27,6 +27,11 @@ tanh's derivative factor 1 - h*h (h = tanh(a)) is one pointwise node,
 ``dtanh``, whose own rule is t * (-2h).  The generic ``mul`` rule then
 gives the second-order tangent in Taylor form, s*z'' + z'*(-2h*h'), and the
 reverse sweep runs through one node instead of a ``1 - h*h`` subgraph.
+Each tanh node builds its ``dtanh`` once per graph, and each ``dtanh`` node
+its -2h: every ``diff``, ``laplacian`` and ``backward`` sweep that passes
+the node reuses the same factor (``_derivative_factor``), so a
+D-dimensional residual holds one factor per layer, not one per sweep, and
+a shared factor gets one summed adjoint.
 ``transpose``, ``column`` and ``columns`` return views of their input's
 array.  No
 node writes into an array after it is built; a replayed step may write its
@@ -80,6 +85,7 @@ replaces did.
 
 import collections
 import functools
+import weakref
 
 import numpy as np
 
@@ -92,9 +98,14 @@ _id_counter = [0]
 
 
 class Node:
-    """One differentiable expression in a computation graph."""
+    """One differentiable expression in a computation graph.
 
-    __slots__ = ("op", "inputs", "value", "requires_grad", "attrs", "_id")
+    ``_factor`` is None or a weak reference to the derivative factor of a
+    tanh or dtanh node (``_derivative_factor``).
+    """
+
+    __slots__ = ("op", "inputs", "value", "requires_grad", "attrs", "_id",
+                 "_factor", "__weakref__")
 
     def __init__(self, op, inputs, value, requires_grad, attrs=None):
         self.op = op
@@ -102,6 +113,7 @@ class Node:
         self.value = value
         self.requires_grad = requires_grad
         self.attrs = attrs
+        self._factor = None
         _id_counter[0] += 1
         self._id = _id_counter[0]
 
@@ -673,7 +685,13 @@ def _jvp(node, t):
 
     ``t[i]`` is None for an input that does not depend on the seeded node;
     no term is built for it.  Unary ops are only asked when their input has
-    a tangent.
+    a tangent.  A tanh or dtanh node multiplies by its derivative factor,
+    built once per node per graph (``_derivative_factor``).  The factor is
+    held with the graph, as a weak reference on its node, not in a
+    module-level cache: such a cache would outlive the graph or need
+    clearing, and a strong reference from a tanh node to dtanh(h), which
+    reads it, would be a cycle, so the graph would no longer be freed by
+    reference counting alone.
     """
     op = node.op
     a, ta = node.inputs[0], t[0]
@@ -711,10 +729,8 @@ def _jvp(node, t):
         return mul(ta, cos(a))
     if op == "cos":
         return neg(mul(ta, sin(a)))
-    if op == "tanh":
-        return mul(ta, _dtanh(node))
-    if op == "dtanh":
-        return mul(ta, -2.0 * a)
+    if op in ("tanh", "dtanh"):
+        return mul(ta, _derivative_factor(node))
     if op == "abs":
         return mul(ta, _sign(a))
     if op == "guard":
@@ -747,6 +763,19 @@ def _jvp(node, t):
     if op == "rowsum":
         return rowsum(ta)
     raise ValueError(f"no jvp for op {op!r}")
+
+
+def _derivative_factor(node):
+    """dtanh(h) for a tanh node h, and -2.0 * h for a dtanh node of h: the
+    node that ``_jvp`` multiplies a tangent or adjoint by.  Built at the
+    first call and kept as a weak reference in ``node._factor``, so every
+    later sweep of the graph reuses it while any node holds it, and builds
+    it again only once it was freed."""
+    factor = node._factor and node._factor()
+    if factor is None:
+        factor = _dtanh(node) if node.op == "tanh" else -2.0 * node.inputs[0]
+        node._factor = weakref.ref(factor)
+    return factor
 
 
 def _plus(p, q):

@@ -437,6 +437,26 @@ def _keep_freed_heap():
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+def _check_resumed(state, problem, layout):
+    """Raise ValueError naming the field unless a resumed fit is given the
+    state's problem and layout: the same residual (by identity), unknown
+    count and coordinate names, and, if a layout is given, one equal to the
+    state's.  A rebuilt but equal problem passes."""
+    own = state.problem
+    for name, same in (
+            ("residual", problem.residual is own.residual),
+            ("n_unknowns", problem.n_unknowns == own.n_unknowns),
+            ("coord_names",
+             tuple(problem.coord_names) == tuple(own.coord_names))):
+        if not same:
+            raise ValueError(f"a resumed fit trains state.problem: the given "
+                             f"problem's {name} is not the state's")
+    if layout is not None and layout != state.layout:
+        raise ValueError(f"a resumed fit trains state.layout: the given "
+                         f"layout {layout!r} is not the state's "
+                         f"{state.layout!r}")
+
+
 def fit(problem, config, callbacks=(), layout=None, state=None):
     """Train the networks; returns the final SolverState.
 
@@ -447,7 +467,11 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     it: ``config.epochs`` more epochs are run, numbered on from
     ``state.epoch`` with the sampling streams of those epochs, so k epochs
     and then n - k resumed ones equal one n-epoch fit bit for bit; the
-    state's networks keep their dtype.  The optimizer updates the state's
+    state's networks keep their dtype.  A resumed fit trains
+    ``state.problem`` and ``state.layout``: a ``problem`` with another
+    residual (by identity), unknown count or coordinate names, or a
+    ``layout`` given and not equal to the state's, raises ValueError
+    naming the field (``_check_resumed``).  The optimizer updates the state's
     parameter vector and its moments in place, so an array taken from
     ``state.networks``, a view of that vector, changes as training goes
     on; ``Solution``, ``state.best_networks`` and checkpoints are copies.
@@ -473,6 +497,8 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     _keep_freed_heap()
     if state is None:
         state = SolverState(problem, config, layout)
+    else:
+        _check_resumed(state, problem, layout)
     programs = {}  # recorded steps, kept for this call only
     rng = make_rng(config.seed)  # re-keyed for every stream below
     first = state.epoch + 1

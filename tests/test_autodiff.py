@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import weakref
 
 import numpy as np
@@ -449,10 +450,10 @@ class TestPruning:
         assert all(f.inputs[0].op == "tanh" for f in factors)
         assert not [m for m in built
                     if m.op in ("sub", "neg") and m.shape == (n, width)]
-        # the reverse sweep through both tanh layers builds one more each
+        # the reverse sweep through both tanh layers reuses them
         del built[:]
         ad.backward(ad.reduce_mean((d2 + u) * (d2 + u)), params)
-        assert len([m for m in built if m.op == "dtanh"]) == 2
+        assert len([m for m in built if m.op == "dtanh"]) == 0
         assert not [m for m in built
                     if m.op in ("sub", "neg") and m.shape == (n, width)]
 
@@ -547,6 +548,76 @@ def test_tanh_derivative_matches_three_node_rule(seed, widths, dtype):
     for got, ref, s in zip(grads, ref_grads, scale):
         diff = np.abs(got.astype(np.float64) - ref)
         assert (diff <= 32 * eps * s).all(), (diff.max(), s.max())
+
+
+class TestDerivativeFactor:
+    """A tanh node's factor dtanh(h), and a dtanh node's -2h, are built once
+    per node per graph and reused by every later sweep."""
+
+    @staticmethod
+    def sweeps(mlp, xvs):
+        """u = x * N(x, t, y, z), du/dt, its Laplacian along x, y and z,
+        and the parameter gradient of the mean squared du/dt - Laplacian."""
+        x, t, y, z = [ad.variable(v) for v in xvs]
+        params = mlp.param_nodes()
+        u = _trial(mlp, [x, t, y, z], params)
+        du = ad.diff(u, t)
+        lap = ad.laplacian(u, [x, y, z])
+        r = du - lap
+        grads = ad.backward(ad.reduce_mean(r * r), params)
+        return [u, du, lap, *grads]
+
+    def test_one_factor_per_node_across_sweeps(self, monkeypatch):
+        mlp, xvs = _laplacian_problem(3, (8, 8), 4, np.float64)
+        built = _record_nodes(monkeypatch)
+        self.sweeps(mlp, xvs)
+        tanhs = sorted(n._id for n in built if n.op == "tanh")
+        assert len(tanhs) == 2
+        factors = [n for n in built if n.op == "dtanh"]
+        assert sorted(f.inputs[0]._id for f in factors) == tanhs
+        # -2h: a -2.0 constant times a tanh node (the reverse sweep's
+        # adjoint times -2.0 reads no tanh node)
+        twice = [n.inputs[1]._id for n in built if n.op == "mul"
+                 and n.inputs[0].op == "constant"
+                 and n.inputs[0].value.size == 1
+                 and n.inputs[0].value.item() == -2.0
+                 and n.inputs[1].op == "tanh"]
+        assert sorted(twice) == tanhs
+
+    def test_graph_is_freed_by_reference_counting(self):
+        mlp, xvs = _laplacian_problem(3, (8, 8), 4, np.float64)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            outputs = self.sweeps(mlp, xvs)
+            tanhs = [n for n in ad._topo_below(outputs[0]) if n.op == "tanh"]
+            factors = [n._factor() for n in tanhs]
+            # the tanh nodes, their dtanh(h) and the dtanh nodes' -2h
+            nodes = tanhs + factors + [f._factor() for f in factors]
+            refs = [weakref.ref(n) for n in nodes]
+            assert len(refs) == 6
+            del tanhs, factors, nodes, outputs
+            assert [r() for r in refs] == [None] * 6
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_values_equal_the_three_node_rule(self, dtype):
+        mlp, xvs = _laplacian_problem(3, (8, 8), 4, dtype)
+        got = self.sweeps(mlp, xvs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_jvp", _three_node_tanh_jvp)
+            want = self.sweeps(mlp, xvs)
+        eps = np.finfo(dtype).eps
+        # u and du/dt are the same products; the Laplacian and the
+        # gradients add the same terms grouped otherwise
+        for g, w in zip(got[:2], want[:2]):
+            assert np.array_equal(g.value, w.value)
+        for g, w in zip(got, want):
+            assert g.value.dtype == dtype
+            bound = 8 * eps * np.abs(w.value).max()
+            assert (np.abs(g.value - w.value) <= bound).all()
 
 
 # ops the random-graph property test below does not draw; x is 1 x 1, so

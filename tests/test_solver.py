@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -214,6 +215,59 @@ def test_resumed_fit_equals_one_fit(n, data):
     assert split.best_epoch == whole.best_epoch
     assert split.networks[0].flat_params().tobytes() == \
         whole.networks[0].flat_params().tobytes()
+
+
+class TestResumeArguments:
+    """A resumed fit trains the state's problem and layout; it refuses
+    others rather than ignore them."""
+
+    OTHER = {
+        "residual": lambda p: Problem(lambda u, coords: [u[0]], 1,
+                                      p.coord_names, p.train_generator,
+                                      p.valid_generator),
+        "n_unknowns": lambda p: dataclasses.replace(p, n_unknowns=2),
+        "coord_names": lambda p: dataclasses.replace(p, coord_names=("s",)),
+    }
+
+    @pytest.mark.parametrize("field", sorted(OTHER))
+    def test_another_problem_raises_naming_the_field(self, field):
+        state = fit(decay_problem(), small_config(epochs=1))
+        before = state._params.copy()
+        with pytest.raises(ValueError,
+                           match=rf"the given problem's {field} is not"):
+            fit(self.OTHER[field](decay_problem()), small_config(epochs=1),
+                state=state)
+        assert state.epoch == 1
+        assert state._params.tobytes() == before.tobytes()
+
+    def test_another_layout_raises(self):
+        cfg = SolverConfig(networks=[MLPSpec(2, (8,), 1, seed=0)],
+                           conditions=[IVP1(0.0, "u0")], epochs=1)
+        state = fit(bundle_problem(), cfg, layout=bundle_layout())
+        problem = state.problem
+        for other in (BundleLayout(theta_ic={"u0": (1.0, 1.5)}),
+                      BundleLayout(theta_ic={"u0": (0.5, 1.5)},
+                                   sampling="arcsine")):
+            with pytest.raises(ValueError, match="the given layout .* is not "
+                               "the state's"):
+                fit(problem, cfg, layout=other, state=state)
+        # a decay state has no layout
+        decay = fit(decay_problem(), small_config(epochs=1))
+        with pytest.raises(ValueError, match="the given layout"):
+            fit(decay_problem(), small_config(epochs=1),
+                layout=bundle_layout(), state=decay)
+        assert (state.epoch, decay.epoch) == (1, 1)
+
+    def test_an_equal_layout_or_none_resumes(self):
+        cfg = SolverConfig(networks=[MLPSpec(2, (8,), 1, seed=0)],
+                           conditions=[IVP1(0.0, "u0")], epochs=1)
+        state = fit(bundle_problem(), cfg, layout=bundle_layout())
+        fit(state.problem, cfg, layout=bundle_layout(), state=state)
+        fit(state.problem, cfg, state=state)
+        assert state.epoch == 3
+        whole = fit(bundle_problem(), dataclasses.replace(cfg, epochs=3),
+                    layout=bundle_layout())
+        assert trained(state) == trained(whole)
 
 
 def adam_textbook(opt, params, steps):
@@ -732,8 +786,11 @@ def preset_fit(name, precision="f64", passes=1, batches=2, batch=10,
         conditions=preset.conditions, optimizer=Adam(lr=preset.lr),
         epochs=epochs, batches_per_epoch=batches,
         accumulation_passes=passes, seed=seed, precision=precision)
-    return fit(preset.problem(batch), cfg, callbacks, layout=preset.layout,
-               state=state)
+    # a resumed fit is given the state's problem and layout: a rebuilt
+    # preset's residual is another function
+    problem, layout = ((state.problem, state.layout) if state is not None
+                       else (preset.problem(batch), preset.layout))
+    return fit(problem, cfg, callbacks, layout=layout, state=state)
 
 
 class Fixed(Generator):

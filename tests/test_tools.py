@@ -12,6 +12,7 @@ FINGERPRINT = os.path.join(ROOT, "tools", "fingerprint.py")
 PERFBENCH = os.path.join(ROOT, "perfbench", "run.py")
 PROGRAM = os.path.join(ROOT, "tools", "program.py")
 PHASES = os.path.join(ROOT, "tools", "phases.py")
+MEMORY = os.path.join(ROOT, "tools", "memory.py")
 LINE = re.compile(r"decay seed=1 sha256=[0-9a-f]{64} nodes/epoch=\d+(\.\d+)? "
                   r"valid_loss=\S+ epochs_to_tol=\d+")
 SHAPES = re.compile(r"  shapes: (\((\d+(, \d+)*)?,?\) \u00d7\d+(, |$))+")
@@ -163,6 +164,26 @@ class TestProgram:
         assert training <= 43
         assert validation <= 17
 
+    # (training, validation) steps of ``shape``, or of any shape for None
+    @pytest.mark.parametrize("name, shape, most", [
+        ("heat-d3", "(1024, 32)", (132, 45)),
+        ("sho-bundle", None, (127, 40)),
+        ("poisson-gaussian", None, (368, 102)),
+    ])
+    def test_one_derivative_factor_per_tanh_node(self, name, shape, most):
+        # a tanh layer's factor and its -2h are built once per graph, so a
+        # shared factor gets one summed adjoint: heat-d3's training program
+        # had 143 (1024, 32) steps when each sweep built its own
+        run = subprocess.run([sys.executable, PROGRAM, "--workload", name],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        blocks = [part.splitlines() for part in
+                  run.stdout.split("validation program")]
+        for block, bound in zip(blocks, most):
+            counts = shape_counts(block)
+            steps = counts[shape] if shape else sum(counts.values())
+            assert steps <= bound, (shape, steps)
+
 
 class TestPhases:
     PHASES = ["train sampling", "stream keying", "training replay",
@@ -204,6 +225,61 @@ class TestPhases:
         for k, name in enumerate(names):
             head, *rows = lines[k * size:(k + 1) * size]
             self.check_block(name, head, rows)
+
+
+class TestMemory:
+    NUMBER = r" +(-?\d+\.\d\d)"
+    SIGNED = r" +([+-]\d+\.\d\d)"
+
+    def check_block(self, name, lines):
+        """One workload's printed lines: the epoch's traced peak, then each
+        program's peak and its phases, in MiB; returns {program: peak}."""
+        assert lines[0] == f"{name} seed=1 epoch 1: traced MiB", lines[0]
+        peak = float(re.fullmatch(rf"  traced peak{self.NUMBER}",
+                                  lines[1]).group(1))
+        programs, k = {}, 2
+        for kind, phases in (("training", ["graph build", "reverse sweep",
+                                           "recording"]),
+                             ("validation", ["graph build", "recording"])):
+            top, start = map(float, re.fullmatch(
+                rf"  {kind} program: peak{self.NUMBER}, from{self.NUMBER}",
+                lines[k]).groups())
+            rises = []
+            for phase, line in zip(phases, lines[k + 1:]):
+                rise, held = map(float, re.fullmatch(
+                    rf"    {phase} +peak{self.SIGNED}, held{self.SIGNED}",
+                    line).groups())
+                assert 0 <= held <= rise, line
+                rises.append(rise)
+            # each phase starts from what the ones before it left
+            assert start < top <= peak
+            assert max(rises) <= top - start + 0.01
+            assert rises[0] > 0
+            programs[kind] = top
+            k += 1 + len(phases)
+        assert k == len(lines)
+        assert max(programs.values()) == peak
+        return programs
+
+    def test_decay_prints_each_program_by_phase(self):
+        run = subprocess.run([sys.executable, MEMORY, "--workload", "decay"],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        self.check_block("decay", run.stdout.splitlines())
+
+    def test_all_prints_the_four_workloads_in_name_order(self):
+        run = subprocess.run([sys.executable, MEMORY, "--workload", "all"],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        heads = [i for i, line in enumerate(lines) if "epoch 1" in line]
+        names = ["decay", "heat-d3", "poisson-gaussian", "sho-bundle"]
+        assert [lines[i].split()[0] for i in heads] == names
+        peaks = {name: self.check_block(name, lines[start:end])
+                 for name, start, end in zip(names, heads,
+                                             heads[1:] + [len(lines)])}
+        # 43.6 MiB when every sweep built its own tanh factors
+        assert peaks["heat-d3"]["training"] < 40
 
 
 class TestPerfbench:
