@@ -31,25 +31,37 @@ Each tanh node builds its ``dtanh`` once per graph, and each ``dtanh`` node
 its -2h: every ``diff``, ``laplacian`` and ``backward`` sweep that passes
 the node reuses the same factor (``_derivative_factor``), so a
 D-dimensional residual holds one factor per layer, not one per sweep, and
-a shared factor gets one summed adjoint.
+a shared factor gets one summed adjoint.  A factor that ``backward``
+builds is its own: no later sweep reuses it.
 ``transpose``, ``column`` and ``columns`` return views of their input's
 array.  No
 node writes into an array after it is built; a replayed step may write its
-result only into a temporary whose last reader it is (see ``_record``).
+result only into a temporary whose last reader it is (see
+``_instantiate``).
 
 Each op's value is one numpy expression in the ``_KERNELS`` table.
-``_record`` turns a graph into a program of those kernels, and ``_replay``
-reruns it on new leaf values, building no node, through one generated
-straight-line Python function per program (compiled at the program's first
-replay): one kernel call per step.  The program is a small IR:
-each step keeps its op, attrs, argument and result slots and its result's
-shape and dtype, so ``_record`` rewrites it once before it runs (constant
-folding, x * 1 and x - 0 read x, common steps shared, inner-dimension-1
-matmuls run as products or, for a kept column of ones, as repeated rows,
-pointwise results written into a dying operand),
-each rewrite giving the graph's bits.  So that
-no data-dependent value is frozen into a recording, abs's sign and max's
-argmax mask are ops that take no gradient, and checks are ``guard`` ops.
+``_record`` turns a batch's graph into a program of those kernels without
+building that graph: a graph's structure does not depend on its row count,
+so it builds the graph on 2 and on 3 of the batch's rows, chosen to differ
+wherever the batch does (``solver._probe_rows``), checks that the two agree
+everywhere but on the batch axis (``_generic``), and instantiates the one
+row-generic graph they make at the batch's row count (``_instantiate``):
+trace once on a few rows, replay at any size, as in
+Frostig, Johnson and Leary 2018 ("Compiling machine learning programs via
+high-level tracing").  ``_replay`` reruns a program on new leaf values,
+building no node, through one generated straight-line Python function per
+program (compiled at the program's first replay): one kernel call per
+step.  The program is a small IR: each step keeps its op, attrs, argument
+and result slots and its result's shape and dtype, so ``_instantiate``
+rewrites it once before it runs (constant folding, whose folded steps run
+there at the batch's row count, x * 1 and x - 0 read x, common steps
+shared, inner-dimension-1 matmuls run as products or, for a kept column of
+ones, as repeated rows, pointwise results written into a dying operand),
+each rewrite giving the graph's bits.  So that no data-dependent value is
+frozen into a recording, abs's sign and max's argmax mask are ops that take
+no gradient, and checks are ``guard`` ops; a kept constant that holds data,
+or a function of the row count other than a multiple of it, reads
+differently on the two probes and raises.
 
 Nodes carry no graph object: each gets an increasing ``_id`` at creation,
 inputs always have smaller ids than their consumers, and a graph is freed by
@@ -278,7 +290,7 @@ _KERNELS = {
     "matmul": np.matmul, "transpose": lambda a: a.T,
     "column": lambda a, lo, hi: a[:, lo:hi],
     "concat": _concat, "guard": _guarded,
-    # no node has these ops; ``_record`` runs an inner-dimension-1 matmul
+    # no node has these ops; a program runs an inner-dimension-1 matmul
     # so, and one whose left operand is a kept column of ones as ``repeat``
     "outer": _outer, "repeat": _repeat,
 }
@@ -628,6 +640,16 @@ def backward(output, wrt):
     ``rowsum`` hands its adjoint to every column as one F-ordered
     broadcast, and an N x 1 operand of a column-against-block op gets its
     block adjoint folded by ``rowsum``, left to right.
+
+    The sweep reuses the derivative factors an earlier sweep kept
+    (``_derivative_factor``), but keeps none it builds.  It reaches a tanh
+    node h after the adjoints of h's consumers, some of which read h, so
+    the dtanh(h) it builds sits after them, where a kept factor sits before
+    every node of a sweep.  A later sweep that reused it would number its
+    nodes around it in another order than one that built its own, so a
+    derivative of its result would add h's adjoint contributions in
+    another order: nested gradients of two sweeps of one graph would differ
+    in the last ulp.
     """
     if not _is_scalar(output.value):
         raise ShapeError(
@@ -637,6 +659,8 @@ def backward(output, wrt):
         if not w.requires_grad:
             raise ValueError("wrt node does not require grad")
     order = _topo_below(output)
+    kept = {n._id for n in order
+            if n._factor is not None and n._factor() is not None}
     # one sweep in id order marks the nodes that depend on a wrt node
     active = {w._id for w in wrt}
     for node in order:
@@ -671,6 +695,9 @@ def backward(output, wrt):
                 adjoint[inp._id] = _column_adjoint(inp, reads.pop(inp._id))
             prev = adjoint.get(inp._id)
             adjoint[inp._id] = ig if prev is None else add(prev, ig)
+    for n in order:
+        if n._factor is not None and n._id not in kept:
+            n._factor = None
     results = []
     for w in wrt:
         g = adjoint.get(w._id)
@@ -770,7 +797,8 @@ def _derivative_factor(node):
     node that ``_jvp`` multiplies a tangent or adjoint by.  Built at the
     first call and kept as a weak reference in ``node._factor``, so every
     later sweep of the graph reuses it while any node holds it, and builds
-    it again only once it was freed."""
+    it again only once it was freed.  ``backward`` drops the references to
+    the factors its sweep built."""
     factor = node._factor and node._factor()
     if factor is None:
         factor = _dtanh(node) if node.op == "tanh" else -2.0 * node.inputs[0]
@@ -960,9 +988,11 @@ def _attrs_key(attrs):
                  for k, v in (attrs or {}).items())
 
 
-def _alias_operand(node, consts):
-    """Index of the operand that ``node`` returns bit for bit, or None.
+def _alias_operand(entry, entries, consts):
+    """Index of the operand that ``entry``'s step returns bit for bit, or
+    None.
 
+    ``entries`` are the recording's, which ``entry.args`` index, and
     ``consts[i]`` is input i's kept array (None if it is computed).  x * 1
     (ones on either side) and x - (+0.0) are x, when x already has the
     result's shape and dtype, and for a column against a block (whose
@@ -970,47 +1000,225 @@ def _alias_operand(node, consts):
     matmul follows the layout.  x + 0 is not: -0.0 + 0.0 is +0.0, and so
     is x - (-0.0) for x = -0.0.
     """
-    if node.op == "mul":
+    if entry.op == "mul":
         pairs = ((0, 1), (1, 0))
-    elif node.op == "sub":
+    elif entry.op == "sub":
         pairs = ((0, 1),)
     else:
         return None
-    out = node.value
     for x, c in pairs:
-        v, xv = consts[c], node.inputs[x].value
-        if (v is None or (xv.shape, xv.dtype) != (out.shape, out.dtype)
-                or (node.attrs and xv.strides != out.strides)):
+        v, layout = consts[c], entries[entry.args[x]].layout
+        if (v is None or layout[:2] != entry.layout[:2]
+                or (entry.attrs and layout != entry.layout)):
             continue
-        if (node.op == "mul" and (v == 1).all()) or (
-                node.op == "sub" and not (v.any() or np.signbit(v).any())):
+        if (entry.op == "mul" and (v == 1).all()) or (
+                entry.op == "sub" and not (v.any() or np.signbit(v).any())):
             return x
     return None
 
 
-def _layout(v):
-    return v.shape, v.dtype, v.strides
+# One node of a recording (see ``_record``), in ``_id`` order.  ``args``
+# index earlier entries; ``dims`` is the result's shape, None on the batch
+# axis; ``layout`` is its dims, dtype and strides on each probe, which tell
+# two results' layouts apart at any row count.  ``leaf`` is None for a
+# step; for a leaf, its index among the inputs or, for a kept array, a
+# function of the row count that makes it.
+_Entry = collections.namedtuple("_Entry", "op attrs args dims layout leaf")
+
+# A row-generic graph: its entries, the entries of its outputs and its
+# number of inputs.
+_Recording = collections.namedtuple("_Recording", "entries outputs inputs")
 
 
-def _record(outputs, inputs, fixed_data=False):
-    """The graph below ``outputs`` as a program that recomputes their
-    values from new values of the leaves ``inputs``.
+def _below(outputs, inputs):
+    """The nodes below ``outputs`` in ``_id`` order, walking back along
+    every input edge (no-gradient and guard nodes too) but not past
+    ``inputs``."""
+    stop = {n._id for n in inputs}
+    seen, stack = {}, list(outputs)
+    while stack:
+        n = stack.pop()
+        if n._id not in seen:
+            seen[n._id] = n
+            if n._id not in stop:
+                stack.extend(n.inputs)
+    return sorted(seen.values(), key=lambda n: n._id)
 
-    Walks back along every input edge (no-gradient and guard nodes too);
-    ops run in ``_id`` order.  Any other leaf is kept: a compact copy of its
-    array that owns its data and keeps its layout, one per distinct value.
-    So a kept leaf must not depend on the data: one with as many rows as
-    the first input (the data's, when more than one) and entries not all
-    equal raises ``ValueError``.  With ``fixed_data`` the data's leaves are
-    not inputs but kept, the program is valid for that data only (the
-    caller records again for other data), and no such check is made.
 
-    The program is an IR: each ``_Step`` keeps its node's op, attrs and
-    result shape and dtype.  These rewrites run once, in one pass in
-    ``_id`` order and one back, and each gives the same bits as the graph:
+def _dims(a, b):
+    """Shapes ``a`` (of the 2-row probe) and ``b`` (of the 3-row one) as
+    one, with None on the batch axis, where they read 2 and 3; None if they
+    differ otherwise."""
+    if len(a) != len(b) or any(x != y and (x, y) != (2, 3)
+                               for x, y in zip(a, b)):
+        return None
+    return tuple(None if x != y else x for x, y in zip(a, b))
 
-    - fold: a step whose arguments are all kept is not run; its node's
-      value is kept instead (the value the step would compute);
+
+def _at(dims, rows):
+    """``dims`` with the batch axis at ``rows``."""
+    return tuple(rows if d is None else d for d in dims)
+
+
+def _attrs_at(attrs, rows):
+    """A step's attrs at ``rows``: a ``broadcast``'s shape, the one attr
+    that may hold the batch axis, at that row count."""
+    if attrs and "shape" in attrs:
+        return {**attrs, "shape": _at(attrs["shape"], rows)}
+    return attrs
+
+
+def _generic_attrs(a, b):
+    """The attrs of a step on the two probes as one dict, a shape's batch
+    axis as None; ``False`` if they differ otherwise.  A callable (a
+    guard's check) is the 3-row probe's, since each build makes its own."""
+    a, b = a or {}, b or {}
+    if a.keys() != b.keys():
+        return False
+    out = {}
+    for k, v in b.items():
+        if k == "shape":
+            v = _dims(a[k], v)
+            if v is None:
+                return False
+        elif not callable(v) and repr(a[k]) != repr(v):
+            return False
+        out[k] = v
+    return out or None
+
+
+def _kept_leaf(a, b, dims):
+    """A function of the row count that makes the kept array whose values
+    on the 2- and 3-row probes are ``a`` and ``b`` (of shape ``dims``), or
+    None if no row count explains them.  Equal arrays are that array at any
+    row count.  A scalar that reads 2m and 3m is m times the row count (a
+    mean's size, a loss's ``n``).  An array with a batch axis must be
+    constant along it, and is that entry repeated, in the array's
+    layout."""
+    if None not in dims:
+        if a.tobytes() == b.tobytes():
+            return lambda rows: b
+        m = float(a.flat[0]) / 2.0 if a.size == 1 else None
+        if m is not None and float(b.flat[0]) == 3.0 * m:
+            return lambda rows: np.full(b.shape, m * rows, b.dtype)
+        return None
+    one = b[tuple(slice(0, 1) if d is None else slice(None) for d in dims)]
+    if any(np.broadcast_to(one, v.shape).tobytes() != v.tobytes()
+           for v in (a, b)):
+        return None
+    order = "F" if b.flags.f_contiguous and not b.flags.c_contiguous else "C"
+
+    def repeated(rows):
+        out = np.empty(_at(dims, rows), b.dtype, order)
+        out[...] = one
+        return out
+    return repeated
+
+
+def _generic(probes, rows):
+    """The probes' graphs, ``(outputs, inputs)`` on 2 and 3 rows (or one
+    graph, twice, on all ``rows``: a kept array of ``rows`` rows then has
+    the batch axis first), as one row-generic ``_Recording``.
+
+    The graphs must agree node for node in ``_id`` order: the same op, the
+    same arguments, the same input index for an input, and attrs, shapes
+    and dtypes that differ only on the batch axis (where one reads 2 and
+    the other 3).  Each kept leaf must be explained by the row count
+    (``_kept_leaf``).  Anything else raises ``ValueError`` naming the step,
+    or the step that reads the leaf, with the leaf's shape at ``rows``.
+    """
+    (outs_a, ins_a), (outs_b, ins_b) = probes[0], probes[-1]
+    nodes_a, nodes_b = _below(outs_a, ins_a), _below(outs_b, ins_b)
+    index_a = {n._id: k for k, n in enumerate(nodes_a)}
+    index_b = {n._id: k for k, n in enumerate(nodes_b)}
+    input_a = {n._id: i for i, n in enumerate(ins_a)}
+    input_b = {n._id: i for i, n in enumerate(ins_b)}
+    entries, dims_of = [], {}  # (shape on 2 rows, on 3 rows) -> dims
+    for a, b in zip(nodes_a, nodes_b):
+        shapes = (a.value.shape, b.value.shape)
+        if shapes not in dims_of:
+            dims_of[shapes] = _dims(*shapes)
+        dims = dims_of[shapes]
+        leaf = input_b.get(b._id)
+        args = () if leaf is not None else tuple(index_b[i._id]
+                                                 for i in b.inputs)
+        attrs = (_generic_attrs(a.attrs, b.attrs) if a.attrs or b.attrs
+                 else None)
+        if (leaf != input_a.get(a._id) or a.op != b.op or dims is None
+                or attrs is False or a.value.dtype != b.value.dtype
+                or (leaf is None and args != tuple(index_a[i._id]
+                                                   for i in a.inputs))):
+            raise ValueError(
+                f"a {b.op!r} step of shape {b.value.shape} differs between "
+                f"the 2- and 3-row graphs beyond the batch axis; a recording "
+                f"needs a graph whose structure does not depend on the row "
+                f"count")
+        if leaf is None and not args:
+            if len(probes) == 1 and len(dims) == 2 and dims[0] == rows > 1:
+                dims = (None, dims[1])  # one probe: its rows may be the batch
+            leaf = _kept_leaf(a.value, b.value, dims)
+            if leaf is None:
+                reader = next(o.op for o in nodes_b
+                              if any(i is b for i in o.inputs))
+                raise ValueError(
+                    f"a {_at(dims, rows)} constant read by {reader!r} holds "
+                    "data, or a function of the row count, that a recording "
+                    "would freeze; use graph ops")
+        layout = (dims, b.value.dtype, a.value.strides, b.value.strides)
+        entries.append(_Entry(b.op if args else None, attrs, args, dims,
+                              layout, leaf))
+    if len(nodes_a) != len(nodes_b):
+        extra = max(nodes_a, nodes_b, key=len)[len(entries)]
+        raise ValueError(
+            f"a {extra.op!r} step is in one of the 2- and 3-row graphs only; "
+            "a recording needs a graph whose structure does not depend on "
+            "the row count")
+    return _Recording(entries, [index_b[o._id] for o in outs_b], len(ins_b))
+
+
+def _record(build, rows, data=()):
+    """A program that recomputes the outputs of ``build(rows)`` from new
+    values of the leaves ``inputs``, at ``rows`` rows; ``build(p)`` returns
+    ``(outputs, inputs)`` on p rows of a batch of ``rows`` rows (on all of
+    them for p = ``rows``), and the graph on all ``rows`` is never built.
+
+    ``build`` is called on 2 and on 3 rows, and the two graphs are made one
+    row-generic recording (``_generic``): they must agree everywhere except
+    on the batch axis, so a kept leaf that holds data (or 1/rows) raises
+    ``ValueError``.  That check sees data only where the probe rows differ,
+    so the caller picks rows that differ in every column the batch varies
+    in (``solver._probe_rows``): a batch's first rows may repeat a value,
+    as a ``generators.Meshed`` batch's or a fixed boundary's do.  Fewer
+    than 3 rows are recorded from ``build(rows)`` itself, and a kept array
+    of that many rows must be constant down them, as one with the batch
+    axis must be.  Any other leaf below the outputs is kept.
+    ``data``, if given, holds the values at ``rows`` of the first
+    ``len(data)`` inputs: the program keeps them rather than taking them,
+    so it is valid for that data only (the caller records again for other
+    data), and every step that reads only them and kept arrays runs once,
+    at recording.  The recording is then instantiated at ``rows``
+    (``_instantiate``).
+    """
+    probes = [build(p) for p in ((2, 3) if rows >= 3 else (rows,))]
+    recording = _generic(probes, rows)
+    del probes  # the probe graphs are freed before the program is made
+    return _instantiate(recording, rows, data)
+
+
+def _instantiate(recording, rows, data=()):
+    """``recording`` (see ``_record``) at ``rows`` rows as a ``_Program``,
+    with ``data`` the values of its first ``len(data)`` inputs.
+
+    Ops run in ``_id`` order.  Each kept leaf is made at ``rows`` (one
+    slot per distinct array, a compact copy that owns its data and keeps
+    its layout), and so is each of ``data``.  The program is an IR: each
+    ``_Step`` keeps its entry's op, attrs and result shape and dtype.
+    These rewrites run once, in one pass in ``_id`` order and one back, and
+    each gives the same bits as the graph at ``rows`` would:
+
+    - fold: a step whose arguments are all kept runs here, as the
+      instantiation's prologue, and its value is kept instead (so the 1/n
+      column of a loss's adjoint is computed at ``rows``);
     - alias: x * 1 and x - (+0.0) read x's slot (``_alias_operand``); x + 0
       is kept, as -0.0 + 0.0 is +0.0;
     - share: a step with the same op, argument slots and attrs as an earlier
@@ -1031,26 +1239,19 @@ def _record(outputs, inputs, fixed_data=False):
       layout the graph had.  An elementwise ufunc gives the same bits in
       place.
 
-    No step is dead: the walk starts from the outputs, and no rewrite above
-    leaves a remaining step unread.  A slot is freed after its last read,
-    and a kept array no step reads is not held.
+    No step is dead: the walk started from the outputs, and no rewrite
+    above leaves a remaining step unread.  A slot is freed after its last
+    read, and a kept array no step reads is not held.
 
-    Each step's kernel is bound from ``_KERNELS`` here, at recording, and a
-    replay calls exactly these (``_compile``).  So a tracer that wraps
-    ``_KERNELS`` entries before ``fit`` sees every replayed step; one that
-    wraps them later sees none.  Recording compiles nothing: the program's
-    function is built at its first replay.
+    Each step's kernel is bound from ``_KERNELS`` here, and a replay calls
+    exactly these (``_compile``).  So a tracer that wraps ``_KERNELS``
+    entries before ``fit`` sees every replayed step; one that wraps them
+    later sees none.  Nothing is compiled here: the program's function is
+    built at its first replay.
     """
-    rows = 0 if fixed_data else inputs[0].value.shape[0]
-    slot = {n._id: i for i, n in enumerate(inputs)}
-    seen, stack = {}, list(outputs)
-    while stack:
-        n = stack.pop()
-        if n._id not in seen:
-            seen[n._id] = n
-            if n._id not in slot:
-                stack.extend(n.inputs)
-    slots, kept, shared, ops = [None] * len(inputs), {}, {}, []
+    entries, fixed = recording.entries, len(data)
+    slots, kept, shared, ops = [None] * (recording.inputs - fixed), {}, {}, []
+    slot = []  # entry index -> slot
     counts = dict.fromkeys(("recorded",) + _REWRITES + ("repeat",), 0)
 
     def keep(v):
@@ -1060,73 +1261,74 @@ def _record(outputs, inputs, fixed_data=False):
             slots.append(v)
         return kept[key]
 
-    order = sorted(seen.values(), key=lambda n: n._id)
-    for n in order:
-        if n._id in slot:
-            continue
-        if not n.inputs:
-            v = n.value
-            if v.ndim == 2 and v.shape[0] == rows > 1 and (v != v.flat[0]).any():
-                reader = next(o.op for o in order if n in o.inputs)
-                raise ValueError(f"a {v.shape} constant read by {reader!r} holds "
-                                 "data a recording would freeze; use graph ops")
-            slot[n._id] = keep(v)
-            continue
-        counts["recorded"] += 1
-        args = tuple(slot[i._id] for i in n.inputs)
-        consts = [slots[a] for a in args]  # a kept slot holds its array
-        if all(c is not None for c in consts):
-            slot[n._id] = keep(n.value)
-            counts["fold"] += 1
-            continue
-        x = _alias_operand(n, consts)
-        if x is not None:
-            slot[n._id] = args[x]
-            counts["alias"] += 1
-            continue
-        key = (n.op, args, _attrs_key(n.attrs))
-        if key in shared:
-            slot[n._id] = shared[key]
-            counts["share"] += 1
-            continue
-        slot[n._id] = shared[key] = len(slots)
-        slots.append(None)
-        ops.append((n, args))
-    out_slots = [slot[o._id] for o in outputs]
+    with np.errstate(all="ignore"):  # the folded steps run here
+        for e in entries:
+            if e.op is None:  # a leaf
+                if callable(e.leaf):
+                    slot.append(keep(e.leaf(rows)))
+                else:
+                    slot.append(keep(data[e.leaf]) if e.leaf < fixed
+                                else e.leaf - fixed)
+                continue
+            counts["recorded"] += 1
+            args = tuple(slot[i] for i in e.args)
+            consts = [slots[a] for a in args]  # a kept slot holds its array
+            if all(c is not None for c in consts):
+                value = _KERNELS[e.op](*consts,
+                                       **(_attrs_at(e.attrs, rows) or {}))
+                slot.append(keep(np.asarray(value)))
+                counts["fold"] += 1
+                continue
+            x = _alias_operand(e, entries, consts)
+            if x is not None:
+                slot.append(args[x])
+                counts["alias"] += 1
+                continue
+            key = (e.op, args, _attrs_key(e.attrs))
+            if key in shared:
+                slot.append(shared[key])
+                counts["share"] += 1
+                continue
+            slot.append(len(slots))
+            shared[key] = len(slots)
+            slots.append(None)
+            ops.append((e, args, slot[-1]))
+    out_slots = [slot[k] for k in recording.outputs]
     # the layout of each block that only its own slot holds: written by a
     # step that is not a view or guard, and read by none
-    viewed = {a for n, args in ops if n.op in _VIEWS for a in args}
-    owned = {slot[n._id]: _layout(n.value) for n, _ in ops
-             if n.op not in _VIEWS and slot[n._id] not in viewed}
+    viewed = {a for e, args, _ in ops if e.op in _VIEWS for a in args}
+    owned = {out: e.layout for e, _, out in ops
+             if e.op not in _VIEWS and out not in viewed}
     steps, used = [], set(out_slots)
-    for n, args in reversed(ops):  # a slot's last read is the first met here
-        out = slot[n._id]
-        op = n.op
-        if op == "matmul" and n.inputs[0].value.shape[1] == 1:
+    for e, args, out in reversed(ops):  # a slot's last read is met first
+        op = e.op
+        if op == "matmul" and entries[e.args[0]].dims[1] == 1:
             left = slots[args[0]]  # None unless kept
             ones = left is not None and (left == 1).all()
             op = "repeat" if ones else "outer"
             counts["outer"] += 1
             counts["repeat"] += op == "repeat"
+        attrs = _attrs_at(e.attrs, rows)
         kernel = _KERNELS[op]
-        if n.attrs:
-            kernel = functools.partial(kernel, **n.attrs)
+        if attrs:
+            kernel = functools.partial(kernel, **attrs)
         free = tuple(set(args) - used)
         used.update(args)
-        if op in _INTO and n.value.ndim == 2:
+        if op in _INTO and len(e.dims) == 2:
             into = next((a for a in args if a in free and args.count(a) == 1
-                         and owned.get(a) == _layout(n.value)), None)
+                         and owned.get(a) == e.layout), None)
             if into is not None:
                 args += (into,)
                 counts["into"] += 1
-        steps.append(_Step(op, n.attrs, args, out, n.value.shape,
-                           n.value.dtype, kernel, free))
+        steps.append(_Step(op, attrs, args, out, _at(e.dims, rows),
+                           e.layout[1], kernel, free))
     # a kept array is copied apart from the blocks the graph frees, and
     # only if a step reads it; a view does not pin its base, and the copy
     # keeps the value's layout (so matmul's bits)
     slots = [v.copy(order="K") if v is not None and i in used else None
              for i, v in enumerate(slots)]
-    return _Program(len(inputs), slots, steps[::-1], out_slots, counts)
+    return _Program(recording.inputs - fixed, slots, steps[::-1], out_slots,
+                    counts)
 
 
 def _source(program):
@@ -1166,9 +1368,9 @@ def _compile(program):
     no reference cycle is left: the function, its code and the closure
     cells holding the kernels and kept arrays are freed by reference
     counting together with the program.  ``_replay`` calls this at a
-    program's first replay, not ``_record``: recording runs while the
-    graph it records is alive, at the first epoch's memory peak, and a
-    compile's transient memory (some KB per statement) would add to it.
+    program's first replay, not ``_record``, so recording compiles
+    nothing, and a compile's transient memory (some KB per statement) is
+    freed before the replay's arrays are made.
     """
     source, closed = _source(program)
     namespace = {}
@@ -1178,8 +1380,9 @@ def _compile(program):
 
 
 def _replay(program, values):
-    """Run a recorded program on new values of its inputs, given in
-    ``_record``'s order; returns the values of its outputs.  Calls the
+    """Run a recorded program on new values of its inputs, given in the
+    order of the inputs ``_record``'s build returned, less those whose
+    values it was given as ``data``; returns the values of its outputs.  Calls the
     program's generated function (``_compile``, built at the first
     replay), which runs the steps' kernels in order and drops each
     register at its last read, with numpy's floating-point warnings off.

@@ -4,12 +4,15 @@ One network per unknown function; trial solutions are built through the
 condition reparameterizations so constraints hold exactly at every epoch,
 including epoch 0.  A training step (trial solutions, forward tangents,
 reverse gradient) is one graph of numpy ops.  ``fit`` records it once per
-key and replays it on later batches with no node built and bit-identical
-results (``_chunk_loss``), so a residual or condition must build batch-
-dependent values with graph ops: recording refuses an
-``ad.constant(x.value)`` made from data, which would be frozen into the
-program (``ad._record``).  Validation, whose batch is the same every epoch,
-is recorded together with that batch, so its batch-only steps run once.
+key, from the graph built on 2 and on 3 of the batch's rows, and
+replays it on every batch, the first too, with no node built and
+bit-identical results (``_chunk_loss``), so the graph on a whole batch is
+never built.  A residual or condition must build batch-dependent values
+with graph ops: recording refuses an ``ad.constant(x.value)`` made from
+data, or a constant of 1/rows, which would be frozen into the program
+(``ad._record``); a multiple of the row count, as a loss divides by, is
+taken at each batch's rows.  Validation, whose batch is the same every epoch, is
+recorded together with that batch, so its batch-only steps run once.
 A recording replays only for the residual, conditions, networks and layout
 it was made from; other ones record again.
 ``Solution`` and ``fit_inverse`` build a fresh graph each call.
@@ -311,42 +314,79 @@ def _bind_parameters(state):
             arrays[k] = view
 
 
+def _columns(points, dtype):
+    """The columns of an (n, D) array of points, each cast once to
+    ``dtype``."""
+    return [np.asarray(points[:, d:d + 1], dtype=dtype)
+            for d in range(points.shape[1])]
+
+
+def _probe_rows(points):
+    """Indices of 3 rows of ``points`` (of all, for 3 or fewer) among
+    which every column varies that varies over ``points``: row 0, the row
+    that differs from it in the most columns, and the row that differs from
+    row 0 in the most of the columns left.  Recording from them refuses a
+    constant made from data (``ad._record``) even where the first rows
+    repeat a value, as a ``generators.Meshed`` batch's do."""
+    if len(points) <= 3:
+        return np.arange(len(points))
+    differs = points != points[0]
+    second = differs.sum(axis=1).argmax()
+    third = differs[:, ~differs[second]].sum(axis=1).argmax()
+    return np.array([0, second, third])
+
+
 def _chunk_loss(state, chunk, programs, train):
     """The loss value of one chunk and, when training, its parameter
-    gradients as arrays.  The first chunk of each key (what shapes the
-    graph: training or not, chunk shape, loss spec, dtype) builds the graph
-    and records it in ``programs``; later ones replay the recording.  Both
-    take the chunk's columns cast once to the networks' dtype.
+    gradients as arrays, from a replay of the chunk's recorded program.
+    The first chunk of each key (what shapes the graph: training or not,
+    chunk shape, loss spec, dtype) records it in ``programs``
+    (``ad._record``, from graphs on 2 and 3 of the chunk's rows, picked by
+    ``_probe_rows``, so the graph on the whole chunk is never built) and
+    takes its values from the program's first replay; later ones replay
+    the recording.  Both take the chunk's columns cast once to the
+    networks' dtype.  Where ``ad._record``
+    returns no program, the chunk's whole graph is built and its values
+    are returned.
 
     A recording bakes in the residual, the conditions, the networks and the
     layout it was made from, so it replays only while the state has those
     very objects (by identity, as a field may hold an array; the entry
     keeps them, so no id is reused); other ones record again.  Validation
     records with its columns kept in the program, so every step that reads
-    only the batch runs once, at recording (``ad._record``'s
-    ``fixed_data``): it replays only while a new batch has the recorded
-    batch's bytes, too."""
+    only the batch runs once, at recording (``ad._record``'s ``data``): it
+    replays only while a new batch has the recorded batch's bytes, too."""
     dtype = state.networks[0].weights[0].dtype
-    cols = [np.asarray(chunk[:, d:d + 1], dtype=dtype)
-            for d in range(chunk.shape[1])]
+    cols = _columns(chunk, dtype)
     key = (train, chunk.shape, state.loss_spec, dtype)
     made_from = [state.problem.residual, state.layout, *state.conditions,
                  *state.networks]
     data = None if train else np.asarray(chunk, dtype=dtype).tobytes()
     program, recorded_from, recorded_data = programs.get(key, (None, (), None))
-    if (program is not None and recorded_data == data
-            and list(map(id, recorded_from)) == list(map(id, made_from))):
-        inputs = (cols if train else []) + _param_arrays(state)
-        loss, *grads = ad._replay(program, inputs)
-        return float(loss), grads
-    pnodes = [net.param_nodes(requires_grad=train) for net in state.networks]
-    flat = [p for nodes in pnodes for p in nodes]
-    loss, leaves = _build_loss(state, cols, pnodes)
-    grads = ad.backward(loss, flat) if train else []
-    inputs = (leaves if train else []) + flat
-    programs[key] = (ad._record([loss, *grads], inputs, not train), made_from,
-                     data)
-    return float(loss.value), [g.value for g in grads]
+    if (program is None or recorded_data != data
+            or list(map(id, recorded_from)) != list(map(id, made_from))):
+        probe = chunk[_probe_rows(chunk)]
+
+        def build(rows):
+            """The outputs and inputs of the graph on the whole chunk, or on
+            its first ``rows`` probe rows."""
+            pnodes = [net.param_nodes(requires_grad=train)
+                      for net in state.networks]
+            flat = [p for nodes in pnodes for p in nodes]
+            part = (cols if rows == chunk.shape[0]
+                    else _columns(probe[:rows], dtype))
+            loss, leaves = _build_loss(state, part, pnodes)
+            grads = ad.backward(loss, flat) if train else []
+            return [loss, *grads], leaves + flat
+
+        program = ad._record(build, chunk.shape[0], [] if train else cols)
+        if program is None:
+            (loss, *grads), _ = build(chunk.shape[0])
+            return float(loss.value), [g.value for g in grads]
+        programs[key] = (program, made_from, data)
+    loss, *grads = ad._replay(program, (cols if train else [])
+                              + _param_arrays(state))
+    return float(loss), grads
 
 
 def _sample_batch(state, rng, generator):
@@ -437,11 +477,14 @@ def _keep_freed_heap():
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
-def _check_resumed(state, problem, layout):
+def _check_resumed(state, problem, config, layout):
     """Raise ValueError naming the field unless a resumed fit is given the
-    state's problem and layout: the same residual (by identity), unknown
-    count and coordinate names, and, if a layout is given, one equal to the
-    state's.  A rebuilt but equal problem passes."""
+    state's problem, layout, optimizer and accumulation passes: the same
+    residual (by identity), unknown count and coordinate names; if a layout
+    is given, one equal to the state's; and an optimizer of the same type
+    and settings and the same ``accumulation_passes`` as ``state.config``'s,
+    which the resumed fit keeps.  A rebuilt but equal problem or optimizer
+    passes."""
     own = state.problem
     for name, same in (
             ("residual", problem.residual is own.residual),
@@ -455,6 +498,12 @@ def _check_resumed(state, problem, layout):
         raise ValueError(f"a resumed fit trains state.layout: the given "
                          f"layout {layout!r} is not the state's "
                          f"{state.layout!r}")
+    for name in ("optimizer", "accumulation_passes"):
+        given, kept = getattr(config, name), getattr(state.config, name)
+        if given != kept:
+            raise ValueError(f"a resumed fit keeps the state's {name}: the "
+                             f"given config's {given!r} is not the state's "
+                             f"{kept!r}")
 
 
 def fit(problem, config, callbacks=(), layout=None, state=None):
@@ -471,7 +520,9 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     ``state.problem`` and ``state.layout``: a ``problem`` with another
     residual (by identity), unknown count or coordinate names, or a
     ``layout`` given and not equal to the state's, raises ValueError
-    naming the field (``_check_resumed``).  The optimizer updates the state's
+    naming the field (``_check_resumed``); so does a ``config`` whose
+    optimizer (type or settings) or ``accumulation_passes`` is not the
+    state's, which the resumed fit keeps.  The optimizer updates the state's
     parameter vector and its moments in place, so an array taken from
     ``state.networks``, a view of that vector, changes as training goes
     on; ``Solution``, ``state.best_networks`` and checkpoints are copies.
@@ -484,9 +535,11 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     and training goes on as a fit resumed after that epoch would.
     The sampling streams are keyed by the config seed and the batch: one
     Philox per call, re-keyed before every training batch and validation
-    pass (``generators.rekey``).  Steps after the first of each recording
-    key replay it (see the module docstring): residuals must make
-    batch-dependent values with graph ops, or recording raises ValueError.
+    pass (``generators.rekey``).  Each recording key's first step records
+    its program from graphs on 2 and 3 of the batch's rows, and every
+    step, that one too, replays it (see the module docstring), so no epoch
+    builds the graph of a whole batch: residuals must make batch-dependent
+    values with graph ops, or recording raises ValueError.
     A recording is replayed only for the residual, conditions, networks
     and layout it was made from, and validation only for the batch bytes
     it was made from; anything else, as a callback's new generator,
@@ -498,7 +551,7 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     if state is None:
         state = SolverState(problem, config, layout)
     else:
-        _check_resumed(state, problem, layout)
+        _check_resumed(state, problem, config, layout)
     programs = {}  # recorded steps, kept for this call only
     rng = make_rng(config.seed)  # re-keyed for every stream below
     first = state.epoch + 1

@@ -12,8 +12,8 @@ from neurodiff.callbacks import (Action, AfterEpoch, Always, Callback,
                                  EarlyStop, SetBatchSize, SetLearningRate,
                                  SetLoss, SetTrainGenerator)
 from neurodiff.conditions import (IVP1, DirichletNeumann, NeumannDirichlet,
-                                  NeumannNeumann)
-from neurodiff.generators import Generator, Uniform1D
+                                  NeumannNeumann, NoCondition)
+from neurodiff.generators import Generator, Meshed, Uniform1D
 from neurodiff.losses import LossSpec
 from neurodiff.network import MLP, MLPSpec
 from neurodiff.generators import make_rng
@@ -239,6 +239,23 @@ class TestResumeArguments:
                 state=state)
         assert state.epoch == 1
         assert state._params.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("field, other", [
+        ("optimizer", Adam(lr=2e-3)), ("optimizer", Adam(beta2=0.99)),
+        ("optimizer", SGD(lr=1e-3)), ("accumulation_passes", 2)])
+    def test_another_optimizer_or_accumulation_raises_naming_it(
+            self, field, other):
+        state = fit(decay_problem(), small_config(epochs=1))
+        before = state._params.copy()
+        cfg = dataclasses.replace(small_config(epochs=1), **{field: other})
+        with pytest.raises(ValueError, match=rf"keeps the state's {field}: "
+                                             r"the given config's"):
+            fit(decay_problem(), cfg, state=state)
+        assert state.epoch == 1
+        assert state._params.tobytes() == before.tobytes()
+        # a rebuilt but equal optimizer resumes
+        fit(decay_problem(), small_config(epochs=1), state=state)
+        assert state.epoch == 2
 
     def test_another_layout_raises(self):
         cfg = SolverConfig(networks=[MLPSpec(2, (8,), 1, seed=0)],
@@ -698,8 +715,9 @@ class TestForwardResidualDerivatives:
             return backward(output, wrt)
         monkeypatch.setattr(ad, "backward", counting)
         assert np.isfinite(_train_batch(state, batch))
-        # only the parameter gradient: a weight and a bias per layer
-        assert calls == [6]
+        # only the parameter gradient: a weight and a bias per layer, in
+        # each of the two probe graphs that record the step
+        assert calls == [6, 6]
 
 
 class TestSinglePrecision:
@@ -951,6 +969,22 @@ class TestRecordingContract:
         assert len(state.metrics) == 3
         assert all(np.isfinite(state.train_history))
 
+    def test_data_repeated_down_the_first_rows_raises(self):
+        # a Meshed batch repeats x down its first 4 rows, so a recording
+        # from those rows alone would take x's constant for a batch-shaped
+        # one and train on it
+        def residual(u, coords):
+            x, y = coords
+            return [ad.diff(u[0], y) + u[0] * ad.constant(x.value)]
+        side = Uniform1D(0.0, 1.0, 4, "equally-spaced")
+        problem = Problem(residual, 1, ("x", "y"), Meshed(side, side),
+                          Meshed(side, side))
+        config = SolverConfig(networks=[MLPSpec(2, (8,), 1)],
+                              conditions=[NoCondition()], epochs=1)
+        with pytest.raises(ValueError, match=r"^a \(16, 1\) constant read "
+                                             r"by 'mul'"):
+            fit(problem, config)
+
     @pytest.mark.parametrize("swap", ["conditions", "residual"])
     def test_replaced_condition_or_residual_records_again(self, swap):
         class Swap(Action):
@@ -1135,6 +1169,8 @@ class TestValidationRecording:
         records = [0]
         with counting("_record", records), pytest.raises(SingularityError):
             preset_fit("poisson-gaussian", batch=n, epochs=4, callbacks=cbs)
-        assert records[0] == 2  # epoch 3's r = 0 batch was not replayed
+        # epoch 3's r = 0 batch was not replayed: it was recorded again,
+        # and its first probe graph raised
+        assert records[0] == 3
         with graph_path(), pytest.raises(SingularityError):
             preset_fit("poisson-gaussian", batch=n, epochs=4, callbacks=cbs)

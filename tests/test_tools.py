@@ -46,6 +46,30 @@ class TestFingerprint:
             assert float(valid_loss) > 0
         assert runs[0].stdout == runs[1].stdout
 
+    def test_expect_exits_1_printing_the_differing_lines(self, tmp_path):
+        (line,) = fingerprint("--workload", "decay",
+                              "--seeds", "1").stdout.splitlines()
+
+        def expect(text, seeds="1"):
+            path = tmp_path / "expected.txt"
+            path.write_text(text)
+            return fingerprint("--workload", "decay", "--seeds", seeds,
+                               "--expect", str(path))
+        # nodes/epoch is a cost, not an identity; "#" starts a comment
+        ok = expect("# references\n" + re.sub(r"nodes/epoch=\S+",
+                                               "nodes/epoch=1", line))
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.splitlines() == [line]
+        wrong = line.replace("epochs_to_tol=", "epochs_to_tol=1")
+        bad = expect(wrong + "\n", seeds="1-2")
+        assert bad.returncode == 1, bad.stderr
+        printed = bad.stdout.splitlines()
+        assert printed[0] == line and LINE.fullmatch(
+            printed[1].replace("seed=2", "seed=1"))
+        assert printed[2:] == [f"expected: {wrong}", f"printed:  {line}",
+                               "expected: no line",
+                               f"printed:  {printed[1]}"]
+
     def test_bad_seeds_exit_2(self):
         for seeds in ("abc", "5-3", ""):
             run = fingerprint("--workload", "decay", "--seeds", seeds)
@@ -238,9 +262,12 @@ class TestMemory:
         peak = float(re.fullmatch(rf"  traced peak{self.NUMBER}",
                                   lines[1]).group(1))
         programs, k = {}, 2
-        for kind, phases in (("training", ["graph build", "reverse sweep",
-                                           "recording"]),
-                             ("validation", ["graph build", "recording"])):
+        for kind, phases in (("training", ["2-row build", "2-row sweep",
+                                           "3-row build", "3-row sweep",
+                                           "instantiation", "first replay"]),
+                             ("validation", ["2-row build", "3-row build",
+                                             "instantiation",
+                                             "first replay"])):
             top, start = map(float, re.fullmatch(
                 rf"  {kind} program: peak{self.NUMBER}, from{self.NUMBER}",
                 lines[k]).groups())
@@ -278,8 +305,9 @@ class TestMemory:
         peaks = {name: self.check_block(name, lines[start:end])
                  for name, start, end in zip(names, heads,
                                              heads[1:] + [len(lines)])}
-        # 43.6 MiB when every sweep built its own tanh factors
-        assert peaks["heat-d3"]["training"] < 40
+        # 43.6 MiB when every sweep built its own tanh factors, and 35.35
+        # when the first epoch built the whole batch's graph to record it
+        assert max(peaks["heat-d3"].values()) < 15
 
 
 class TestPerfbench:

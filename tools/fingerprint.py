@@ -10,15 +10,22 @@ untimed and with one BLAS thread, and prints one line:
 - the SHA-256 over the final weights and biases of every network and the
   train and validation loss histories;
 - the graph size per epoch: the autodiff nodes built, plus the steps run
-  by replays (``fit`` records a step's graph once and replays it as a
-  program that builds no node; a replay counts the steps left after
-  ``autodiff._record``'s rewrites, so no leaf and no folded, aliased or
-  shared node);
+  by replays (``fit`` records a step's program once, from its graphs on 2
+  and 3 rows, and replays it, building no node; a replay counts the steps
+  left after ``autodiff._instantiate``'s rewrites, so no leaf and no
+  folded, aliased or shared node);
 - the final validation loss;
 - the first epoch whose validation loss is below the workload's ``tol``
   (the trial's epoch count if none is), as the benchmark counts it.
 
-Two checkouts that train bit for bit alike print the same lines.
+Two checkouts that train bit for bit alike print the same lines, but for
+nodes/epoch, a cost that a change to how graphs are built moves.
+
+``--expect FILE`` compares each printed line with FILE's line for the same
+workload and seed (``tools/fingerprints.txt`` holds the references; lines
+starting with ``#`` are comments): its sha256, valid_loss and
+epochs_to_tol, not nodes/epoch.  On any difference, or a seed FILE has no
+line for, it prints the expected and the printed line of each and exits 1.
 """
 
 import argparse
@@ -88,20 +95,43 @@ def fingerprint(wl, seed):
     }
 
 
+def identity(line):
+    """A printed line's fields that bit-identical training keeps: all but
+    nodes/epoch."""
+    return [f for f in line.split() if not f.startswith("nodes/epoch=")]
+
+
+def expected_lines(file):
+    """{(workload, "seed=N"): line} of a file of printed lines."""
+    lines = [line.strip() for line in file]
+    return {tuple(line.split()[:2]): line for line in lines
+            if line and not line.startswith("#")}
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(prog="tools/fingerprint.py")
     p.add_argument("--workload", required=True,
                    choices=sorted(WORKLOADS) + ["all"])
     p.add_argument("--seeds", type=parse_seeds, default=[1])
+    p.add_argument("--expect", type=argparse.FileType("r"), metavar="FILE")
     args = p.parse_args(argv)
+    expected = expected_lines(args.expect) if args.expect else None
+    differing = []
     for wl in workloads(args.workload):
         for seed in args.seeds:
             f = fingerprint(wl, seed)
-            print(f"{wl.name} seed={seed} sha256={f['sha256']} "
-                  f"nodes/epoch={f['nodes_per_epoch']:g} "
-                  f"valid_loss={f['valid_loss']!r} "
-                  f"epochs_to_tol={f['epochs_to_tol']}", flush=True)
-    return 0
+            line = (f"{wl.name} seed={seed} sha256={f['sha256']} "
+                    f"nodes/epoch={f['nodes_per_epoch']:g} "
+                    f"valid_loss={f['valid_loss']!r} "
+                    f"epochs_to_tol={f['epochs_to_tol']}")
+            print(line, flush=True)
+            if expected is not None:
+                want = expected.get((wl.name, f"seed={seed}"))
+                if want is None or identity(want) != identity(line):
+                    differing.append((want, line))
+    for want, line in differing:
+        print(f"expected: {want or 'no line'}\nprinted:  {line}")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

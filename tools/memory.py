@@ -6,15 +6,19 @@
 of a checkout.  It trains one epoch of the workload's perfbench recipe
 (``perfbench/workloads.py`` and ``bench.run_trial``) with one BLAS thread
 under ``tracemalloc``, which sees numpy's array buffers too.  The first
-epoch builds and records each program, and is a run's memory peak.  The
-tool wraps these functions, as ``tools/phases.py`` wraps its own, and
-credits each call to the program whose ``_chunk_loss`` it runs in:
+epoch records each program, from graphs on 2 and 3 of a chunk's rows,
+and replays it for the first time.  The tool wraps these functions, as
+``tools/phases.py`` wraps its own, and credits each call to the program
+whose ``_chunk_loss`` it runs in:
 
-- graph build: ``solver._build_loss`` (trial solutions, residual
-  derivatives and the loss; a reverse sweep a residual takes inside it,
-  as ``operators.grad`` does, counts here);
-- reverse sweep: ``autodiff.backward`` of the loss (training only);
-- recording: ``autodiff._record``.
+- 2-row and 3-row build: ``solver._build_loss`` of a probe graph (trial
+  solutions, residual derivatives and the loss; a reverse sweep a residual
+  takes inside it, as ``operators.grad`` does, counts here);
+- 2-row and 3-row sweep: ``autodiff.backward`` of the probe's loss
+  (training only);
+- instantiation: ``autodiff._instantiate``, the program at the chunk's row
+  count, with its prologue (the folded steps) run;
+- first replay: ``autodiff._replay``, which also compiles the program.
 
 It prints the epoch's traced peak, then for each recorded program, in
 recording order, its peak and the traced memory when its ``_chunk_loss``
@@ -45,10 +49,11 @@ from workloads import WORKLOADS  # noqa: E402
 
 MIB = 2 ** 20
 
-# (module, function name, phase)
-WRAPPED = ((solver, "_build_loss", "graph build"),
-           (ad, "backward", "reverse sweep"),
-           (ad, "_record", "recording"))
+# (module, function name, phase); a build or sweep is named by its rows
+WRAPPED = ((solver, "_build_loss", "build"),
+           (ad, "backward", "sweep"),
+           (ad, "_instantiate", "instantiation"),
+           (ad, "_replay", "first replay"))
 
 
 class Meter:
@@ -60,6 +65,7 @@ class Meter:
         self.programs = []
         self.current = None  # the program of the running _chunk_loss
         self.phase = None  # the running phase, outermost only
+        self.rows = None  # the row count of the last probe build
         self.peak = 0
 
     def reset(self):
@@ -76,7 +82,9 @@ class Meter:
             try:
                 return fn(state, chunk, programs, train)
             finally:
-                if self.current["phases"]:  # it built and recorded a program
+                # a chunk that recorded its program, not one that replayed
+                if any(phase == "instantiation"
+                       for phase, _, _ in self.current["phases"]):
                     self.programs.append(self.current)
                 self.current = None
         return measured
@@ -85,13 +93,17 @@ class Meter:
         def measured(*args, **kwargs):
             if self.current is None or self.phase is not None:
                 return fn(*args, **kwargs)
-            self.phase, start = phase, self.reset()
+            if phase == "build":
+                self.rows = len(args[1][0])  # (state, columns, ...)
+            name = (f"{self.rows}-row {phase}" if phase in ("build", "sweep")
+                    else phase)
+            self.phase, start = name, self.reset()
             try:
                 return fn(*args, **kwargs)
             finally:
                 now, peak = tracemalloc.get_traced_memory()
                 self.current["peak"] = max(self.current["peak"], peak)
-                self.current["phases"].append((phase, peak - start,
+                self.current["phases"].append((name, peak - start,
                                                now - start))
                 self.phase = None
         return measured

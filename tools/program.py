@@ -5,19 +5,21 @@
 ``--workload all`` prints every workload's, in name order.  Run from the
 root of a checkout.  It trains one epoch of the workload's perfbench recipe
 (``perfbench/workloads.py`` and ``bench.run_trial``) with one BLAS thread
-and prints each program that ``fit`` records: the training step's, then
-the validation pass's.  For each program it prints the number
-of recorded steps and the count left after each of ``autodiff._record``'s
-rewrites that removes steps, the counts of the two that rewrite a step in
-place (``outer``, with how many of its matmuls run as ``repeat`` because
-their left operand is a kept column of ones, and ``into``), the kept arrays
-and their bytes, the step count by result shape (most frequent first), the
-size of the program's generated function (``autodiff._compile``, which a
-replay builds once: its statements, that is one per step, one per step that
-frees a register and one return, and the bytes of its bytecode), and then
-one line per step: result slot, op, argument slots, the argument slot the
-result is written into (``into``, for a step the ``into`` rewrite changed),
-result shape and dtype.
+and prints each program that ``fit`` records (``autodiff._record``, from
+graphs on 2 and 3 of the batch's rows), as instantiated at the batch's
+row count: the training step's, then the validation pass's.  For each
+program it prints the number of recorded steps and the count left after
+each of ``autodiff._instantiate``'s rewrites that removes steps, the counts
+of the two that rewrite a step in place (``outer``, with how many of its
+matmuls run as ``repeat`` because their left operand is a kept column of
+ones, and ``into``), the kept arrays and their bytes, the step count by
+result shape (most frequent first), the size of the program's generated
+function (``autodiff._compile``, which a replay builds once: its
+statements, that is one per step, one per step that frees a register and
+one return, and the bytes of its bytecode), and then one line per step:
+result slot, op, argument slots, the argument slot the result is written
+into (``into``, for a step the ``into`` rewrite changed), result shape and
+dtype.
 """
 
 import argparse
@@ -51,9 +53,10 @@ def recorded_programs(wl, seed):
     programs = []
     record = ad._record
 
-    def keeping(outputs, inputs, fixed_data=False):
-        program = record(outputs, inputs, fixed_data)
-        programs.append(("validation" if fixed_data else "training", program))
+    def keeping(build, rows, data=()):
+        program = record(build, rows, data)
+        # validation keeps its batch's columns in the program
+        programs.append(("validation" if data else "training", program))
         return program
 
     ad._record = keeping
