@@ -27,12 +27,6 @@ tanh's derivative factor 1 - h*h (h = tanh(a)) is one pointwise node,
 ``dtanh``, whose own rule is t * (-2h).  The generic ``mul`` rule then
 gives the second-order tangent in Taylor form, s*z'' + z'*(-2h*h'), and the
 reverse sweep runs through one node instead of a ``1 - h*h`` subgraph.
-Each tanh node builds its ``dtanh`` once per graph, and each ``dtanh`` node
-its -2h: every ``diff``, ``laplacian`` and ``backward`` sweep that passes
-the node reuses the same factor (``_derivative_factor``), so a
-D-dimensional residual holds one factor per layer, not one per sweep, and
-a shared factor gets one summed adjoint.  A factor that ``backward``
-builds is its own: no later sweep reuses it.
 ``transpose``, ``column`` and ``columns`` return views of their input's
 array.  No
 node writes into an array after it is built; a replayed step may write its
@@ -50,9 +44,9 @@ trace once on a few rows, replay at any size, as in
 Frostig, Johnson and Leary 2018 ("Compiling machine learning programs via
 high-level tracing").  ``_replay`` reruns a program on new leaf values,
 building no node, through one generated straight-line Python function per
-program (compiled at the program's first replay): one kernel call per
-step.  The program is a small IR: each step keeps its op, attrs, argument
-and result slots and its result's shape and dtype, so ``_instantiate``
+program (compiled when the program is made): one kernel call per step.
+The program is a small IR: each step keeps its op, attrs, argument and
+result slots and its result's shape and dtype, so ``_instantiate``
 rewrites it once before it runs (constant folding, whose folded steps run
 there at the batch's row count, x * 1 and x - 0 read x, common steps
 shared, inner-dimension-1 matmuls run as products or, for a kept column of
@@ -97,7 +91,6 @@ replaces did.
 
 import collections
 import functools
-import weakref
 
 import numpy as np
 
@@ -110,14 +103,9 @@ _id_counter = [0]
 
 
 class Node:
-    """One differentiable expression in a computation graph.
+    """One differentiable expression in a computation graph."""
 
-    ``_factor`` is None or a weak reference to the derivative factor of a
-    tanh or dtanh node (``_derivative_factor``).
-    """
-
-    __slots__ = ("op", "inputs", "value", "requires_grad", "attrs", "_id",
-                 "_factor", "__weakref__")
+    __slots__ = ("op", "inputs", "value", "requires_grad", "attrs", "_id")
 
     def __init__(self, op, inputs, value, requires_grad, attrs=None):
         self.op = op
@@ -125,7 +113,6 @@ class Node:
         self.value = value
         self.requires_grad = requires_grad
         self.attrs = attrs
-        self._factor = None
         _id_counter[0] += 1
         self._id = _id_counter[0]
 
@@ -640,16 +627,6 @@ def backward(output, wrt):
     ``rowsum`` hands its adjoint to every column as one F-ordered
     broadcast, and an N x 1 operand of a column-against-block op gets its
     block adjoint folded by ``rowsum``, left to right.
-
-    The sweep reuses the derivative factors an earlier sweep kept
-    (``_derivative_factor``), but keeps none it builds.  It reaches a tanh
-    node h after the adjoints of h's consumers, some of which read h, so
-    the dtanh(h) it builds sits after them, where a kept factor sits before
-    every node of a sweep.  A later sweep that reused it would number its
-    nodes around it in another order than one that built its own, so a
-    derivative of its result would add h's adjoint contributions in
-    another order: nested gradients of two sweeps of one graph would differ
-    in the last ulp.
     """
     if not _is_scalar(output.value):
         raise ShapeError(
@@ -659,8 +636,6 @@ def backward(output, wrt):
         if not w.requires_grad:
             raise ValueError("wrt node does not require grad")
     order = _topo_below(output)
-    kept = {n._id for n in order
-            if n._factor is not None and n._factor() is not None}
     # one sweep in id order marks the nodes that depend on a wrt node
     active = {w._id for w in wrt}
     for node in order:
@@ -695,9 +670,6 @@ def backward(output, wrt):
                 adjoint[inp._id] = _column_adjoint(inp, reads.pop(inp._id))
             prev = adjoint.get(inp._id)
             adjoint[inp._id] = ig if prev is None else add(prev, ig)
-    for n in order:
-        if n._factor is not None and n._id not in kept:
-            n._factor = None
     results = []
     for w in wrt:
         g = adjoint.get(w._id)
@@ -712,13 +684,7 @@ def _jvp(node, t):
 
     ``t[i]`` is None for an input that does not depend on the seeded node;
     no term is built for it.  Unary ops are only asked when their input has
-    a tangent.  A tanh or dtanh node multiplies by its derivative factor,
-    built once per node per graph (``_derivative_factor``).  The factor is
-    held with the graph, as a weak reference on its node, not in a
-    module-level cache: such a cache would outlive the graph or need
-    clearing, and a strong reference from a tanh node to dtanh(h), which
-    reads it, would be a cycle, so the graph would no longer be freed by
-    reference counting alone.
+    a tangent.
     """
     op = node.op
     a, ta = node.inputs[0], t[0]
@@ -756,8 +722,10 @@ def _jvp(node, t):
         return mul(ta, cos(a))
     if op == "cos":
         return neg(mul(ta, sin(a)))
-    if op in ("tanh", "dtanh"):
-        return mul(ta, _derivative_factor(node))
+    if op == "tanh":
+        return mul(ta, _dtanh(node))
+    if op == "dtanh":
+        return mul(ta, -2.0 * a)
     if op == "abs":
         return mul(ta, _sign(a))
     if op == "guard":
@@ -790,20 +758,6 @@ def _jvp(node, t):
     if op == "rowsum":
         return rowsum(ta)
     raise ValueError(f"no jvp for op {op!r}")
-
-
-def _derivative_factor(node):
-    """dtanh(h) for a tanh node h, and -2.0 * h for a dtanh node of h: the
-    node that ``_jvp`` multiplies a tangent or adjoint by.  Built at the
-    first call and kept as a weak reference in ``node._factor``, so every
-    later sweep of the graph reuses it while any node holds it, and builds
-    it again only once it was freed.  ``backward`` drops the references to
-    the factors its sweep built."""
-    factor = node._factor and node._factor()
-    if factor is None:
-        factor = _dtanh(node) if node.op == "tanh" else -2.0 * node.inputs[0]
-        node._factor = weakref.ref(factor)
-    return factor
 
 
 def _plus(p, q):
@@ -954,7 +908,7 @@ class _Program:
     ``rewrites`` the number of recorded steps and what each rewrite removed
     (``outer`` and ``into``: rewrote; ``repeat``: how many of the ``outer``
     steps run as ``_repeat``).  ``run`` is the program's generated function
-    (``_compile``), built at its first replay; None until then.
+    (``_compile``), built when the program is made.
     """
 
     __slots__ = ("inputs", "slots", "steps", "outputs", "rewrites", "run")
@@ -965,7 +919,7 @@ class _Program:
         self.steps = steps
         self.outputs = outputs
         self.rewrites = rewrites
-        self.run = None
+        self.run = _compile(self)
 
 
 _REWRITES = ("fold", "alias", "share", "outer", "into")
@@ -1244,10 +1198,10 @@ def _instantiate(recording, rows, data=()):
     read, and a kept array no step reads is not held.
 
     Each step's kernel is bound from ``_KERNELS`` here, and a replay calls
-    exactly these (``_compile``).  So a tracer that wraps ``_KERNELS``
-    entries before ``fit`` sees every replayed step; one that wraps them
-    later sees none.  Nothing is compiled here: the program's function is
-    built at its first replay.
+    exactly these (``_compile``, which runs as the program is made, so its
+    transient memory is freed before any replay).  So a tracer that wraps
+    ``_KERNELS`` entries before ``fit`` sees every replayed step; one that
+    wraps them later sees none.
     """
     entries, fixed = recording.entries, len(data)
     slots, kept, shared, ops = [None] * (recording.inputs - fixed), {}, {}, []
@@ -1361,36 +1315,30 @@ def _source(program):
 
 
 def _compile(program):
-    """``program``'s generated function (``_source``), built once and kept
-    as ``program.run``.
+    """``program``'s generated function (``_source``); ``_Program`` keeps
+    it as ``run``.
 
     The factory is executed in a fresh namespace and popped out of it, so
     no reference cycle is left: the function, its code and the closure
     cells holding the kernels and kept arrays are freed by reference
-    counting together with the program.  ``_replay`` calls this at a
-    program's first replay, not ``_record``, so recording compiles
-    nothing, and a compile's transient memory (some KB per statement) is
-    freed before the replay's arrays are made.
+    counting together with the program.
     """
     source, closed = _source(program)
     namespace = {}
     exec(compile(source, "<program>", "exec"), namespace)
-    program.run = namespace.pop("factory")(*closed)
-    return program.run
+    return namespace.pop("factory")(*closed)
 
 
 def _replay(program, values):
     """Run a recorded program on new values of its inputs, given in the
     order of the inputs ``_record``'s build returned, less those whose
-    values it was given as ``data``; returns the values of its outputs.  Calls the
-    program's generated function (``_compile``, built at the first
-    replay), which runs the steps' kernels in order and drops each
-    register at its last read, with numpy's floating-point warnings off.
-    Raises ``ValueError`` if the number of values is not the program's
-    number of inputs."""
+    values it was given as ``data``; returns the values of its outputs.
+    Calls the program's generated function (``_compile``), which runs the
+    steps' kernels in order and drops each register at its last read, with
+    numpy's floating-point warnings off.  Raises ``ValueError`` if the
+    number of values is not the program's number of inputs."""
     if len(values) != program.inputs:
         raise ValueError(f"the program takes {program.inputs} input values, "
                          f"got {len(values)}")
-    run = program.run or _compile(program)
     with np.errstate(all="ignore"):
-        return run(*values)
+        return program.run(*values)

@@ -16,8 +16,17 @@ import math
 import numpy as np
 
 from . import autodiff as ad
+from .generators import _is_integer
 
 MAX_DEGREE = 16
+
+
+def _check_degree(owner, max_degree):
+    """Raise ``ValueError`` naming ``owner`` unless ``max_degree`` is an
+    integer (``generators._is_integer``; a bool is not)."""
+    if not _is_integer(max_degree):
+        raise ValueError(f"{type(owner).__name__}: max_degree must be an "
+                         f"integer, got {max_degree!r}")
 
 
 def _ones_like(node):
@@ -43,6 +52,7 @@ class Fourier1D:
     """1, cos(k phi), sin(k phi) for k = 1..K; size 2K + 1."""
 
     def __init__(self, max_degree):
+        _check_degree(self, max_degree)
         if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
         self.max_degree = int(max_degree)
@@ -89,6 +99,7 @@ class RealSphericalHarmonics:
     """Real Y_lm for l = 0..L, m = -l..l; size (L+1)^2."""
 
     def __init__(self, max_degree):
+        _check_degree(self, max_degree)
         if not 0 <= max_degree <= MAX_DEGREE:
             raise ValueError(f"max_degree must be in [0, {MAX_DEGREE}]")
         self.max_degree = int(max_degree)
@@ -101,23 +112,27 @@ class RealSphericalHarmonics:
     def evaluate(self, theta, phi):
         """The basis at N x 1 angles as one N x K node, columns in
         ``degrees()`` order.  ``phi`` is read only by m != 0 columns, and
-        may be None when there are none."""
+        may be None when there are none.  Each m != 0 builds its factor,
+        cos(m phi) or sin(-m phi), once, where its first column reads it."""
         theta = theta if isinstance(theta, ad.Node) else ad.constant(theta)
         if phi is not None:
             phi = phi if isinstance(phi, ad.Node) else ad.constant(phi)
         x = ad.cos(theta)
         sin_t = ad.sin(theta)
         p = _assoc_legendre(self.max_degree, x, sin_t)
+        azimuthal = {}  # m -> cos(m phi) for m > 0, sin(-m phi) for m < 0
         out = []
         root2 = math.sqrt(2.0)
         for l, m in self.degrees():
             n = _norm(l, m)
             if m == 0:
                 out.append(n * p[(l, 0)])
-            elif m > 0:
-                out.append(root2 * n * p[(l, m)] * ad.cos(float(m) * phi))
-            else:
-                out.append(root2 * n * p[(l, -m)] * ad.sin(float(-m) * phi))
+                continue
+            y = root2 * n * p[(l, abs(m))]
+            if m not in azimuthal:
+                trig = ad.cos if m > 0 else ad.sin
+                azimuthal[m] = trig(float(abs(m)) * phi)
+            out.append(y * azimuthal[m])
         return _stack(out)
 
 

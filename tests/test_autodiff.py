@@ -451,10 +451,10 @@ class TestPruning:
         assert all(f.inputs[0].op == "tanh" for f in factors)
         assert not [m for m in built
                     if m.op in ("sub", "neg") and m.shape == (n, width)]
-        # the reverse sweep through both tanh layers reuses them
+        # the reverse sweep through both tanh layers builds its own
         del built[:]
         ad.backward(ad.reduce_mean((d2 + u) * (d2 + u)), params)
-        assert len([m for m in built if m.op == "dtanh"]) == 0
+        assert len([m for m in built if m.op == "dtanh"]) == 2
         assert not [m for m in built
                     if m.op in ("sub", "neg") and m.shape == (n, width)]
 
@@ -551,57 +551,76 @@ def test_tanh_derivative_matches_three_node_rule(seed, widths, dtype):
         assert (diff <= 32 * eps * s).all(), (diff.max(), s.max())
 
 
+def _residual_sweeps(u, xs, params):
+    """du/dt, the Laplacian of u along x, y and z, and the parameter
+    gradient of the mean squared du/dt - Laplacian."""
+    x, t, y, z = xs
+    du = ad.diff(u, t)
+    lap = ad.laplacian(u, [x, y, z])
+    r = du - lap
+    return [du, lap, *ad.backward(ad.reduce_mean(r * r), params)]
+
+
+# sweeps of u = x * N(x, t, y, z), given its coordinates and parameters
+MLP_SWEEPS = {
+    "diff": lambda u, xs, params: [ad.diff(u, xs[1])],
+    "diff2": lambda u, xs, params: [ad.diff(u, xs[1], 2)],
+    "laplacian": lambda u, xs, params: [ad.laplacian(u, [xs[0], *xs[2:]])],
+    "backward": lambda u, xs, params: ad.backward(ad.reduce_mean(u * u),
+                                                  params),
+    "residual": _residual_sweeps,
+}
+
+
+def _alone_and_together(build, sweeps, names):
+    """The results of the ``sweeps`` named, each taken first on a graph of
+    its own from ``build()``, and all taken in turn on one graph, as two
+    lists that start with the graph's output.  ``build()`` returns the
+    output and the further arguments of a sweep."""
+    out, *args = build()
+    together = [out] + [r for name in names for r in sweeps[name](out, *args)]
+    alone = [build()[0]]
+    for name in names:
+        out, *args = build()
+        alone += sweeps[name](out, *args)
+    return alone, together
+
+
+def _assert_same_bits(got, want, dtype):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.value.dtype == w.value.dtype == dtype
+        assert g.value.tobytes() == w.value.tobytes()
+
+
 class TestDerivativeFactor:
-    """A tanh node's factor dtanh(h), and a dtanh node's -2h, are built once
-    per node per graph and reused by every later sweep."""
+    """A tanh node's factor dtanh(h), and a dtanh node's -2h, are built by
+    each sweep that passes the node, so no sweep depends on another."""
 
     @staticmethod
-    def sweeps(mlp, xvs):
-        """u = x * N(x, t, y, z), du/dt, its Laplacian along x, y and z,
-        and the parameter gradient of the mean squared du/dt - Laplacian."""
-        x, t, y, z = [ad.variable(v) for v in xvs]
+    def graph(mlp, xvs):
+        """u = x * N(x, t, y, z), its coordinates and its parameters."""
+        xs = [ad.variable(v) for v in xvs]
         params = mlp.param_nodes()
-        u = _trial(mlp, [x, t, y, z], params)
-        du = ad.diff(u, t)
-        lap = ad.laplacian(u, [x, y, z])
-        r = du - lap
-        grads = ad.backward(ad.reduce_mean(r * r), params)
-        return [u, du, lap, *grads]
+        return _trial(mlp, xs, params), xs, params
 
-    def test_one_factor_per_node_across_sweeps(self, monkeypatch):
-        mlp, xvs = _laplacian_problem(3, (8, 8), 4, np.float64)
-        built = _record_nodes(monkeypatch)
-        self.sweeps(mlp, xvs)
-        tanhs = sorted(n._id for n in built if n.op == "tanh")
-        assert len(tanhs) == 2
-        factors = [n for n in built if n.op == "dtanh"]
-        assert sorted(f.inputs[0]._id for f in factors) == tanhs
-        # -2h: a -2.0 constant times a tanh node (the reverse sweep's
-        # adjoint times -2.0 reads no tanh node)
-        twice = [n.inputs[1]._id for n in built if n.op == "mul"
-                 and n.inputs[0].op == "constant"
-                 and n.inputs[0].value.size == 1
-                 and n.inputs[0].value.item() == -2.0
-                 and n.inputs[1].op == "tanh"]
-        assert sorted(twice) == tanhs
+    @classmethod
+    def sweeps(cls, mlp, xvs):
+        """u, du/dt, its Laplacian along x, y and z, and the parameter
+        gradient of the mean squared du/dt - Laplacian."""
+        u, xs, params = cls.graph(mlp, xvs)
+        return [u, *_residual_sweeps(u, xs, params)]
 
-    def test_graph_is_freed_by_reference_counting(self):
-        mlp, xvs = _laplacian_problem(3, (8, 8), 4, np.float64)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            outputs = self.sweeps(mlp, xvs)
-            tanhs = [n for n in ad._topo_below(outputs[0]) if n.op == "tanh"]
-            factors = [n._factor() for n in tanhs]
-            # the tanh nodes, their dtanh(h) and the dtanh nodes' -2h
-            nodes = tanhs + factors + [f._factor() for f in factors]
-            refs = [weakref.ref(n) for n in nodes]
-            assert len(refs) == 6
-            del tanhs, factors, nodes, outputs
-            assert [r() for r in refs] == [None] * 6
-        finally:
-            if enabled:
-                gc.enable()
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           names=st.lists(st.sampled_from(sorted(MLP_SWEEPS)), min_size=2,
+                          max_size=4))
+    def test_a_sweep_gives_the_bits_it_gives_alone(self, seed, dtype, names):
+        mlp, xvs = _laplacian_problem(seed, (8, 8), 4, dtype)
+        alone, together = _alone_and_together(
+            lambda: self.graph(mlp, xvs), MLP_SWEEPS, names)
+        _assert_same_bits(together, alone, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_values_equal_the_three_node_rule(self, dtype):
@@ -694,8 +713,9 @@ def _eval(program, xv, yv):
 @settings(max_examples=60, deadline=None)
 @given(program=instructions,
        seed=st.integers(0, 2 ** 16))
-# the nested gradients differed in the last ulp while the second sweep
-# reused the dtanh node the first one built
+# the nested gradients of two sweeps of one graph differed in the last
+# ulp when a sweep reused the dtanh node an earlier one had built; each
+# sweep builds its own
 @example(program=[("tanh", 0), ("scale", 0), ("div", 3, 2)], seed=0)
 def test_pruned_gradients_match_full_and_finite_differences(program, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -720,6 +740,44 @@ def test_pruned_gradients_match_full_and_finite_differences(program, seed):
     fd2 = (_eval(program, xv + h, yv) - 2 * _eval(program, xv, yv)
            + _eval(program, xv - h, yv)) / h ** 2
     np.testing.assert_allclose(g2.value, fd2, rtol=1e-4, atol=1e-4)
+
+
+def _nested_gradient(f, xs):
+    """d sum(f) / dx, and the gradient of its sum with respect to x and
+    y: a reverse sweep over the nodes of another."""
+    (g,) = ad.backward(ad.reduce_sum(f), xs[:1])
+    return [g, *ad.backward(ad.reduce_sum(g), xs)]
+
+
+# sweeps of a random field f of the coordinates xs = [x, y]
+GRAPH_SWEEPS = {
+    "diff": lambda f, xs: [ad.diff(f, xs[0])],
+    "diff2": lambda f, xs: [ad.diff(f, xs[0], 2)],
+    "laplacian": lambda f, xs: [ad.laplacian(f, xs)],
+    "backward": lambda f, xs: ad.backward(ad.reduce_sum(f), xs),
+    "nested": _nested_gradient,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=instructions,
+       seed=st.integers(0, 2 ** 16),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       names=st.lists(st.sampled_from(sorted(GRAPH_SWEEPS)), min_size=2,
+                      max_size=4))
+# the graph of the @example above: a backward sweep, then a nested one
+@example(program=[("tanh", 0), ("scale", 0), ("div", 3, 2)], seed=0,
+         dtype=np.float64, names=["backward", "nested"])
+def test_random_graph_sweeps_give_the_bits_they_give_alone(program, seed,
+                                                          dtype, names):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    xv, yv = rng.uniform(-1.0, 1.0, size=(2, 4, 1)).astype(dtype)
+
+    def build():
+        xs = [ad.variable(xv), ad.variable(yv)]
+        return _build(program, *xs), xs
+    alone, together = _alone_and_together(build, GRAPH_SWEEPS, names)
+    _assert_same_bits(together, alone, dtype)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1018,8 +1076,8 @@ def test_replayed_program_equals_the_graph(program, seed):
 
 
 class TestGeneratedReplay:
-    """A program runs as one generated function, built at its first
-    replay."""
+    """A program runs as one generated function, built when the program is
+    made."""
 
     @staticmethod
     def _graph():
@@ -1030,8 +1088,7 @@ class TestGeneratedReplay:
         loss = ad.reduce_sum(h * h)
         return [loss, *ad.backward(loss, [w])], [x, w]
 
-    def test_recording_compiles_nothing_and_the_first_replay_once(
-            self, monkeypatch):
+    def test_recording_compiles_once_and_a_replay_nothing(self, monkeypatch):
         import builtins
         compiled = []
         real = builtins.compile
@@ -1042,11 +1099,10 @@ class TestGeneratedReplay:
         monkeypatch.setattr(builtins, "compile", counting)
         outs, leaves = self._graph()
         program = _recorded(outs, leaves)
-        assert compiled == [] and program.run is None
-        values = [leaf.value for leaf in leaves]
-        got = ad._replay(program, values)
         assert len(compiled) == 1 and program.run is not None
         run = program.run
+        values = [leaf.value for leaf in leaves]
+        got = ad._replay(program, values)
         for _ in range(2):
             again = ad._replay(program, values)
             assert [a.tobytes() for a in again] == [g.tobytes() for g in got]

@@ -176,7 +176,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             bases.Fourier1D(-2)
 
+    @pytest.mark.parametrize("cls", [bases.Fourier1D,
+                                     bases.RealSphericalHarmonics,
+                                     bases.ZonalHarmonics])
+    @pytest.mark.parametrize("degree", [2.5, 2.0, True, "2"])
+    def test_degree_must_be_an_integer(self, cls, degree):
+        with pytest.raises(ValueError, match=rf"^{cls.__name__}: max_degree "
+                                             r"must be an integer, got "):
+            cls(degree)
+        assert cls(np.int64(2)).max_degree == 2
+
     def test_sizes(self):
         assert bases.Fourier1D(4).size == 9
         assert bases.RealSphericalHarmonics(3).size == 16
         assert bases.ZonalHarmonics(5).size == 6
+
+
+def test_spherical_harmonics_build_each_azimuthal_factor_once(monkeypatch):
+    built = []
+    init = ad.Node.__init__
+
+    def recording_init(node, *args, **kwargs):
+        init(node, *args, **kwargs)
+        built.append(node.op)
+    monkeypatch.setattr(ad.Node, "__init__", recording_init)
+    angles = np.linspace(0.1, 3.0, 6).reshape(2, -1, 1)
+    bases.RealSphericalHarmonics(3).evaluate(*map(ad.variable, angles))
+    # cos(theta) and sin(theta), then cos(m phi) and sin(m phi) for
+    # m = 1, 2, 3 (7 of each when every degree built its own)
+    assert built.count("cos") == 4
+    assert built.count("sin") == 4

@@ -17,8 +17,9 @@ whose ``_chunk_loss`` it runs in:
 - 2-row and 3-row sweep: ``autodiff.backward`` of the probe's loss
   (training only);
 - instantiation: ``autodiff._instantiate``, the program at the chunk's row
-  count, with its prologue (the folded steps) run;
-- first replay: ``autodiff._replay``, which also compiles the program.
+  count, with its prologue (the folded steps) run and its function
+  compiled (``autodiff._compile``);
+- first replay: ``autodiff._replay``.
 
 It prints the epoch's traced peak, then for each recorded program, in
 recording order, its peak and the traced memory when its ``_chunk_loss``

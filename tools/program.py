@@ -14,7 +14,7 @@ of the two that rewrite a step in place (``outer``, with how many of its
 matmuls run as ``repeat`` because their left operand is a kept column of
 ones, and ``into``), the kept arrays and their bytes, the step count by
 result shape (most frequent first), the size of the program's generated
-function (``autodiff._compile``, which a replay builds once: its
+function (``autodiff._compile``, built when the program is made: its
 statements, that is one per step, one per step that frees a register and
 one return, and the bytes of its bytecode), and then one line per step:
 result slot, op, argument slots, the argument slot the result is written
@@ -97,9 +97,8 @@ def describe(kind, program):
         f"{shape} \u00d7{count}" for shape, count in shapes.most_common()))
     source, _ = ad._source(program)
     (factory,) = ast.parse(source).body
-    run = program.run or ad._compile(program)
     lines.append(f"  compiled: {len(factory.body[0].body)} statements, "
-                 f"{len(run.__code__.co_code)} bytes of bytecode")
+                 f"{len(program.run.__code__.co_code)} bytes of bytecode")
     for step in program.steps:
         args, into = step.args, ""
         if len(args) > ad._INTO.get(step.op, len(args)):
