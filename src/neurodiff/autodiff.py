@@ -27,11 +27,10 @@ tanh's derivative factor 1 - h*h (h = tanh(a)) is one pointwise node,
 ``dtanh``, whose own rule is t * (-2h).  The generic ``mul`` rule then
 gives the second-order tangent in Taylor form, s*z'' + z'*(-2h*h'), and the
 reverse sweep runs through one node instead of a ``1 - h*h`` subgraph.
-``transpose``, ``column`` and ``columns`` return views of their input's
-array.  No
-node writes into an array after it is built; a replayed step may write its
-result only into a temporary whose last reader it is (see
-``_instantiate``).
+``column`` and ``columns`` return views of their input's array, and so
+does ``transpose`` unless it is asked for C order.  No node writes into an
+array after it is built; a replayed step may write its result only into a
+temporary whose last reader it is (see ``_instantiate``).
 
 Each op's value is one numpy expression in the ``_KERNELS`` table.
 ``_record`` turns a batch's graph into a program of those kernels without
@@ -49,13 +48,15 @@ The program is a small IR: each step keeps its op, attrs, argument and
 result slots and its result's shape and dtype, so ``_instantiate``
 rewrites it once before it runs (constant folding, whose folded steps run
 there at the batch's row count, x * 1 and x - 0 read x, common steps
-shared, inner-dimension-1 matmuls run as products or, for a kept column of
-ones, as repeated rows, pointwise results written into a dying operand),
-each rewrite giving the graph's bits.  So that no data-dependent value is
-frozen into a recording, abs's sign and max's argmax mask are ops that take
-no gradient, and checks are ``guard`` ops; a kept constant that holds data,
-or a function of the row count other than a multiple of it, reads
-differently on the two probes and raises.
+shared, pointwise results written into a dying operand), each rewrite
+giving the graph's bits.  No rewrite changes an op: a step runs its node's
+kernel, and the graph already runs each matmul on BLAS's faster path (a
+C-ordered weight transpose) or, for an inner dimension of 1, as one
+``einsum`` (``_matmul``).  So that no data-dependent value is frozen into a
+recording, abs's sign and max's argmax mask are ops that take no gradient,
+and checks are ``guard`` ops; a kept constant that holds data, or a
+function of the row count other than a multiple of it, reads differently
+on the two probes and raises.
 
 Nodes carry no graph object: each gets an increasing ``_id`` at creation,
 inputs always have smaller ids than their consumers, and a graph is freed by
@@ -214,23 +215,14 @@ def _guarded(value, *checked, check):
     return value
 
 
-def _outer(a, b):
-    """a @ b for an N x 1 a and a 1 x M b, one product per entry.  Adding
-    +0.0 turns a -0.0 product into +0.0, as matmul's one-term sum does, so
-    the bits equal matmul's."""
-    out = np.multiply(a, b)
-    out += 0.0
-    return out
-
-
-def _repeat(ones, b):
-    """ones @ b for an N x 1 column of ones and a 1 x M b: b's row N times.
-    1.0 * x is x, and adding +0.0 turns -0.0 into +0.0 as matmul's one-term
-    sum does, so the bits equal matmul's."""
-    out = np.empty((ones.shape[0], b.shape[1]), np.result_type(ones, b))
-    out[...] = b
-    out += 0.0
-    return out
+def _matmul(a, b):
+    """a @ b.  An inner dimension of 1 runs as one ``einsum``, which sums
+    each entry's one product from +0.0 as matmul does (so -0.0 becomes
+    +0.0), into a C-ordered block: matmul's bits, dtype and strides, at a
+    fraction of BLAS's cost for that shape."""
+    if a.shape[1] == 1:
+        return np.einsum("ij,jk->ik", a, b, order="C")
+    return np.matmul(a, b)
 
 
 def _rowsum(a):
@@ -274,12 +266,10 @@ _KERNELS = {
     "rowsum": _rowsum,
     "broadcast": lambda a, shape, order="C": np.broadcast_to(
         a.reshape(()) if a.size == 1 else a, shape).copy(order),
-    "matmul": np.matmul, "transpose": lambda a: a.T,
+    "matmul": _matmul,
+    "transpose": lambda a, order=None: np.asarray(a.T, order=order),
     "column": lambda a, lo, hi: a[:, lo:hi],
     "concat": _concat, "guard": _guarded,
-    # no node has these ops; a program runs an inner-dimension-1 matmul
-    # so, and one whose left operand is a kept column of ones as ``repeat``
-    "outer": _outer, "repeat": _repeat,
 }
 
 
@@ -410,10 +400,18 @@ def matmul(a, b):
     return _op("matmul", (a, b), a.requires_grad or b.requires_grad)
 
 
-def transpose(a):
+def transpose(a, order=None):
+    """The transpose of a 2-D node: a view of its array, or, for ``order``
+    "C", a C-ordered array (a copy unless the view already is one).  A
+    matmul's BLAS kernel follows its operands' layouts, and a C-ordered
+    right operand takes the faster NN path for the network's shapes (see
+    ``network.MLP.forward``).  The view transpose of a transpose is that
+    transpose's input itself."""
     if a.value.ndim != 2:
         raise ShapeError(f"transpose requires a 2-D operand, got {a.value.shape}")
-    return _unary("transpose", a)
+    if order is None and a.op == "transpose":
+        return a.inputs[0]
+    return _unary("transpose", a, {"order": order} if order else None)
 
 
 def column(a, j):
@@ -524,8 +522,9 @@ def _vjp(node, g, need):
     pointwise op (the arithmetic ops, the unary functions and ``dtanh``)
     gives input i the ``_jvp`` rule with g as input i's tangent; only
     structural ops have a rule here.  ``matmul``
-    pairs g with a transpose of the other operand, which is a view, so no
-    activation is copied for a weight gradient.  ``column`` has no rule:
+    pairs g with a view transpose of the other operand, so no activation is
+    copied for a weight gradient, and g @ W reads a C-ordered transpose's
+    W itself.  ``column`` has no rule:
     ``backward`` gathers a node's column reads (``_column_adjoint``).
     ``rowsum`` hands every column g, broadcast F-ordered.
     """
@@ -742,7 +741,7 @@ def _jvp(node, t):
         return _plus(matmul(ta, b) if ta is not None else None,
                      matmul(a, tb) if tb is not None else None)
     if op == "transpose":
-        return transpose(ta)
+        return transpose(ta, (node.attrs or {}).get("order"))
     if op == "column":
         return columns(ta, node.attrs["lo"], node.attrs["hi"])
     if op == "concat":
@@ -906,8 +905,7 @@ class _Program:
     a slot a step writes or a kept array no step reads), ``steps`` the
     ``_Step``s in run order, ``outputs`` the slots returned, and
     ``rewrites`` the number of recorded steps and what each rewrite removed
-    (``outer`` and ``into``: rewrote; ``repeat``: how many of the ``outer``
-    steps run as ``_repeat``).  ``run`` is the program's generated function
+    (``into``: rewrote).  ``run`` is the program's generated function
     (``_compile``), built when the program is made.
     """
 
@@ -922,7 +920,7 @@ class _Program:
         self.run = _compile(self)
 
 
-_REWRITES = ("fold", "alias", "share", "outer", "into")
+_REWRITES = ("fold", "alias", "share", "into")
 
 # pointwise ops whose kernel takes a positional ``out`` after its operands,
 # with their operand count: the steps the ``into`` rewrite may write into a
@@ -1178,12 +1176,6 @@ def _instantiate(recording, rows, data=()):
     - share: a step with the same op, argument slots and attrs as an earlier
       one reads that one's result (a callable attr, such as a guard's
       check, compares by identity);
-    - outer: an inner-dimension-1 ``matmul`` runs as the broadcast product
-      ``_outer``, which rounds each entry as matmul's one-term sum does;
-      when its left argument is a kept column of ones (a tangent seed), as
-      ``_repeat``, which copies the right argument's row down and adds
-      +0.0, since 1.0 * x is x (counted as ``repeat`` among the ``outer``
-      steps);
     - into: a 2-D pointwise step (``_INTO``) writes its result into an
       argument it reads for the last time, passed as the kernel's ``out``
       (appended to the step's ``args``).  That argument must be a block a
@@ -1206,7 +1198,7 @@ def _instantiate(recording, rows, data=()):
     entries, fixed = recording.entries, len(data)
     slots, kept, shared, ops = [None] * (recording.inputs - fixed), {}, {}, []
     slot = []  # entry index -> slot
-    counts = dict.fromkeys(("recorded",) + _REWRITES + ("repeat",), 0)
+    counts = dict.fromkeys(("recorded",) + _REWRITES, 0)
 
     def keep(v):
         key = (v.dtype.str, v.shape, v.strides, v.tobytes())
@@ -1255,26 +1247,19 @@ def _instantiate(recording, rows, data=()):
              if e.op not in _VIEWS and out not in viewed}
     steps, used = [], set(out_slots)
     for e, args, out in reversed(ops):  # a slot's last read is met first
-        op = e.op
-        if op == "matmul" and entries[e.args[0]].dims[1] == 1:
-            left = slots[args[0]]  # None unless kept
-            ones = left is not None and (left == 1).all()
-            op = "repeat" if ones else "outer"
-            counts["outer"] += 1
-            counts["repeat"] += op == "repeat"
         attrs = _attrs_at(e.attrs, rows)
-        kernel = _KERNELS[op]
+        kernel = _KERNELS[e.op]
         if attrs:
             kernel = functools.partial(kernel, **attrs)
         free = tuple(set(args) - used)
         used.update(args)
-        if op in _INTO and len(e.dims) == 2:
+        if e.op in _INTO and len(e.dims) == 2:
             into = next((a for a in args if a in free and args.count(a) == 1
                          and owned.get(a) == e.layout), None)
             if into is not None:
                 args += (into,)
                 counts["into"] += 1
-        steps.append(_Step(op, attrs, args, out, _at(e.dims, rows),
+        steps.append(_Step(e.op, attrs, args, out, _at(e.dims, rows),
                            e.layout[1], kernel, free))
     # a kept array is copied apart from the blocks the graph frees, and
     # only if a step reads it; a view does not pin its base, and the copy

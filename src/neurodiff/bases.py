@@ -63,8 +63,9 @@ class Fourier1D:
         phi = phi if isinstance(phi, ad.Node) else ad.constant(phi)
         out = [_ones_like(phi)]
         for k in range(1, self.max_degree + 1):
-            out.append(ad.cos(float(k) * phi))
-            out.append(ad.sin(float(k) * phi))
+            angle = float(k) * phi
+            out.append(ad.cos(angle))
+            out.append(ad.sin(angle))
         return _stack(out)
 
 
@@ -113,13 +114,15 @@ class RealSphericalHarmonics:
         """The basis at N x 1 angles as one N x K node, columns in
         ``degrees()`` order.  ``phi`` is read only by m != 0 columns, and
         may be None when there are none.  Each m != 0 builds its factor,
-        cos(m phi) or sin(-m phi), once, where its first column reads it."""
+        cos(m phi) or sin(-m phi), once, where its first column reads it,
+        and each |m| its angle |m| phi once."""
         theta = theta if isinstance(theta, ad.Node) else ad.constant(theta)
         if phi is not None:
             phi = phi if isinstance(phi, ad.Node) else ad.constant(phi)
         x = ad.cos(theta)
         sin_t = ad.sin(theta)
         p = _assoc_legendre(self.max_degree, x, sin_t)
+        angles = {}  # |m| -> |m| phi
         azimuthal = {}  # m -> cos(m phi) for m > 0, sin(-m phi) for m < 0
         out = []
         root2 = math.sqrt(2.0)
@@ -130,8 +133,10 @@ class RealSphericalHarmonics:
                 continue
             y = root2 * n * p[(l, abs(m))]
             if m not in azimuthal:
+                if abs(m) not in angles:
+                    angles[abs(m)] = float(abs(m)) * phi
                 trig = ad.cos if m > 0 else ad.sin
-                azimuthal[m] = trig(float(abs(m)) * phi)
+                azimuthal[m] = trig(angles[abs(m)])
             out.append(y * azimuthal[m])
         return _stack(out)
 

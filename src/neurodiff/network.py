@@ -93,6 +93,15 @@ class MLP:
 
         ``params`` is the node list from ``param_nodes()``; when omitted the
         parameters are wrapped as non-trainable constants.
+
+        Each layer reads its weight through one C-ordered transpose, so
+        ``h @ W.T`` and its tangents take BLAS's NN path, with equal bits
+        on the shapes measured: OpenBLAS 0.3.31's NT path for a transposed
+        view took 1.5-2.3x as long for these small shapes ((512, 32) @
+        (32, 32): 29.9 us NT against 19.3 us NN, one thread of a Haswell
+        Xeon), for a 1-2 us copy per weight per pass.  The backward pass's
+        ``g @ W`` reads W itself, since the view transpose of a transpose
+        is its input (``autodiff.transpose``).
         """
         if not isinstance(batch, ad.Node):
             batch = ad.constant(batch, self.weights[0].dtype)
@@ -108,7 +117,7 @@ class MLP:
         n_layers = len(self.weights)
         for k in range(n_layers):
             w, b = params[2 * k], params[2 * k + 1]
-            z = ad.matmul(h, ad.transpose(w)) + b
+            z = ad.matmul(h, ad.transpose(w, "C")) + b
             h = act(z) if k < n_layers - 1 else z
         return h
 

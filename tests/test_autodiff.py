@@ -958,7 +958,7 @@ class TestRewrites:
         x, w = ad.variable(a), ad.variable(b)
         program = _recorded(
             [ad.matmul(x, w), ad.transpose(ad.matmul(x, w))], [x, w])
-        assert [s.op for s in program.steps] == ["outer", "transpose"]
+        assert [s.op for s in program.steps] == ["matmul", "transpose"]
         with np.errstate(all="ignore"):
             want = np.matmul(a, b)
             got = ad._replay(program, [a, b])[0]
@@ -1447,7 +1447,7 @@ def test_column_reads_build_one_concatenation(monkeypatch):
     assert grad.value.tolist() == [[2.0, 0.0, 8.0]] * 4
 
 
-# -- repeated rows ----------------------------------------------------------
+# -- inner dimension 1 ----------------------------------------------------
 
 @pytest.mark.parametrize("dtypes", [(np.float32, np.float32),
                                     (np.float64, np.float64),
@@ -1461,8 +1461,7 @@ def test_a_ones_seeded_matmul_repeats_the_row(dtypes, shape):
     ones = ad.constant(np.ones((n, 1), dtypes[0]))
     x = ad.variable(b)
     program = _recorded([ad.matmul(ones, x)], [x])
-    assert [s.op for s in program.steps] == ["repeat"]
-    assert program.rewrites["outer"] == program.rewrites["repeat"] == 1
+    assert [s.op for s in program.steps] == ["matmul"]
     for v in (b, b[:, ::-1].copy()):
         with np.errstate(all="ignore"):
             want = np.matmul(ones.value, v)
@@ -1476,8 +1475,89 @@ def test_a_ones_seeded_matmul_repeats_the_row(dtypes, shape):
 def test_a_kept_column_that_is_not_ones_runs_outer(left):
     x = ad.variable(np.array([[-0.0, 1.5, np.nan]]))
     program = _recorded([ad.matmul(ad.constant(left), x)], [x])
-    assert [s.op for s in program.steps] == ["outer"]
-    assert program.rewrites["repeat"] == 0
+    assert [s.op for s in program.steps] == ["matmul"]
+
+
+_K1_ENTRIES = [0.0, -0.0, np.inf, -np.inf, 1e-310, -1e-310, 1e-40, -1e-40,
+               1.5, -2.25]
+
+
+def _k1_operand(data, shape, dtype, nan, strided):
+    """A drawn operand of ``shape``: signed zeros, infinities, subnormals
+    (in float32 too) and NaN if ``nan``; with ``strided``, every other
+    entry of a block twice its size in each dimension."""
+    pool = _K1_ENTRIES + ([np.nan, -np.nan] if nan else [])
+    size = shape[0] * shape[1]
+    v = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size,
+                                    max_size=size))).reshape(shape)
+    v = v.astype(dtype)
+    if strided:
+        v = np.repeat(np.repeat(v, 2, 0), 2, 1)[::2, ::2]
+    return v
+
+
+@settings(max_examples=80, deadline=None)
+@given(dtypes=st.sampled_from([(np.float32, np.float32),
+                               (np.float64, np.float64),
+                               (np.float32, np.float64),
+                               (np.float64, np.float32)]),
+       n=st.integers(1, 40), m=st.integers(1, 40),
+       nan_side=st.sampled_from([0, 1]), strided=st.booleans(),
+       data=st.data())
+def test_inner_dimension_one_matmul_is_numpys_in_graph_and_replay(
+        dtypes, n, m, nan_side, strided, data):
+    # NaN on one side only: where two NaNs meet, which one survives (its
+    # sign) follows the operand order of numpy's loop
+    a, b = (_k1_operand(data, shape, dtype, side == nan_side, strided)
+            for side, (shape, dtype) in enumerate(zip(((n, 1), (1, m)),
+                                                      dtypes)))
+    with np.errstate(all="ignore"):
+        want = np.matmul(a, b)
+    x, w = ad.variable(a), ad.variable(b)
+    node = ad.matmul(x, w)
+    program = _recorded([node], [x, w])
+    (got,) = ad._replay(program, [a, b])
+    for v in (node.value, got):
+        assert v.dtype == want.dtype and v.strides == want.strides
+        assert v.tobytes() == want.tobytes()
+
+
+# -- weight transposes ------------------------------------------------------
+
+def test_a_view_transpose_of_a_transpose_is_its_input():
+    x = ad.variable(np.arange(6.0).reshape(2, 3))
+    assert ad.transpose(ad.transpose(x)) is x
+    c = ad.transpose(x, "C")
+    assert c.value.flags.c_contiguous and not np.shares_memory(c.value,
+                                                               x.value)
+    assert np.array_equal(c.value, x.value.T)
+    assert ad.transpose(c) is x
+    assert ad.transpose(c, "C") is not x
+
+
+def test_each_weight_is_read_through_one_c_ordered_transpose():
+    mlp = MLP.init(MLPSpec(1, (8, 8), 1, seed=0))
+    x = ad.variable(np.linspace(-1.0, 1.0, 16).reshape(-1, 1))
+    params = mlp.param_nodes()
+    u = mlp.forward(x, params)
+    loss = ad.reduce_mean(ad.diff(u, x) ** 2 + u ** 2)
+    grads = ad.backward(loss, params)
+    program = _recorded([loss, *grads], [x, *params])
+    for k, w in enumerate(mlp.weights):
+        slot = 1 + 2 * k  # x, then W0, b0, W1, ...
+        (t, *rest) = [s for s in program.steps if slot in s.args]
+        assert t.op == "transpose" and t.attrs == {"order": "C"}
+        assert t.kernel(w).flags.c_contiguous
+        # the primal and tangent products share it, as their right operand
+        readers = [s for s in program.steps if t.out in s.args]
+        assert [(s.op, s.args[1]) for s in readers] == [("matmul", t.out)] * 2
+        # the backward pass's g @ W, one per stream, reads the weight itself
+        # (no layer before the first has an adjoint)
+        assert [(s.op, s.args[1]) for s in rest] == [("matmul", slot)] * (
+            2 if k else 0)
+    got = ad._replay(program, [x.value, *mlp.param_arrays()])
+    for v, node in zip(got, [loss, *grads]):
+        assert v.tobytes() == node.value.tobytes()
 
 
 # -- column against block, rowsum, column ranges ----------------------------

@@ -206,3 +206,23 @@ def test_spherical_harmonics_build_each_azimuthal_factor_once(monkeypatch):
     # m = 1, 2, 3 (7 of each when every degree built its own)
     assert built.count("cos") == 4
     assert built.count("sin") == 4
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda phi: bases.Fourier1D(3).evaluate(phi),
+    lambda phi: bases.RealSphericalHarmonics(3).evaluate(
+        ad.variable(np.linspace(0.1, 3.0, 3).reshape(-1, 1)), phi)])
+def test_each_azimuthal_order_builds_its_angle_once(monkeypatch, evaluate):
+    built = []
+    init = ad.Node.__init__
+
+    def recording_init(node, *args, **kwargs):
+        init(node, *args, **kwargs)
+        built.append(node)
+    monkeypatch.setattr(ad.Node, "__init__", recording_init)
+    phi = ad.variable(np.linspace(0.2, 6.0, 3).reshape(-1, 1))
+    evaluate(phi)
+    # k phi for k = 1, 2, 3, each read by cos(k phi) and sin(k phi) (6 when
+    # each factor built its own)
+    assert len([n for n in built if n.op == "mul"
+                and any(i is phi for i in n.inputs)]) == 3

@@ -18,8 +18,8 @@ REFERENCES = os.path.join(ROOT, "tools", "fingerprints.txt")
 LINE = re.compile(r"decay seed=1 sha256=[0-9a-f]{64} nodes/epoch=\d+(\.\d+)? "
                   r"valid_loss=\S+ epochs_to_tol=\d+")
 SHAPES = re.compile(r"  shapes: (\((\d+(, \d+)*)?,?\) \u00d7\d+(, |$))+")
-STEP = re.compile(r" +\d+ = [a-z_]+\((\d+(, \d+)*)?\)( into \d+)? "
-                  r"\((\d+(, \d+)*)?,?\) float64")
+STEP = re.compile(r" +\d+ = [a-z_]+\((\d+(, \d+)*)?\)( into \d+)?"
+                  r"( (NN|NT|TN|TT|K1))? \((\d+(, \d+)*)?,?\) float64")
 
 
 def shape_counts(block):
@@ -125,20 +125,25 @@ class TestProgram:
         for start, end in zip(heads, heads[1:] + [len(lines)]):
             block = lines[start:end]
             left = [int(line.split("-> ")[1]) for line in block if "->" in line]
-            assert [line.split(":")[0].strip() for line in block[1:6]] == [
-                "fold", "alias", "share", "outer", "into"]
-            # decay's tangent seed times the first weight is a repeated row
-            assert block[4].endswith(" (1 as repeated rows)")
-            assert len([line for line in block if " = repeat(" in line]) == 1
+            assert [line.split(":")[0].strip() for line in block[1:5]] == [
+                "fold", "alias", "share", "into"]
             recorded = int(block[0].split()[2])
             assert recorded >= left[0] and left == sorted(left, reverse=True)
             steps = [line for line in block if " = " in line]
             assert len(steps) == left[-1] > 0
-            assert block[6].startswith(f"  {left[-1]} steps, ")
-            assert SHAPES.fullmatch(block[7]), block[7]
+            # each matmul is tagged with its BLAS form, every other step
+            # with none; decay's tangent seed times the first weight has an
+            # inner dimension of 1, and no weight is read transposed
+            forms = [re.search(r"\) ([A-Z0-9]+) \(", line) for line in steps]
+            assert all((form is not None) == (" = matmul(" in line)
+                       for form, line in zip(forms, steps))
+            forms = collections.Counter(f.group(1) for f in forms if f)
+            assert forms["K1"] >= 1 and forms["NT"] == forms["TT"] == 0
+            assert block[5].startswith(f"  {left[-1]} steps, ")
+            assert SHAPES.fullmatch(block[6]), block[6]
             statements, code = map(int, re.fullmatch(
                 r"  compiled: (\d+) statements, (\d+) bytes of bytecode",
-                block[8]).groups())
+                block[7]).groups())
             assert shape_counts(block) == collections.Counter(
                 re.search(r" (\([\d, ]*\)) float64$", line).group(1)
                 for line in block if " = " in line)
@@ -164,8 +169,8 @@ class TestProgram:
             # that reads a register for the last time, and the return.  The
             # kept arrays are the largest slots no step writes (inputs come
             # first), and stay the function's
-            outputs = json.loads(block[6].split("outputs ")[1])
-            n_kept = int(block[6].split(", ")[1].split()[0])
+            outputs = json.loads(block[5].split("outputs ")[1])
+            n_kept = int(block[5].split(", ")[1].split()[0])
             unwritten = sorted({a for r in read for a in r}.union(outputs)
                                - set(written))
             kept = set(unwritten[len(unwritten) - n_kept:])
@@ -200,10 +205,11 @@ class TestProgram:
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         training, validation = [
-            len(re.findall(r" = matmul\(", part)) for part in
+            len(re.findall(r" = matmul\([\d, ]*\) (?!K1)", part)) for part in
             run.stdout.split("validation program")]
         # the Laplacian's three coordinates share one second-order matmul
-        # per layer (a second-order chain per coordinate: 51 and 21)
+        # per layer (a second-order chain per coordinate: 51 and 21); an
+        # inner-dimension-1 product is not counted
         assert training <= 43
         assert validation <= 17
 

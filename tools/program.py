@@ -9,16 +9,17 @@ and prints each program that ``fit`` records (``autodiff._record``, from
 graphs on 2 and 3 of the batch's rows), as instantiated at the batch's
 row count: the training step's, then the validation pass's.  For each
 program it prints the number of recorded steps and the count left after
-each of ``autodiff._instantiate``'s rewrites that removes steps, the counts
-of the two that rewrite a step in place (``outer``, with how many of its
-matmuls run as ``repeat`` because their left operand is a kept column of
-ones, and ``into``), the kept arrays and their bytes, the step count by
-result shape (most frequent first), the size of the program's generated
-function (``autodiff._compile``, built when the program is made: its
-statements, that is one per step, one per step that frees a register and
-one return, and the bytes of its bytecode), and then one line per step:
-result slot, op, argument slots, the argument slot the result is written
-into (``into``, for a step the ``into`` rewrite changed), result shape and
+each of ``autodiff._instantiate``'s rewrites that removes steps, the count
+of ``into`` steps (which write into a dying argument), the kept arrays and
+their bytes, the step count by result shape (most frequent first), the size
+of the program's generated function (``autodiff._compile``, built when the
+program is made: its statements, that is one per step, one per step that
+frees a register and one return, and the bytes of its bytecode), and then
+one line per step: result slot, op, argument slots, the argument slot the
+result is written into (``into``, for a step the ``into`` rewrite
+changed), for a matmul the BLAS form its operands take on the program's
+first replay (``NN``, ``NT``, ``TN`` or ``TT``, T for a transposed operand;
+``K1`` for an inner dimension of 1, one ``einsum``), result shape and
 dtype.
 """
 
@@ -38,6 +39,7 @@ import pin  # noqa: E402
 pin.pin()  # one BLAS thread; before numpy is imported
 
 import bench  # noqa: E402
+import numpy as np  # noqa: E402
 from neurodiff import autodiff as ad  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -49,9 +51,10 @@ def workloads(name):
 
 
 def recorded_programs(wl, seed):
-    """[(kind, program)] in recording order for one epoch of ``wl``."""
-    programs = []
-    record = ad._record
+    """[(kind, program, values of its first replay)] in recording order for
+    one epoch of ``wl``."""
+    programs, first = [], {}
+    record, replay = ad._record, ad._replay
 
     def keeping(build, rows, data=()):
         program = record(build, rows, data)
@@ -59,32 +62,54 @@ def recorded_programs(wl, seed):
         programs.append(("validation" if data else "training", program))
         return program
 
-    ad._record = keeping
+    def replaying(program, values):
+        first.setdefault(id(program), list(values))
+        return replay(program, values)
+
+    ad._record, ad._replay = keeping, replaying
     try:
         trial = bench.run_trial(dataclasses.replace(wl, epochs=1), seed,
                                 deadline=math.inf, protected=True)
     finally:
-        ad._record = record
+        ad._record, ad._replay = record, replay
     if trial.error:
         raise RuntimeError(f"{wl.name} seed {seed}: {trial.error}")
-    return programs
+    return [(kind, program, first[id(program)]) for kind, program in programs]
 
 
-# the rewrites that change a step rather than remove it
-IN_PLACE = {"outer": "matmuls run as products",
-            "into": "steps write into a dying argument"}
+def blas_form(a, b):
+    """The form of the product ``a @ b``: ``K1`` for an inner dimension of
+    1, else N or T for each operand, T for a transposed (F-ordered) one."""
+    if a.shape[1] == 1:
+        return "K1"
+    return "".join("T" if v.flags.f_contiguous and not v.flags.c_contiguous
+                   else "N" for v in (a, b))
 
 
-def describe(kind, program):
-    """The lines that print one program."""
+def matmul_forms(program, values):
+    """{step index: BLAS form} of ``program``'s matmul steps, from running
+    its steps' kernels one by one on ``values``."""
+    regs = dict(enumerate(program.slots))
+    regs.update(enumerate(values))
+    forms = {}
+    with np.errstate(all="ignore"):
+        for i, step in enumerate(program.steps):
+            args = [regs[a] for a in step.args]
+            if step.op == "matmul":
+                forms[i] = blas_form(*args)
+            regs[step.out] = step.kernel(*args)
+    return forms
+
+
+def describe(kind, program, values):
+    """The lines that print one program, first replayed on ``values``."""
     counts = program.rewrites
     left = counts["recorded"]
     lines = [f"{kind} program: {left} recorded steps"]
     for name in ad._REWRITES:
-        if name in IN_PLACE:
-            rows = (f" ({counts['repeat']} as repeated rows)"
-                    if name == "outer" else "")
-            lines.append(f"  {name}: {counts[name]} {IN_PLACE[name]}{rows}")
+        if name == "into":  # rewrites a step rather than removing it
+            lines.append(f"  into: {counts[name]} steps write into a dying "
+                         "argument")
             continue
         left -= counts[name]
         lines.append(f"  {name}: -{counts[name]} -> {left}")
@@ -99,12 +124,14 @@ def describe(kind, program):
     (factory,) = ast.parse(source).body
     lines.append(f"  compiled: {len(factory.body[0].body)} statements, "
                  f"{len(program.run.__code__.co_code)} bytes of bytecode")
-    for step in program.steps:
+    forms = matmul_forms(program, values)
+    for i, step in enumerate(program.steps):
         args, into = step.args, ""
         if len(args) > ad._INTO.get(step.op, len(args)):
             args, into = args[:-1], f" into {args[-1]}"
+        form = f" {forms[i]}" if i in forms else ""
         lines.append(f"  {step.out:5d} = {step.op}({', '.join(map(str, args))})"
-                     f"{into} {step.shape} {step.dtype}")
+                     f"{into}{form} {step.shape} {step.dtype}")
     return lines
 
 
@@ -116,8 +143,8 @@ def main(argv=None):
     args = p.parse_args(argv)
     for wl in workloads(args.workload):
         print(f"{wl.name} seed={args.seed} epoch 1")
-        for kind, program in recorded_programs(wl, args.seed):
-            print("\n".join(describe(kind, program)), flush=True)
+        for kind, program, values in recorded_programs(wl, args.seed):
+            print("\n".join(describe(kind, program, values)), flush=True)
     return 0
 
 
