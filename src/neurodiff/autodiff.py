@@ -47,12 +47,19 @@ program (compiled when the program is made): one kernel call per step.
 The program is a small IR: each step keeps its op, attrs, argument and
 result slots and its result's shape and dtype, so ``_instantiate``
 rewrites it once before it runs (constant folding, whose folded steps run
-there at the batch's row count, x * 1 and x - 0 read x, common steps
-shared, pointwise results written into a dying operand), each rewrite
-giving the graph's bits.  No rewrite changes an op: a step runs its node's
-kernel, and the graph already runs each matmul on BLAS's faster path (a
-C-ordered weight transpose) or, for an inner dimension of 1, as one
-``einsum`` (``_matmul``).  So that no data-dependent value is frozen into a
+there at the batch's row count, x * 1 and x - 0 read x, a check of kept
+values run once, common steps shared, pointwise results written into a
+dying operand, after its other readers where the order allows), each
+rewrite giving the graph's bits.  No rewrite changes an op: a step runs
+its node's kernel, and the graph already runs each matmul on BLAS's faster
+path (``_matmul``): a C-ordered weight transpose, one ``einsum`` for an
+inner dimension of 1, and row tiles for a product above OpenBLAS's
+small-matrix bound.  OpenBLAS 0.3.31 runs a product of M·K·N <= 10⁶ on its
+small-matrix kernels and a larger one on its blocked path, ~1.6x slower
+per flop for the network's shapes (one thread, hot, float64: (768, 32) @
+(32, 32) 58 GFLOP/s, (1024, 32) @ (32, 32) 35 GFLOP/s, and 52 GFLOP/s as
+2 tiles of 512 rows; ``tools/blas.py`` measures it).  A tile splits rows
+only, never K.  So that no data-dependent value is frozen into a
 recording, abs's sign and max's argmax mask are ops that take no gradient,
 and checks are ``guard`` ops; a kept constant that holds data, or a
 function of the row count other than a multiple of it, reads differently
@@ -215,14 +222,71 @@ def _guarded(value, *checked, check):
     return value
 
 
+# The largest M·K·N that OpenBLAS runs on its small-matrix kernels
+# (OpenBLAS 0.3.31 on an AVX-512 Xeon; ``tools/blas.py`` measures it); a
+# larger product takes its blocked path, slower per flop for the network's
+# shapes (``_matmul``).
+_SMALL_PRODUCT = 10 ** 6
+
+
+def _tile_rows(a, b):
+    """The rows of each tile ``_matmul`` splits ``a @ b`` into, or None for
+    one product: a C-ordered ``a`` whose M·K·N exceeds ``_SMALL_PRODUCT``
+    is cut into the fewest equal row tiles, each a multiple of 8 rows,
+    that keep every tile's M·K·N within it (the last tile may be shorter);
+    None if even 8 rows exceed it."""
+    (m, k), n = a.shape, b.shape[1]
+    if (m * k * n <= _SMALL_PRODUCT or 8 * k * n > _SMALL_PRODUCT
+            or not a.flags.c_contiguous):
+        return None
+    tiles = -(-m * k * n // _SMALL_PRODUCT)
+    while True:
+        rows = -(-m // tiles)
+        rows = -(-rows // 8) * 8
+        if rows * k * n <= _SMALL_PRODUCT:
+            return rows
+        tiles += 1
+
+
 def _matmul(a, b):
-    """a @ b.  An inner dimension of 1 runs as one ``einsum``, which sums
-    each entry's one product from +0.0 as matmul does (so -0.0 becomes
-    +0.0), into a C-ordered block: matmul's bits, dtype and strides, at a
-    fraction of BLAS's cost for that shape."""
+    """a @ b, the one matmul kernel of the graph and the replay.
+
+    An inner dimension of 1 runs as one ``einsum``, which sums each entry's
+    one product from +0.0 as matmul does (so -0.0 becomes +0.0), into a
+    C-ordered block: matmul's bits, dtype and strides, at a fraction of
+    BLAS's cost for that shape.
+
+    A product above OpenBLAS's small-matrix bound (M·K·N >
+    ``_SMALL_PRODUCT``) with a C-ordered ``a`` runs as row tiles
+    (``_tile_rows``), each written by ``np.matmul(..., out=)`` into a row
+    view of one fresh C-ordered result, so every tile runs on the small
+    kernels.  OpenBLAS 0.3.31, one thread, hot, float64:
+
+    ==========================  ========  ======================
+    product                     one call  row tiles
+    ==========================  ========  ======================
+    (768, 32) @ (32, 32)        27 µs     (within the bound)
+    (1024, 32) @ (32, 32)       59 µs     2 × 512 rows: 41 µs
+    (512, 64) @ (64, 64)        91 µs     3 × 176 rows: 73 µs
+    ==========================  ========  ======================
+
+    Tiles split rows only, never K, so each entry sums the same products.
+    The result equals the untiled ``np.matmul`` bit for bit, in float32 and
+    float64, on every product the four benchmark workloads run above the
+    bound (those two shapes), with matmul's dtype and strides.  Some other
+    shapes, such as N = 9 or N = 100 at M >= 2048, differ from the untiled
+    product in the last bits, because BLAS's blocked path orders their sums
+    otherwise; the graph and a replay both run this kernel, so they agree
+    on every shape."""
     if a.shape[1] == 1:
         return np.einsum("ij,jk->ik", a, b, order="C")
-    return np.matmul(a, b)
+    rows = _tile_rows(a, b)
+    if rows is None:
+        return np.matmul(a, b)
+    out = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
+    for lo in range(0, a.shape[0], rows):
+        np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
+    return out
 
 
 def _rowsum(a):
@@ -905,8 +969,9 @@ class _Program:
     a slot a step writes or a kept array no step reads), ``steps`` the
     ``_Step``s in run order, ``outputs`` the slots returned, and
     ``rewrites`` the number of recorded steps and what each rewrite removed
-    (``into``: rewrote).  ``run`` is the program's generated function
-    (``_compile``), built when the program is made.
+    (``into``: rewrote; ``moved``: the steps ``_in_place_order`` moved).
+    ``run`` is the program's generated function (``_compile``), built when
+    the program is made.
     """
 
     __slots__ = ("inputs", "slots", "steps", "outputs", "rewrites", "run")
@@ -967,6 +1032,39 @@ def _alias_operand(entry, entries, consts):
                 entry.op == "sub" and not (v.any() or np.signbit(v).any())):
             return x
     return None
+
+
+def _in_place_order(ops, owned, outputs):
+    """``ops``, ``(entry, argument slots, result slot)`` in run order,
+    reordered so that more pointwise steps can write into an operand; and
+    the number of steps moved.
+
+    A 2-D ``_INTO`` step may write into an operand that ``owned`` maps to
+    the step's layout, that it reads once and that is not in ``outputs``.
+    If no such operand dies at the step, the step moves to just after the
+    last other reader of one of them, the earliest if several fit, unless
+    a step reads its result before that reader.  Every move is decided on
+    the given order and takes a step later, past none of its readers, so
+    the order stays topological.  The ``into`` pass then picks, on the new
+    order, the steps that write into an operand, as it would on any order.
+    """
+    first, last = {}, {}  # slot -> its first and its last reader
+    for i, (_, args, _) in enumerate(ops):
+        for a in args:
+            first.setdefault(a, i)
+            last[a] = i
+    keys, moved = [(i, 0) for i in range(len(ops))], 0
+    for i, (e, args, out) in enumerate(ops):
+        if e.op not in _INTO or len(e.dims) != 2:
+            continue
+        # the last readers of the operands the step may write into
+        ends = [last[a] for a in args if args.count(a) == 1
+                and a not in outputs and owned.get(a) == e.layout]
+        if ends and i not in ends and min(ends) < first.get(out, len(ops)):
+            keys[i] = (min(ends), 1, i)
+            moved += 1
+    order = sorted(range(len(ops)), key=keys.__getitem__)
+    return [ops[i] for i in order], moved
 
 
 # One node of a recording (see ``_record``), in ``_id`` order.  ``args``
@@ -1165,14 +1263,17 @@ def _instantiate(recording, rows, data=()):
     slot per distinct array, a compact copy that owns its data and keeps
     its layout), and so is each of ``data``.  The program is an IR: each
     ``_Step`` keeps its entry's op, attrs and result shape and dtype.
-    These rewrites run once, in one pass in ``_id`` order and one back, and
-    each gives the same bits as the graph at ``rows`` would:
+    These rewrites run once, in one pass in ``_id`` order and, after the
+    steps are reordered (``_in_place_order``), one back, and each gives the
+    same bits as the graph at ``rows`` would:
 
     - fold: a step whose arguments are all kept runs here, as the
       instantiation's prologue, and its value is kept instead (so the 1/n
       column of a loss's adjoint is computed at ``rows``);
     - alias: x * 1 and x - (+0.0) read x's slot (``_alias_operand``); x + 0
-      is kept, as -0.0 + 0.0 is +0.0;
+      is kept, as -0.0 + 0.0 is +0.0.  A guard whose checked arguments are
+      all kept runs its check here, once, and reads its node's slot (a
+      validation program's singularity check on its kept coordinates);
     - share: a step with the same op, argument slots and attrs as an earlier
       one reads that one's result (a callable attr, such as a guard's
       check, compares by identity);
@@ -1183,7 +1284,10 @@ def _instantiate(recording, rows, data=()):
       kept array or output holds; it appears once among the arguments and
       has the result's shape, dtype and strides, so later steps see the
       layout the graph had.  An elementwise ufunc gives the same bits in
-      place.
+      place.  The reorder before it runs a step that has no such argument
+      after the other readers of one that would be, where no step reads
+      its result earlier, so that it reads that argument last (``moved``
+      in ``rewrites`` counts these steps).
 
     No step is dead: the walk started from the outputs, and no rewrite
     above leaves a remaining step unread.  A slot is freed after its last
@@ -1225,7 +1329,12 @@ def _instantiate(recording, rows, data=()):
                 slot.append(keep(np.asarray(value)))
                 counts["fold"] += 1
                 continue
-            x = _alias_operand(e, entries, consts)
+            if e.op == "guard" and all(c is not None for c in consts[1:]):
+                # checked values that never change: the check runs once
+                e.attrs["check"](*consts[1:])
+                x = 0
+            else:
+                x = _alias_operand(e, entries, consts)
             if x is not None:
                 slot.append(args[x])
                 counts["alias"] += 1
@@ -1245,6 +1354,7 @@ def _instantiate(recording, rows, data=()):
     viewed = {a for e, args, _ in ops if e.op in _VIEWS for a in args}
     owned = {out: e.layout for e, _, out in ops
              if e.op not in _VIEWS and out not in viewed}
+    ops, counts["moved"] = _in_place_order(ops, owned, set(out_slots))
     steps, used = [], set(out_slots)
     for e, args, out in reversed(ops):  # a slot's last read is met first
         attrs = _attrs_at(e.attrs, rows)

@@ -16,7 +16,8 @@ Coordinate conventions: cylindrical (rho, phi, z); spherical (r, theta, phi)
 with theta the polar angle from +z and phi the azimuth.  Their singularities
 (rho <= 0, r <= 0, theta outside (0, pi)) raise ``SingularityError``; the
 check is a ``guard`` node on each result, so a replayed training step runs
-it on its own coordinates too.
+it on its own coordinates too; a validation program, which keeps its
+batch's coordinates, runs it once, when it is recorded.
 """
 
 import functools

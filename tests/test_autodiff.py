@@ -842,6 +842,19 @@ def _written_into(program):
             else None for s in program.steps}
 
 
+def _assert_runs_in_order(program):
+    """Each step reads only inputs, kept arrays and slots an earlier step
+    wrote, and no slot after a step wrote into it."""
+    ready = set(range(program.inputs)).union(
+        s for s, v in enumerate(program.slots) if v is not None)
+    overwritten = set()
+    for step in program.steps:
+        n = ad._INTO.get(step.op, len(step.args))
+        assert set(step.args[:n]) <= ready - overwritten, step
+        overwritten.update(step.args[n:])
+        ready.add(step.out)
+
+
 class TestRewrites:
     @pytest.mark.parametrize("build, xv", [
         (lambda x: x + 0.0, SIGNED),
@@ -1002,6 +1015,34 @@ class TestRewrites:
         program = _replays_graph(build(x), x, build)
         assert _written_into(program)["exp"] is None
 
+    def test_a_step_runs_after_the_other_readers_of_its_operand(self):
+        x = ad.variable(np.linspace(-2.0, 2.0, 12).reshape(4, 3))
+
+        def build(x):
+            a = ad.sin(x)
+            # the sum reads a after the product and does not write into it:
+            # the product runs after the sum and writes into a
+            return a * x + ad.reduce_sum(a)
+        program = _replays_graph(build(x), x, build)
+        out = {s.op: s.out for s in program.steps}
+        assert [s.op for s in program.steps] == ["sin", "sum", "mul", "add"]
+        assert _written_into(program) == {"sin": None, "sum": None,
+                                          "mul": out["sin"], "add": out["mul"]}
+        assert program.rewrites["moved"] == 1
+        _assert_runs_in_order(program)
+
+    def test_a_step_whose_result_is_read_first_stays(self):
+        x = ad.variable(np.linspace(-2.0, 2.0, 12).reshape(4, 3))
+
+        def build(x):
+            a = ad.sin(x)
+            p = a * x
+            # p is read before a's last reader, so it cannot run after it
+            return ad.reduce_sum(p) * a
+        program = _replays_graph(build(x), x, build)
+        assert [s.op for s in program.steps] == ["sin", "mul", "sum", "mul"]
+        assert program.rewrites["moved"] == 0
+
     def test_an_f_ordered_block_is_not_written_into_for_a_c_result(self):
         x = ad.variable(np.linspace(-2.0, 2.0, 12).reshape(3, 4))
         c = ad.variable(np.linspace(1.0, 3.0, 12).reshape(4, 3))
@@ -1056,10 +1097,15 @@ def test_replayed_program_equals_the_graph(program, seed):
         u = _build(program, x, y)
         gx, gy = ad.backward(ad.reduce_sum(u * u), [x, y])
         d2 = ad.diff(u, x, 2)
-        outs = [u, gx, gy, d2, u * 1.0, 1.0 * u - 0.0, u + 0.0, u + folded]
+        # a has three readers, and the product that reads it first may run
+        # after the other two and write into it
+        a = ad.sin(u)
+        outs = [u, gx, gy, d2, u * 1.0, 1.0 * u - 0.0, u + 0.0, u + folded,
+                a * y + ad.reduce_sum(a) * ad.cos(a)]
         return outs, [x, y]
     outs, leaves = graph(*values[0])
     recorded = _recorded(outs, leaves)
+    _assert_runs_in_order(recorded)
     kept = [v.tobytes() for v in recorded.slots if v is not None]
     for xv, yv in values:
         want = [o.value for o in graph(xv, yv)[0]]
@@ -1558,6 +1604,81 @@ def test_each_weight_is_read_through_one_c_ordered_transpose():
     got = ad._replay(program, [x.value, *mlp.param_arrays()])
     for v, node in zip(got, [loss, *grads]):
         assert v.tobytes() == node.value.tobytes()
+
+
+# -- row tiles above OpenBLAS's small-matrix bound --------------------------
+
+# every product shape the four benchmark workloads record above the bound,
+# as (M, K, N, whether a is read transposed): heat-d3's and sho-bundle's
+# products through a hidden weight, and their weight gradients (TN, which
+# run untiled)
+WORKLOAD_PRODUCTS = [(1024, 32, 32, False), (512, 64, 64, False),
+                     (32, 1024, 32, True), (64, 512, 64, True)]
+
+
+def _product_operands(m, k, n, transposed, dtypes, seed=7):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    a = rng.standard_normal((k, m) if transposed else (m, k))
+    a = (a.T if transposed else a).astype(dtypes[0], order="K")
+    return a, rng.standard_normal((k, n)).astype(dtypes[1])
+
+
+@pytest.mark.parametrize("dtypes", [(np.float32, np.float32),
+                                    (np.float64, np.float64),
+                                    (np.float32, np.float64)])
+@pytest.mark.parametrize("m, k, n, transposed", WORKLOAD_PRODUCTS)
+def test_a_tiled_product_is_numpys(m, k, n, transposed, dtypes,
+                                   monkeypatch):
+    a, b = _product_operands(m, k, n, transposed, dtypes)
+    want = np.matmul(a, b)
+    calls, matmul = [], np.matmul
+
+    def spying(x, y, **kwargs):
+        calls.append((x, y, kwargs.get("out")))
+        return matmul(x, y, **kwargs)
+    monkeypatch.setattr(np, "matmul", spying)
+    got = ad._matmul(a, b)
+    monkeypatch.undo()
+    assert got.dtype == want.dtype and got.strides == want.strides
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    if transposed:  # a is F-ordered
+        assert [(x is a, y is b, out) for x, y, out in calls] == [
+            (True, True, None)]
+        return
+    # equal tiles of whole rows of a, each within the bound, against all
+    # of b, each written into its rows of the result: K is never split
+    rows = ad._tile_rows(a, b)
+    assert rows % 8 == 0 and rows * k * n <= ad._SMALL_PRODUCT < m * k * n
+    assert len(calls) == -(-m // rows) >= 2
+    for i, (x, y, out) in enumerate(calls):
+        lo, hi = i * rows, min(m, (i + 1) * rows)
+        assert y is b and x.shape == (hi - lo, k)
+        assert x.ctypes.data == a[lo:].ctypes.data
+        assert out.shape == (hi - lo, n)
+        assert out.ctypes.data == got[lo:].ctypes.data
+
+
+@pytest.mark.parametrize("m, k, n", [(1024, 32, 32), (2048, 32, 100),
+                                     (4096, 32, 9)])
+def test_graph_and_replay_share_the_tiled_kernel(m, k, n):
+    # a shape outside the workloads may differ from the untiled product in
+    # its last bits; the graph and a replay run the same tiles
+    a, b = _product_operands(m, k, n, False, (np.float64, np.float64))
+    assert ad._tile_rows(a, b) is not None
+    x, w = ad.variable(a), ad.variable(b)
+    node = ad.matmul(x, w)
+    (got,) = ad._replay(_recorded([node], [x, w]), [a, b])
+    want = ad._matmul(a, b)
+    for v in (node.value, got):
+        assert v.strides == want.strides and v.tobytes() == want.tobytes()
+
+
+def test_a_product_within_the_bound_or_too_wide_is_one_call():
+    for m, k, n in [(768, 32, 32), (1024, 4, 32), (16, 400, 400)]:
+        a, b = _product_operands(m, k, n, False, (np.float64, np.float64))
+        assert ad._tile_rows(a, b) is None
+    a, b = _product_operands(1024, 64, 32, False, (np.float64, np.float64))
+    assert ad._tile_rows(a[:, :32], b[:32]) is None  # a is not C-ordered
 
 
 # -- column against block, rowsum, column ranges ----------------------------

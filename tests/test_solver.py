@@ -797,7 +797,9 @@ def trained(state):
 
 
 def preset_fit(name, precision="f64", passes=1, batches=2, batch=10,
-               epochs=3, seed=0, callbacks=(), state=None):
+               epochs=3, seed=0, callbacks=(), state=None, valid=None):
+    """A short fit of preset ``name``; ``valid``, if given, is a validation
+    generator in place of the preset's."""
     preset = presets.get(name)
     cfg = SolverConfig(
         networks=preset.network_specs((8, 8), "tanh", seed),
@@ -808,6 +810,8 @@ def preset_fit(name, precision="f64", passes=1, batches=2, batch=10,
     # preset's residual is another function
     problem, layout = ((state.problem, state.layout) if state is not None
                        else (preset.problem(batch), preset.layout))
+    if valid is not None:
+        problem = dataclasses.replace(problem, valid_generator=valid)
     return fit(problem, cfg, callbacks, layout=layout, state=state)
 
 
@@ -1161,6 +1165,38 @@ class TestValidationRecording:
         with graph_path():
             built = fit(decay_problem(), small_config(epochs=5), cbs)
         assert trained(state) == trained(built)
+
+    def test_a_validation_program_checks_its_batch_once(self):
+        # the validation batch is kept in its program, so its singularity
+        # check runs at recording; a training step checks each batch
+        programs, record = [], ad._record
+
+        def recording(build, rows, data=()):
+            programs.append((len(data) > 0, record(build, rows, data)))
+            return programs[-1][1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_record", recording)
+            preset_fit("poisson-gaussian", batch=12, epochs=1)
+        ops = {valid: [s.op for s in p.steps] for valid, p in programs}
+        assert "guard" in ops[False] and "guard" not in ops[True]
+
+    def test_singular_validation_batch_raises_in_epoch_1(self):
+        # rows 0 and 1, the probe rows, are regular: the validation
+        # program's recording raises, where its check runs once
+        n = 12
+        pts = np.column_stack([np.linspace(1.0, 2.0, n),
+                               np.linspace(0.5, 1.5, n),
+                               np.linspace(0.2, 1.2, n)])
+        pts[-1, 0] = 0.0
+        assert list(solver._probe_rows(pts)) == [0, 1, 0]
+        records = [0]
+        with counting("_record", records), pytest.raises(SingularityError):
+            preset_fit("poisson-gaussian", batch=n, epochs=1,
+                       valid=Fixed(pts))
+        assert records[0] == 2  # training's, then validation's
+        with graph_path(), pytest.raises(SingularityError):
+            preset_fit("poisson-gaussian", batch=n, epochs=1,
+                       valid=Fixed(pts))
 
     def test_singular_validation_batch_after_a_swap_raises(self):
         n = 12

@@ -213,6 +213,24 @@ class TestProgram:
         assert training <= 43
         assert validation <= 17
 
+    def test_heat_d3_tiles_its_wide_products_and_writes_in_place(self):
+        run = subprocess.run([sys.executable, PROGRAM, "--workload",
+                              "heat-d3"],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        training, validation = run.stdout.split("validation program")
+        # the (1024, 32) @ (32, 32) products, 12 in training and 6 in
+        # validation, run as 2 row tiles of 512, and no other product is
+        # tiled
+        for part, count in ((training, 12), (validation, 6)):
+            tiled = re.findall(r" = matmul\(\d+, \d+\) (\w+)\u00d7(\d+) "
+                               r"(\([\d, ]*\))", part)
+            assert tiled == [("NN", "2", "(1024, 32)")] * count
+        into, moved = map(int, re.search(
+            r"  into: (\d+) steps write into a dying argument, (\d+) moved",
+            training).groups())
+        assert into >= 160 and moved > 0
+
     # (training, validation) steps of ``shape``, or of any shape for None
     @pytest.mark.parametrize("name, shape, most", [
         ("heat-d3", "(1024, 32)", (143, 45)),

@@ -10,7 +10,9 @@ graphs on 2 and 3 of the batch's rows), as instantiated at the batch's
 row count: the training step's, then the validation pass's.  For each
 program it prints the number of recorded steps and the count left after
 each of ``autodiff._instantiate``'s rewrites that removes steps, the count
-of ``into`` steps (which write into a dying argument), the kept arrays and
+of ``into`` steps (which write into a dying argument) and of the steps the
+in-place order moved after their operand's other readers so that they
+could (``autodiff._in_place_order``), the kept arrays and
 their bytes, the step count by result shape (most frequent first), the size
 of the program's generated function (``autodiff._compile``, built when the
 program is made: its statements, that is one per step, one per step that
@@ -19,7 +21,8 @@ one line per step: result slot, op, argument slots, the argument slot the
 result is written into (``into``, for a step the ``into`` rewrite
 changed), for a matmul the BLAS form its operands take on the program's
 first replay (``NN``, ``NT``, ``TN`` or ``TT``, T for a transposed operand;
-``K1`` for an inner dimension of 1, one ``einsum``), result shape and
+``K1`` for an inner dimension of 1, one ``einsum``), followed by ``×n``
+for a product ``autodiff._matmul`` runs as n row tiles, result shape and
 dtype.
 """
 
@@ -79,11 +82,14 @@ def recorded_programs(wl, seed):
 
 def blas_form(a, b):
     """The form of the product ``a @ b``: ``K1`` for an inner dimension of
-    1, else N or T for each operand, T for a transposed (F-ordered) one."""
+    1, else N or T for each operand, T for a transposed (F-ordered) one,
+    and ``×n`` after it for a product run as n row tiles."""
     if a.shape[1] == 1:
         return "K1"
-    return "".join("T" if v.flags.f_contiguous and not v.flags.c_contiguous
+    form = "".join("T" if v.flags.f_contiguous and not v.flags.c_contiguous
                    else "N" for v in (a, b))
+    rows = ad._tile_rows(a, b)
+    return form if rows is None else f"{form}\u00d7{-(-a.shape[0] // rows)}"
 
 
 def matmul_forms(program, values):
@@ -109,7 +115,8 @@ def describe(kind, program, values):
     for name in ad._REWRITES:
         if name == "into":  # rewrites a step rather than removing it
             lines.append(f"  into: {counts[name]} steps write into a dying "
-                         "argument")
+                         f"argument, {counts['moved']} moved after their "
+                         "operand's other readers")
             continue
         left -= counts[name]
         lines.append(f"  {name}: -{counts[name]} -> {left}")
