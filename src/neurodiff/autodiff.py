@@ -69,8 +69,14 @@ Nodes carry no graph object: each gets an increasing ``_id`` at creation,
 inputs always have smaller ids than their consumers, and a graph is freed by
 reference counting once its last node is dropped.
 
-``backward`` builds adjoints only for nodes on a path from a ``wrt`` node to
-the output (the activity analysis of reverse mode).  Everything else could
+Activity analysis alone decides what a sweep builds (Griewank and Walther,
+"Evaluating Derivatives", 2nd ed., 2008): nodes carry no flag saying
+whether they take a gradient, any node may be the ``wrt`` of a sweep, and
+a leaf is frozen by leaving it out of ``wrt``.  A derivative passes along
+every input edge but those of the no-gradient ops (abs's sign, max's
+argmax mask) and a guard's checked inputs (``_differentiable``).
+``backward`` builds adjoints only for nodes on such a path from a ``wrt``
+node to the output (the active nodes).  Everything else could
 never reach a returned gradient, and every kept adjoint receives the same
 contributions in the same order, so results equal a full sweep bit for bit.
 The adjoint of a node read only by column ranges is accumulated where its
@@ -79,7 +85,8 @@ joined once, instead of summing zero-padded blocks of the node's width
 (equal bits, up to the sign of a NaN where two NaNs meet; see
 ``backward``).
 ``diff`` applies the same rule forwards: only nodes that depend on the
-seeded coordinate get tangents, so no weight-shaped node is built.
+seeded coordinate along such paths get tangents, so no weight-shaped node
+is built.
 
 A scalar broadcasts against any tensor, a 1 x k row against an N x k one,
 and an N x 1 column against an N x k one (whose adjoint, a ``rowsum``, adds
@@ -113,13 +120,12 @@ _id_counter = [0]
 class Node:
     """One differentiable expression in a computation graph."""
 
-    __slots__ = ("op", "inputs", "value", "requires_grad", "attrs", "_id")
+    __slots__ = ("op", "inputs", "value", "attrs", "_id")
 
-    def __init__(self, op, inputs, value, requires_grad, attrs=None):
+    def __init__(self, op, inputs, value, attrs=None):
         self.op = op
         self.inputs = inputs
         self.value = value
-        self.requires_grad = requires_grad
         self.attrs = attrs
         _id_counter[0] += 1
         self._id = _id_counter[0]
@@ -182,13 +188,17 @@ def _float_array(value, dtype=None):
 
 
 def constant(value, dtype=None):
-    """A leaf that takes no gradient; a float array keeps its dtype unless
+    """A leaf for a fixed value; a float array keeps its dtype unless
     ``dtype`` is given, anything else becomes float64."""
-    return Node("constant", (), _float_array(value, dtype), requires_grad=False)
+    return Node("constant", (), _float_array(value, dtype))
 
 
-def variable(value, requires_grad=True):
-    return Node("variable", (), _float_array(value), requires_grad)
+def variable(value):
+    """A leaf for a value a caller may differentiate with respect to (a
+    coordinate, a parameter), as float64 unless it is a float array.  Any
+    node may be a ``wrt`` of ``backward``, ``diff`` or ``laplacian``; a
+    leaf that is no ``wrt`` of a sweep gets nothing built for it."""
+    return Node("variable", (), _float_array(value))
 
 
 def _is_scalar(a):
@@ -337,12 +347,12 @@ _KERNELS = {
 }
 
 
-def _op(op, inputs, requires_grad, attrs=None):
+def _op(op, inputs, attrs=None):
     """A node whose value is op's kernel on its inputs' values; ``attrs``
     are the kernel's keyword arguments."""
     with np.errstate(all="ignore"):
         value = _KERNELS[op](*[i.value for i in inputs], **(attrs or {}))
-    return Node(op, inputs, np.asarray(value), requires_grad, attrs)
+    return Node(op, inputs, np.asarray(value), attrs)
 
 
 def _elementwise(op, a, b):
@@ -352,12 +362,11 @@ def _elementwise(op, a, b):
     sa, sb = a.value.shape, b.value.shape
     # a column against a block runs column-major (see the module docstring)
     column_major = _is_column_of(sa, sb) or _is_column_of(sb, sa)
-    return _op(op, (a, b), a.requires_grad or b.requires_grad,
-               {"order": "F"} if column_major else None)
+    return _op(op, (a, b), {"order": "F"} if column_major else None)
 
 
 def _unary(op, a, attrs=None):
-    return _op(op, (a,), a.requires_grad, attrs)
+    return _op(op, (a,), attrs)
 
 
 def add(a, b):
@@ -461,7 +470,7 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul: inner dimensions differ, {a.value.shape} and {b.value.shape}"
         )
-    return _op("matmul", (a, b), a.requires_grad or b.requires_grad)
+    return _op("matmul", (a, b))
 
 
 def transpose(a, order=None):
@@ -513,42 +522,54 @@ def concat_cols(pieces, order="C"):
                          f"got {shapes}")
     if len(pieces) == 1:
         return pieces[0]
-    return _op("concat", tuple(pieces), any(p.requires_grad for p in pieces),
-               {"order": order})
+    return _op("concat", tuple(pieces), {"order": order})
 
 
 def _sign(x):
     """sign(x), abs's subgradient (0 at the kink); takes no gradient."""
-    return _op("sign", (x,), False)
+    return _op("sign", (x,))
 
 
 def _argmax_mask(x):
     """One-hot mask of x's first largest entry; takes no gradient."""
-    return _op("argmax_mask", (x,), False)
+    return _op("argmax_mask", (x,))
+
+
+# ops whose value is piecewise constant in their input: no tangent or
+# adjoint passes through them (``_differentiable``)
+_NO_GRADIENT = frozenset(("sign", "argmax_mask"))
 
 
 def _guard(node, checked, check):
     """``node`` itself (same array) after ``check(*values of checked)`` has
     run; tangents and adjoints pass to ``node`` alone."""
-    return _op("guard", (node, *checked), node.requires_grad,
-               {"check": check})
+    return _op("guard", (node, *checked), {"check": check})
 
 
-def _topo_below(root, stop=()):
-    """Requires-grad nodes below root in creation (= topological) order; the
-    walk neither collects nor passes the nodes whose ids are in ``stop``."""
-    seen = set()
-    stack = [root]
-    collected = []
+def _differentiable(node):
+    """The inputs through which a derivative reaches ``node``: none for a
+    no-gradient op, a guard's node alone, every input otherwise.  The one
+    rule of activity: ``backward`` marks a node active, and ``_tangent``
+    gives it a tangent, only through these."""
+    if node.op in _NO_GRADIENT:
+        return ()
+    return node.inputs[:1] if node.op == "guard" else node.inputs
+
+
+def _below(outputs, stop=()):
+    """The nodes below ``outputs`` in ``_id`` (= topological) order,
+    walking back along every input edge (no-gradient and guard nodes too);
+    the walk neither collects nor passes the nodes whose ids are in
+    ``stop``.  The one graph walk: of ``backward``, of ``diff``'s and
+    ``laplacian``'s tangent sweeps (``stop`` is a tangent memo) and of a
+    recording (``_generic``)."""
+    seen, stack = {}, list(outputs)
     while stack:
         n = stack.pop()
-        if n._id in seen or n._id in stop or not n.requires_grad:
-            continue
-        seen.add(n._id)
-        collected.append(n)
-        stack.extend(n.inputs)
-    collected.sort(key=lambda n: n._id)
-    return collected
+        if n._id not in seen and n._id not in stop:
+            seen[n._id] = n
+            stack.extend(n.inputs)
+    return sorted(seen.values(), key=lambda n: n._id)
 
 
 def _fit_shape(g, target):
@@ -581,8 +602,10 @@ def _vjp(node, g, need):
     """Gradients of node's inputs given the adjoint g (all graph nodes).
 
     ``need[i]`` says whether input i wants its gradient; an unwanted binary
-    operand gets None and nothing is built for it, as do a guard's checked
-    inputs.  Unary ops are only asked when their input is wanted.  A
+    operand gets None and nothing is built for it.  Only the inputs a
+    derivative passes through (``_differentiable``) are asked about: a
+    guard's node alone, so it gets g, and no no-gradient op is ever asked.
+    Unary ops are only asked when their input is wanted.  A
     pointwise op (the arithmetic ops, the unary functions and ``dtanh``)
     gives input i the ``_jvp`` rule with g as input i's tangent; only
     structural ops have a rule here.  ``matmul``
@@ -594,7 +617,7 @@ def _vjp(node, g, need):
     """
     op = node.op
     if op == "guard":
-        return (g if need[0] else None,) + (None,) * (len(need) - 1)
+        return (g,)
     if op in _POINTWISE:
         if len(need) == 1:
             return (_jvp(node, (g,)),)
@@ -671,10 +694,12 @@ def backward(output, wrt):
     nesting backward gives higher-order derivatives.  A wrt node unreachable
     from the output yields a zero gradient (not an error).
 
-    Only nodes that depend on some ``wrt`` node get adjoints: a parameter
-    gradient builds no coordinate adjoints, and a coordinate derivative
-    builds no weight-gradient products.  The pruned nodes could never reach
-    a returned gradient, so the results equal a full sweep bit for bit.
+    Any node may be a ``wrt``.  Only the nodes a derivative of some
+    ``wrt`` node reaches (``_differentiable``) get adjoints: a parameter
+    gradient builds no coordinate adjoints, a coordinate derivative builds
+    no weight-gradient products, and no adjoint passes through abs's sign
+    or max's argmax mask.  The pruned nodes could never reach a returned
+    gradient, so the results equal a full sweep bit for bit.
 
     The contributions a node receives from ``column``/``columns`` reads are
     held until the sweep reaches the node, or until its first dense
@@ -695,14 +720,12 @@ def backward(output, wrt):
         raise ShapeError(
             f"backward requires a scalar output, got shape {output.value.shape}"
         )
-    for w in wrt:
-        if not w.requires_grad:
-            raise ValueError("wrt node does not require grad")
-    order = _topo_below(output)
-    # one sweep in id order marks the nodes that depend on a wrt node
+    order = _below([output])
+    # one sweep in id order marks the nodes a derivative of a wrt node
+    # reaches
     active = {w._id for w in wrt}
     for node in order:
-        if any(inp._id in active for inp in node.inputs):
+        if any(inp._id in active for inp in _differentiable(node)):
             active.add(node._id)
     adjoint = {output._id: constant(np.ones_like(output.value))}
     # node id -> the (j, g) of its column reads, while it has no other
@@ -714,7 +737,7 @@ def backward(output, wrt):
         g = adjoint.get(node._id)
         if g is None:
             continue
-        need = [inp._id in active for inp in node.inputs]
+        need = [inp._id in active for inp in _differentiable(node)]
         if not any(need):
             continue
         if node.op == "column":
@@ -746,8 +769,10 @@ def _jvp(node, t):
     """Tangent of node given its inputs' tangents t (all graph nodes).
 
     ``t[i]`` is None for an input that does not depend on the seeded node;
-    no term is built for it.  Unary ops are only asked when their input has
-    a tangent.
+    no term is built for it.  ``t`` holds the inputs a derivative passes
+    through (``_differentiable``): a guard's node alone, and no no-gradient
+    op is ever asked.  Unary ops are only asked when their input has a
+    tangent.
     """
     op = node.op
     a, ta = node.inputs[0], t[0]
@@ -830,23 +855,23 @@ def _plus(p, q):
     return p if q is None else add(p, q)
 
 
-def _tangent(node, t):
-    """``_jvp(node, t)`` at node's shape; None if no input has a tangent,
-    and for a guard whose node has none."""
+def _tangent(node, memo):
+    """``_jvp`` of node at its shape, its inputs' tangents read from
+    ``memo`` (node id -> tangent); None if no input a derivative passes
+    through (``_differentiable``) has one: so for a no-gradient op, and a
+    guard whose node has none."""
+    t = [memo.get(inp._id) for inp in _differentiable(node)]
     if all(ti is None for ti in t):
         return None
     tn = _jvp(node, t)
     # an active scalar or row met a tensor
-    if tn is not None and tn.value.shape != node.value.shape:
+    if tn.value.shape != node.value.shape:
         tn = broadcast_to(tn, node.value.shape)
     return tn
 
 
 def _seeded(x):
-    """A tangent memo whose seed is x, with a tangent of ones; x must
-    require grad."""
-    if not x.requires_grad:
-        raise ValueError("wrt node does not require grad")
+    """A tangent memo whose seed is x, any node, with a tangent of ones."""
     return {x._id: constant(np.ones_like(x.value))}
 
 
@@ -855,19 +880,19 @@ def _push_tangents(u, tangents):
     memo ``tangents`` (node id -> tangent node, or None for a node that does
     not depend on the seed) on the way.  The walk stops at the nodes the
     memo holds: a memo entry stands for the node's whole subgraph."""
-    for node in _topo_below(u, tangents):
-        tangents[node._id] = _tangent(
-            node, [tangents.get(inp._id) for inp in node.inputs])
+    for node in _below([u], tangents):
+        tangents[node._id] = _tangent(node, tangents)
     return tangents.get(u._id)
 
 
 def diff(u, x, order=1):
     """Per-sample derivative d^order u / dx^order as a new graph node.
 
-    u must be scalar per sample (one column); x a variable node with the same
-    batch layout.  Computed in forward mode: x is seeded with a tangent of
-    ones and each node's tangent is built from its inputs' tangents, which
-    is the per-sample derivative because sample rows are independent.  Order
+    u must be scalar per sample (one column); x any node with the same batch
+    layout, usually a coordinate variable.  Computed in forward mode: x is
+    seeded with a tangent of ones and each node's tangent is built from its
+    inputs' tangents, which is the per-sample derivative because sample
+    rows are independent.  Order
     k pushes tangents through the order k-1 result, sharing one memo, so the
     tangents of every node an earlier order covered are reused.  The
     tangents are ordinary graph nodes, so ``backward`` differentiates them
@@ -895,8 +920,7 @@ def laplacian(u, xs):
     as a new graph node, from one forward sweep (the forward Laplacian of
     Li et al. 2023, arXiv:2307.08214).
 
-    u and each x are as for ``diff``; every x must require grad
-    (``ValueError`` otherwise).  Each coordinate gets its first-order
+    u and each x are as for ``diff``.  Each coordinate gets its first-order
     tangent memo, as ``diff`` builds it.  Then one walk in ``_id`` order
     gives each node n its Laplacian L(n): the linear part ``_jvp(n,
     [L(inputs)])``, one stream that every direction shares (one second-order
@@ -916,8 +940,8 @@ def laplacian(u, xs):
     for tangents in memos:
         _push_tangents(u, tangents)
     lap = {}
-    for node in _topo_below(u):
-        total = _tangent(node, [lap.get(inp._id) for inp in node.inputs])
+    for node in _below([u]):
+        total = _tangent(node, lap)
         for tangents in memos:
             t = tangents.get(node._id)
             if t is not None:
@@ -1034,19 +1058,30 @@ def _alias_operand(entry, entries, consts):
     return None
 
 
+def _writable(entry, args, owned, outputs):
+    """The argument slots, in order, that a step of ``entry`` reading
+    ``args`` may write its result into once they die: for a 2-D ``_INTO``
+    step, each operand that ``owned`` maps to the step's layout, that the
+    step reads once and that is not in ``outputs``; none for another
+    step."""
+    if entry.op not in _INTO or len(entry.dims) != 2:
+        return []
+    return [a for a in args if args.count(a) == 1 and a not in outputs
+            and owned.get(a) == entry.layout]
+
+
 def _in_place_order(ops, owned, outputs):
     """``ops``, ``(entry, argument slots, result slot)`` in run order,
     reordered so that more pointwise steps can write into an operand; and
     the number of steps moved.
 
-    A 2-D ``_INTO`` step may write into an operand that ``owned`` maps to
-    the step's layout, that it reads once and that is not in ``outputs``.
-    If no such operand dies at the step, the step moves to just after the
-    last other reader of one of them, the earliest if several fit, unless
-    a step reads its result before that reader.  Every move is decided on
-    the given order and takes a step later, past none of its readers, so
-    the order stays topological.  The ``into`` pass then picks, on the new
-    order, the steps that write into an operand, as it would on any order.
+    If no operand a step may write into (``_writable``) dies at the step,
+    the step moves to just after the last other reader of one of them, the
+    earliest if several fit, unless a step reads its result before that
+    reader.  Every move is decided on the given order and takes a step
+    later, past none of its readers, so the order stays topological.  The
+    ``into`` pass then picks, on the new order, the steps that write into
+    an operand, as it would on any order.
     """
     first, last = {}, {}  # slot -> its first and its last reader
     for i, (_, args, _) in enumerate(ops):
@@ -1055,11 +1090,8 @@ def _in_place_order(ops, owned, outputs):
             last[a] = i
     keys, moved = [(i, 0) for i in range(len(ops))], 0
     for i, (e, args, out) in enumerate(ops):
-        if e.op not in _INTO or len(e.dims) != 2:
-            continue
         # the last readers of the operands the step may write into
-        ends = [last[a] for a in args if args.count(a) == 1
-                and a not in outputs and owned.get(a) == e.layout]
+        ends = [last[a] for a in _writable(e, args, owned, outputs)]
         if ends and i not in ends and min(ends) < first.get(out, len(ops)):
             keys[i] = (min(ends), 1, i)
             moved += 1
@@ -1078,21 +1110,6 @@ _Entry = collections.namedtuple("_Entry", "op attrs args dims layout leaf")
 # A row-generic graph: its entries, the entries of its outputs and its
 # number of inputs.
 _Recording = collections.namedtuple("_Recording", "entries outputs inputs")
-
-
-def _below(outputs, inputs):
-    """The nodes below ``outputs`` in ``_id`` order, walking back along
-    every input edge (no-gradient and guard nodes too) but not past
-    ``inputs``."""
-    stop = {n._id for n in inputs}
-    seen, stack = {}, list(outputs)
-    while stack:
-        n = stack.pop()
-        if n._id not in seen:
-            seen[n._id] = n
-            if n._id not in stop:
-                stack.extend(n.inputs)
-    return sorted(seen.values(), key=lambda n: n._id)
 
 
 def _dims(a, b):
@@ -1168,7 +1185,8 @@ def _kept_leaf(a, b, dims):
 def _generic(probes, rows):
     """The probes' graphs, ``(outputs, inputs)`` on 2 and 3 rows (or one
     graph, twice, on all ``rows``: a kept array of ``rows`` rows then has
-    the batch axis first), as one row-generic ``_Recording``.
+    the batch axis first), as one row-generic ``_Recording``: the nodes
+    below the outputs (``_below``), the inputs among them being leaves.
 
     The graphs must agree node for node in ``_id`` order: the same op, the
     same arguments, the same input index for an input, and attrs, shapes
@@ -1178,7 +1196,7 @@ def _generic(probes, rows):
     or the step that reads the leaf, with the leaf's shape at ``rows``.
     """
     (outs_a, ins_a), (outs_b, ins_b) = probes[0], probes[-1]
-    nodes_a, nodes_b = _below(outs_a, ins_a), _below(outs_b, ins_b)
+    nodes_a, nodes_b = _below(outs_a), _below(outs_b)
     index_a = {n._id: k for k, n in enumerate(nodes_a)}
     index_b = {n._id: k for k, n in enumerate(nodes_b)}
     input_a = {n._id: i for i, n in enumerate(ins_a)}
@@ -1279,11 +1297,12 @@ def _instantiate(recording, rows, data=()):
       check, compares by identity);
     - into: a 2-D pointwise step (``_INTO``) writes its result into an
       argument it reads for the last time, passed as the kernel's ``out``
-      (appended to the step's ``args``).  That argument must be a block a
-      step of this program wrote, no view or guard step reads and no input,
-      kept array or output holds; it appears once among the arguments and
-      has the result's shape, dtype and strides, so later steps see the
-      layout the graph had.  An elementwise ufunc gives the same bits in
+      (appended to the step's ``args``).  That argument must be one the
+      step may write into (``_writable``): a block a step of this program
+      wrote, no view or guard step reads and no input, kept array or
+      output holds; it appears once among the arguments and has the
+      result's shape, dtype and strides, so later steps see the layout the
+      graph had.  An elementwise ufunc gives the same bits in
       place.  The reorder before it runs a step that has no such argument
       after the other readers of one that would be, where no step reads
       its result earlier, so that it reads that argument last (``moved``
@@ -1354,7 +1373,7 @@ def _instantiate(recording, rows, data=()):
     viewed = {a for e, args, _ in ops if e.op in _VIEWS for a in args}
     owned = {out: e.layout for e, _, out in ops
              if e.op not in _VIEWS and out not in viewed}
-    ops, counts["moved"] = _in_place_order(ops, owned, set(out_slots))
+    ops, counts["moved"] = _in_place_order(ops, owned, out_slots)
     steps, used = [], set(out_slots)
     for e, args, out in reversed(ops):  # a slot's last read is met first
         attrs = _attrs_at(e.attrs, rows)
@@ -1363,12 +1382,11 @@ def _instantiate(recording, rows, data=()):
             kernel = functools.partial(kernel, **attrs)
         free = tuple(set(args) - used)
         used.update(args)
-        if e.op in _INTO and len(e.dims) == 2:
-            into = next((a for a in args if a in free and args.count(a) == 1
-                         and owned.get(a) == e.layout), None)
-            if into is not None:
-                args += (into,)
-                counts["into"] += 1
+        into = next((a for a in _writable(e, args, owned, out_slots)
+                     if a in free), None)
+        if into is not None:
+            args += (into,)
+            counts["into"] += 1
         steps.append(_Step(e.op, attrs, args, out, _at(e.dims, rows),
                            e.layout[1], kernel, free))
     # a kept array is copied apart from the blocks the graph frees, and

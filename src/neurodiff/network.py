@@ -83,16 +83,18 @@ class MLP:
         return [a for w, b in zip(self.weights, self.biases)
                 for a in (w, b.reshape(1, -1))]
 
-    def param_nodes(self, requires_grad=True):
-        """Wrap current parameter arrays as graph variables (W0, b0, W1, ...)."""
-        return [ad.variable(a, requires_grad=requires_grad)
-                for a in self.param_arrays()]
+    def param_nodes(self):
+        """Wrap current parameter arrays as graph variables (W0, b0, W1,
+        ...).  A sweep builds gradients for those a caller passes as its
+        ``wrt``; leaving a parameter out of ``wrt`` freezes it."""
+        return [ad.variable(a) for a in self.param_arrays()]
 
     def forward(self, batch, params=None):
         """Run the network on an N x input_dim batch node (or array).
 
         ``params`` is the node list from ``param_nodes()``; when omitted the
-        parameters are wrapped as non-trainable constants.
+        parameters are wrapped afresh, and since no caller holds those
+        nodes, no sweep can take them as a ``wrt``: they stay frozen.
 
         Each layer reads its weight through one C-ordered transpose, so
         ``h @ W.T`` and its tangents take BLAS's NN path, with equal bits
@@ -111,7 +113,7 @@ class MLP:
                 f"input_dim {self.spec.input_dim}"
             )
         if params is None:
-            params = self.param_nodes(requires_grad=False)
+            params = self.param_nodes()
         act = _ACTIVATIONS[self.spec.activation]
         h = batch
         n_layers = len(self.weights)

@@ -14,7 +14,14 @@ data, or a constant of 1/rows, which would be frozen into the program
 taken at each batch's rows.  Validation, whose batch is the same every epoch, is
 recorded together with that batch, so its batch-only steps run once.
 A recording replays only for the residual, conditions, networks and layout
-it was made from; other ones record again.
+it was made from; other ones record again.  A value that a residual or
+condition reads from outside the graph's inputs (a coefficient in a dict,
+say) is baked into the recording, so a replay does not see it changed in
+place.  ``_chunk_loss`` also builds the whole graph of a chunk where
+``ad._record`` returns no program; ``ad._record`` always returns one, so
+``fit`` never takes that branch: it is the graph path the tests take as
+the reference a replay must equal bit for bit (``graph_path`` in
+``tests/test_solver.py`` patches ``ad._record`` to return None).
 ``Solution`` and ``fit_inverse`` build a fresh graph each call.
 
 A ``SolverState`` keeps its networks' parameters in one vector: every
@@ -249,7 +256,9 @@ def _trial_solutions(model, columns, pnodes=None):
     parameter in layout order.  Each becomes a variable in the networks'
     dtype, the one place where data meets the chosen precision; a one-row
     column stays one row (see ``_make_net_fn``).  ``pnodes`` holds each
-    network's parameter nodes (frozen ones when omitted).  Returns the trial
+    network's parameter nodes; when omitted, each network's are made here
+    and returned to no caller, so no sweep can take them as a ``wrt``:
+    they stay frozen.  Returns the trial
     solutions, the variables made from ``columns``, and the bundle-parameter
     columns by name (None without a layout).
     """
@@ -260,8 +269,7 @@ def _trial_solutions(model, columns, pnodes=None):
     coords, theta_cols = cols[:split], cols[split:]
     params = dict(zip(names, theta_cols)) if model.layout else None
     if pnodes is None:
-        pnodes = [net.param_nodes(requires_grad=False)
-                  for net in model.networks]
+        pnodes = [net.param_nodes() for net in model.networks]
     u = [cond.reparameterize(coords, _make_net_fn(net, p, theta_cols),
                              params=params)
          for net, cond, p in zip(model.networks, model.conditions, pnodes)]
@@ -345,9 +353,11 @@ def _chunk_loss(state, chunk, programs, train):
     ``_probe_rows``, so the graph on the whole chunk is never built) and
     takes its values from the program's first replay; later ones replay
     the recording.  Both take the chunk's columns cast once to the
-    networks' dtype.  Where ``ad._record``
-    returns no program, the chunk's whole graph is built and its values
-    are returned.
+    networks' dtype.  Where ``ad._record`` returns no program, the chunk's
+    whole graph is built and its values are returned: ``ad._record``
+    always returns one, so ``fit`` never takes this branch; it is the
+    graph path that ``graph_path`` in ``tests/test_solver.py`` takes, by
+    patching ``ad._record``, as the reference a replay must equal.
 
     A recording bakes in the residual, the conditions, the networks and the
     layout it was made from, so it replays only while the state has those
@@ -369,9 +379,9 @@ def _chunk_loss(state, chunk, programs, train):
 
         def build(rows):
             """The outputs and inputs of the graph on the whole chunk, or on
-            its first ``rows`` probe rows."""
-            pnodes = [net.param_nodes(requires_grad=train)
-                      for net in state.networks]
+            its first ``rows`` probe rows; gradients only when training,
+            with respect to the parameter nodes alone."""
+            pnodes = [net.param_nodes() for net in state.networks]
             flat = [p for nodes in pnodes for p in nodes]
             part = (cols if rows == chunk.shape[0]
                     else _columns(probe[:rows], dtype))
@@ -543,7 +553,11 @@ def fit(problem, config, callbacks=(), layout=None, state=None):
     A recording is replayed only for the residual, conditions, networks
     and layout it was made from, and validation only for the batch bytes
     it was made from; anything else, as a callback's new generator,
-    condition or network, records it again (``_chunk_loss``).
+    condition or network, records it again (``_chunk_loss``).  A replay
+    does not see a value that a residual or condition reads from outside
+    the graph's inputs and that is then changed in place, such as a
+    coefficient dict that a callback mutates: the value was baked into
+    the recording, and training goes on with the recorded one.
     On glibc, fixes the process's malloc thresholds first (see
     ``_keep_freed_heap``).
     """

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neurodiff import autodiff as ad
+from neurodiff import losses, operators
 from neurodiff.network import MLP, MLPSpec
 
 
@@ -388,7 +389,8 @@ class TestPruning:
         # transpose and no weight gradient is built
         assert not [m for m in built if m.shape in weight_shapes]
         monkeypatch.undo()
-        frozen = mlp.forward(x, mlp.param_nodes(requires_grad=False))
+        # parameters no caller holds, which no sweep can take as a wrt
+        frozen = mlp.forward(x)
         assert np.array_equal(du.value, ad.diff(frozen, x).value)
 
     def test_second_derivative_runs_no_reverse_pass(self, monkeypatch):
@@ -417,8 +419,9 @@ class TestPruning:
         x, y = scalar(1.0), ad.variable(np.ones((3, 1)))
         d = ad.diff(ad.tanh(y), x)
         np.testing.assert_array_equal(d.value, np.zeros((3, 1)))
-        with pytest.raises(ValueError, match="require grad"):
-            ad.diff(y, ad.constant(np.ones((3, 1))))
+        # any node may be the wrt, a constant that y does not read too
+        d = ad.diff(y, ad.constant(np.ones((3, 1))))
+        np.testing.assert_array_equal(d.value, np.zeros((3, 1)))
 
     def test_bias_is_added_by_row_broadcasting(self, monkeypatch):
         mlp = MLP.init(MLPSpec(2, (3, 4), 1, seed=0))
@@ -457,6 +460,115 @@ class TestPruning:
         assert len([m for m in built if m.op == "dtanh"]) == 2
         assert not [m for m in built
                     if m.op in ("sub", "neg") and m.shape == (n, width)]
+
+
+def _dead_nodes(monkeypatch, output, wrt):
+    """The ops of the nodes ``backward(output, wrt)`` builds that are not
+    below a returned gradient, less the output's seed adjoint."""
+    built = _record_nodes(monkeypatch)
+    grads = ad.backward(output, wrt)
+    monkeypatch.undo()
+    seed, *rest = built
+    assert seed.op == "constant" and seed.shape == output.shape
+    below = {n._id for n in ad._below(grads)}
+    return [n.op for n in rest if n._id not in below]
+
+
+def _nested_loss(kind):
+    """A 2-D problem's loss of ``kind`` (an order-2 residual) and the sum
+    of the squared parameter gradients, with the parameters and
+    coordinates."""
+    mlp = MLP.init(MLPSpec(2, (5, 4), 1, seed=4))
+    rng = np.random.Generator(np.random.Philox(key=4))
+    xs = [ad.variable(v) for v in rng.uniform(0.3, 1.2, (2, 6, 1))]
+    params = mlp.param_nodes()
+    u = mlp.forward(ad.concat_cols(xs), params)
+    r = ad.diff(u, xs[0], 2) - ad.diff(u, xs[1]) * u
+    loss = losses.loss(losses.LossSpec(kind), r, coords=xs)
+    grads = ad.backward(loss, params)
+    return loss, sum(ad.reduce_sum(g * g) for g in grads), params, xs
+
+
+class TestActivity:
+    """A sweep builds nodes only where a derivative of a wrt node goes:
+    never through a no-gradient op (abs's sign, max's argmax mask), nor to
+    a guard's checked inputs."""
+
+    @pytest.mark.parametrize("kind", ["l1", "linf"])
+    def test_a_nested_parameter_sweep_builds_only_what_it_returns(
+            self, monkeypatch, kind):
+        loss, norm, params, xs = _nested_loss(kind)
+        assert _dead_nodes(monkeypatch, loss, params) == []
+        assert _dead_nodes(monkeypatch, norm, params) == []
+        assert _dead_nodes(monkeypatch, norm, xs) == []
+
+    def test_a_coordinate_sweep_through_a_guarded_laplacian(self,
+                                                            monkeypatch):
+        mlp = MLP.init(MLPSpec(3, (6,), 1, seed=5))
+        rng = np.random.Generator(np.random.Philox(key=5))
+        coords = [ad.variable(rng.uniform(lo, hi, (5, 1)))
+                  for lo, hi in ((0.5, 1.5), (0.3, 2.8), (0.0, 6.0))]
+        params = mlp.param_nodes()
+        u = mlp.forward(ad.concat_cols(coords), params)
+        lap = operators.laplacian(u, coords, "spherical")
+        assert lap.op == "guard"
+        r = lap - abs(u)
+        loss = ad.reduce_mean(r * r)
+        assert _dead_nodes(monkeypatch, loss, coords) == []
+        assert _dead_nodes(monkeypatch, loss, params) == []
+
+    # the nodes each sweep builds, in order, through u = f(sin(x) * y)
+    SWEEPS = {
+        ("abs", "diff"): "constant cos mul mul sign mul sin mul neg mul mul "
+                         "mul",
+        ("abs", "laplacian"): "constant constant cos mul mul sign mul mul "
+                              "sign mul sin mul neg mul mul sign mul",
+        ("max", "diff"): "constant cos mul mul argmax_mask mul sum mul mul "
+                         "add sin mul neg mul mul mul sum mul mul add mul "
+                         "add",
+        ("max", "laplacian"): "constant constant cos mul mul argmax_mask mul "
+                              "sum mul mul add mul argmax_mask mul sum mul "
+                              "sin mul neg mul mul argmax_mask mul sum mul "
+                              "mul mul add add",
+    }
+
+    @pytest.mark.parametrize("op,sweep", sorted(SWEEPS))
+    def test_second_order_sweeps_through_no_gradient_ops(self, monkeypatch,
+                                                         op, sweep):
+        x = ad.variable(np.linspace(-1.0, 1.0, 4).reshape(-1, 1))
+        y = ad.variable(np.linspace(0.5, 2.0, 4).reshape(-1, 1))
+        v = ad.sin(x) * y
+        u = abs(v) if op == "abs" else ad.reduce_max(v) * x
+        built = _record_nodes(monkeypatch)
+        d2 = ad.diff(u, x, 2) if sweep == "diff" else ad.laplacian(u, [x, y])
+        assert " ".join(n.op for n in built) == self.SWEEPS[op, sweep]
+        if sweep == "laplacian":
+            return
+        # sign(sin(x) y) and the argmax are constant near these points; the
+        # tangent of max(v) along ones is v's at the argmax k
+        if op == "abs":
+            want = -np.sin(x.value) * y.value * np.sign(v.value)
+        else:
+            k = np.argmax(v.value)
+            xk, yk = x.value[k], y.value[k]
+            want = -np.sin(xk) * yk * x.value + 2.0 * np.cos(xk) * yk
+        np.testing.assert_allclose(d2.value, want, rtol=1e-14, atol=1e-15)
+
+    def test_a_guard_is_active_through_its_node_alone(self, monkeypatch):
+        x = ad.variable(np.linspace(0.5, 1.5, 4).reshape(-1, 1))
+        c = ad.constant(np.linspace(-1.0, 1.0, 4).reshape(-1, 1))
+        checked = ad._guard(ad.sin(c), [x], lambda v: None)
+        loss = ad.reduce_sum(checked * x)
+        assert _dead_nodes(monkeypatch, loss, [x]) == []
+        (gx,) = ad.backward(loss, [x])
+        np.testing.assert_array_equal(gx.value, np.sin(c.value))
+
+    def test_a_no_gradient_op_as_a_wrt_gets_no_adjoint_past_it(self):
+        x = ad.variable(np.linspace(-1.0, 1.0, 4).reshape(-1, 1))
+        s = ad._sign(x)
+        gx, gs = ad.backward(ad.reduce_sum(s * x), [x, s])
+        np.testing.assert_array_equal(gx.value, s.value)
+        np.testing.assert_array_equal(gs.value, x.value)
 
 
 def _three_node_tanh_jvp(node, t, jvp=ad._jvp):
@@ -1938,14 +2050,10 @@ class TestLaplacian:
         lap = ad.laplacian(3.0 * x + y, [x, y])
         np.testing.assert_array_equal(lap.value, np.zeros((3, 1), dtype))
 
-    def test_a_coordinate_that_does_not_require_grad_raises(self):
-        x = ad.variable(np.ones((3, 1)))
-        c = ad.constant(np.ones((3, 1)))
-        with pytest.raises(ValueError, match="require grad"):
-            ad.laplacian(ad.sin(x), [x, c])
-        with pytest.raises(ValueError, match="require grad"):
-            ad.laplacian(ad.sin(x), [ad.variable(np.ones((3, 1)),
-                                                  requires_grad=False)])
+    def test_a_constant_coordinate_is_a_coordinate(self):
+        c = ad.constant(np.linspace(0.5, 1.5, 3).reshape(-1, 1))
+        lap = ad.laplacian(ad.sin(c), [c])
+        np.testing.assert_array_equal(lap.value, -np.sin(c.value))
 
     def test_backward_through_it_matches_the_per_coordinate_sum(self):
         mlp, xvs = _laplacian_problem(8, (6, 5), 3, np.float64)
